@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideTubeError
+from .errors import OutsideTubeError, TubeDomainError
 from .geometry import VirtualTube
 from .state import SwarmState
 
@@ -27,7 +27,6 @@ _TWO_PI = 2.0 * math.pi
 _GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 DEFAULT_RHO_FLOOR = 1e-6
-FD_STEP = 1e-4  # m, central-difference step for target-density gradients
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +214,11 @@ def _cos_ramp(s):
     return 0.5 * (1.0 - np.cos(math.pi * s))
 
 
+def _cos_ramp_slope(s):
+    """Derivative of _cos_ramp; exactly zero outside the open ramp (0, 1)."""
+    return np.where((s > 0.0) & (s < 1.0), 0.5 * math.pi * np.sin(math.pi * s), 0.0)
+
+
 class DesiredDensity:
     """Capacity-proportional target density on the occupied region.
 
@@ -248,6 +252,20 @@ class DesiredDensity:
         inside = (ls >= self.region.l_b) & (ls <= self.region.l_f)
         return np.where(inside, up * down, 0.0)
 
+    def _mask_and_slope(self, ls):
+        """The mask and its derivative d/dl at unwrapped arc lengths."""
+        ls = np.asarray(ls, dtype=float)
+        if self.full_ring:
+            return np.ones_like(ls), np.zeros_like(ls)
+        s = np.stack([ls - self.region.l_b, self.region.l_f - ls]) / self.delta
+        ramp = _cos_ramp(s)
+        slope = _cos_ramp_slope(s) / self.delta
+        inside = (ls >= self.region.l_b) & (ls <= self.region.l_f)
+        return (
+            np.where(inside, ramp[0] * ramp[1], 0.0),
+            np.where(inside, slope[0] * ramp[1] - ramp[0] * slope[1], 0.0),
+        )
+
     def _unwrap(self, ls):
         """Shift query arc lengths into the covering interval on closed tubes."""
         ls = np.asarray(ls, dtype=float)
@@ -263,6 +281,15 @@ class DesiredDensity:
             np.mod(ls_u, self.tube.length) if self.tube.closed else ls_u
         )
         return self.lam_moll * r_c * self._mask(ls_u)
+
+    def profile_slope_many(self, ls):
+        """d rho_d / dl: the piecewise-linear capacity's slope times the
+        mask plus the capacity times the cosine ramps' slope, shape (M,)."""
+        ls_u = self._unwrap(ls)
+        ls_w = np.mod(ls_u, self.tube.length) if self.tube.closed else ls_u
+        mask, mask_slope = self._mask_and_slope(ls_u)
+        widths = self.tube.widths
+        return self.lam_moll * (widths.r_c_slope(ls_w) * mask + widths.r_c(ls_w) * mask_slope)
 
     def profile(self, l):
         return float(self.profile_many(np.array([float(l)]))[0])
@@ -314,89 +341,48 @@ class DesiredDensity:
 
     # -- point evaluation -----------------------------------------------------
 
-    def value(self, p, seed_l=None):
-        """Target density at an in-tube point."""
+    def _coord(self, p, seed_l):
+        """(l, r) of an in-tube point; raises outside the tube."""
         if seed_l is None:
             coord = self.tube.to_curvilinear(p)
-            l = coord.l
-        else:
-            pr, inside = self.tube.locate(p, seed_l=seed_l)
-            if not inside:
-                raise OutsideTubeError("query point outside the tube")
-            l = pr.l
-        return self.profile(l)
+            return coord.l, coord.r
+        pr, inside = self.tube.locate(p, seed_l=seed_l)
+        if not inside:
+            raise OutsideTubeError("query point outside the tube")
+        return pr.l, pr.r
 
-    def value_at_projection(self, p, seed_l):
-        """Profile value at the nearest-section arc length of p, without a
-        membership test.  Used by finite-difference stencils whose points may
-        sit marginally outside the lateral boundary."""
-        pr = self.tube.curve.project(p, seed_l=seed_l)
-        return self.profile(pr.l), pr
+    def value(self, p, seed_l=None):
+        """Target density at an in-tube point."""
+        return self.profile(self._coord(p, seed_l)[0])
 
-    def gradient_many(self, pts, seed_ls):
-        """Batched central-difference gradient at several in-tube points.
+    def gradient_many(self, ls, rs):
+        """Cartesian gradient at the points with tube coordinates (ls, rs),
+        shape (M, 2).
 
-        One projection per stencil point but a single profile evaluation for
-        the whole batch; points whose stencil crosses a terminal end fall
-        back to one-sided differences."""
-        pts = np.asarray(pts, dtype=float)
-        m = len(pts)
-        h = FD_STEP
-        offsets = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-        stencil = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-        ls = np.empty(4 * m)
-        usable = np.empty(4 * m, dtype=bool)
-        project = self.tube.curve.project
-        for k in range(4 * m):
-            pr = project(stencil[k], seed_l=float(seed_ls[k // 4]))
-            ls[k] = pr.l
-            usable[k] = not (pr.beyond_start or pr.beyond_end)
-        vals = self.profile_many(ls).reshape(m, 4)
-        usable = usable.reshape(m, 4)
-        grad = np.empty((m, 2))
-        center = None
-        for i in range(m):
-            for axis, (j_plus, j_minus) in enumerate(((0, 1), (2, 3))):
-                if usable[i, j_plus] and usable[i, j_minus]:
-                    grad[i, axis] = (vals[i, j_plus] - vals[i, j_minus]) / (2.0 * h)
-                else:
-                    if center is None:
-                        center = self.profile_many(np.asarray(seed_ls, dtype=float))
-                    if usable[i, j_plus]:
-                        grad[i, axis] = (vals[i, j_plus] - center[i]) / h
-                    elif usable[i, j_minus]:
-                        grad[i, axis] = (center[i] - vals[i, j_minus]) / h
-                    else:
-                        raise ValueError("finite-difference stencil entirely outside the tube")
-        return grad
+        The target depends on l alone, and p = gamma(l) + r n(l) gives
+        grad l = t / (1 - kappa r) with kappa = c . n the signed curvature,
+        so the gradient is rho_d'(l) t / (1 - kappa r).  Raises where
+        1 - kappa r <= 0: the point is at or past the centre of curvature,
+        where l is not a function of position."""
+        ls = np.asarray(ls, dtype=float)
+        rs = np.asarray(rs, dtype=float)
+        frames = np.array([self.tube.curve.eval_scalar(float(l)) for l in ls]).reshape(-1, 6)
+        tx, ty, cx, cy = frames[:, 2], frames[:, 3], frames[:, 4], frames[:, 5]
+        stretch = 1.0 - (ty * -cx + tx * cy) * rs
+        bad = np.flatnonzero(stretch <= 0.0)
+        if len(bad):
+            k = int(bad[0])
+            raise TubeDomainError(
+                f"offset r={rs[k]} at arc length l={ls[k]} is at or past the centre of "
+                f"curvature (1 - kappa r = {stretch[k]:.3e})"
+            )
+        slope = self.profile_slope_many(ls) / stretch
+        return np.stack([slope * tx, slope * ty], axis=1)
 
     def gradient(self, p, seed_l=None):
-        """Cartesian gradient by central differences of the profile composed
-        with the projection.  Falls back to one-sided differences when a
-        stencil point leaves the projectable range past a terminal section."""
-        p = np.asarray(p, dtype=float)
-        if seed_l is None:
-            seed_l = self.tube.to_curvilinear(p).l
-        h = FD_STEP
-        grad = np.zeros(2)
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = h
-            v_plus, pr_plus = self.value_at_projection(p + e, seed_l)
-            v_minus, pr_minus = self.value_at_projection(p - e, seed_l)
-            ok_plus = not (pr_plus.beyond_start or pr_plus.beyond_end)
-            ok_minus = not (pr_minus.beyond_start or pr_minus.beyond_end)
-            if ok_plus and ok_minus:
-                grad[axis] = (v_plus - v_minus) / (2.0 * h)
-            elif ok_plus:
-                v0, _ = self.value_at_projection(p, seed_l)
-                grad[axis] = (v_plus - v0) / h
-            elif ok_minus:
-                v0, _ = self.value_at_projection(p, seed_l)
-                grad[axis] = (v0 - v_minus) / h
-            else:
-                raise ValueError("finite-difference stencil entirely outside the tube")
-        return grad
+        """Cartesian gradient at an in-tube point (see gradient_many)."""
+        l, r = self._coord(p, seed_l)
+        return self.gradient_many([l], [r])[0]
 
 
 # ---------------------------------------------------------------------------

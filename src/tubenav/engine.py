@@ -28,11 +28,10 @@ from .density import (
 )
 from .errors import SafetyViolation
 from .geometry import CurvilinearCoord, VirtualTube
-from .metrics import MetricsRecord, amd_from_positions, min_pairwise_from_positions
+from .metrics import COND23_TOL, MetricsRecord, amd_from_positions, min_pairwise_from_positions
 from .state import SwarmState
 
 _EXIT_TOL = 1e-12
-_COND23_TOL = 1e-12
 
 
 @dataclass
@@ -72,11 +71,12 @@ class SimulationLog:
 # validation
 # ---------------------------------------------------------------------------
 
-def _point_segment_distance(p, a, b):
+def _point_segment_distances(pts, a, b):
+    """Distance from each of pts (M, 2) to the closed segment [a, b]."""
     ab = b - a
     denom = float(ab @ ab)
-    t = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    t = np.zeros(len(pts)) if denom == 0 else np.clip((pts - a) @ ab / denom, 0.0, 1.0)
+    return np.linalg.norm(pts - (a + t[:, None] * ab), axis=1)
 
 
 def validate_initial(swarm: SwarmState, tube: VirtualTube, params: ControllerParams):
@@ -85,36 +85,24 @@ def validate_initial(swarm: SwarmState, tube: VirtualTube, params: ControllerPar
     Returns a list of violation descriptions; empty means ok."""
     problems = []
     pts = swarm.active_positions()
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            if d <= 2.0 * params.r_s:
-                problems.append(
-                    f"robots {i} and {j} at distance {d:.4f} <= 2 r_s = {2 * params.r_s}"
-                )
-    inside = np.ones(n, dtype=bool)
-    for i in range(n):
-        pr, ok = tube.locate(pts[i])
-        if not ok:
-            inside[i] = False
-            problems.append(f"robot {i} at {tuple(pts[i])} is outside the tube")
-    if n and inside.any():
-        d_lat, _ = tube.boundary_distance_many(pts[inside])
-        for k, i in enumerate(np.flatnonzero(inside)):
-            if d_lat[k] <= params.r_s:
-                problems.append(
-                    f"robot {i} boundary distance {d_lat[k]:.4f} <= r_s = {params.r_s}"
-                )
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    for i, j in zip(*np.nonzero(np.triu(d <= 2.0 * params.r_s, k=1))):
+        problems.append(
+            f"robots {i} and {j} at distance {d[i, j]:.4f} <= 2 r_s = {2 * params.r_s}"
+        )
+    inside = np.array([tube.locate(p)[1] for p in pts], dtype=bool)
+    for i in np.flatnonzero(~inside):
+        problems.append(f"robot {i} at {tuple(pts[i])} is outside the tube")
+    ids = np.flatnonzero(inside)
+    d_lat, _ = tube.boundary_distance_many(pts[ids])
+    close = d_lat <= params.r_s
+    for i, di in zip(ids[close], d_lat[close]):
+        problems.append(f"robot {i} boundary distance {di:.4f} <= r_s = {params.r_s}")
     for a, b in tube.terminal_sections():
-        for i in range(n):
-            if not inside[i]:
-                continue
-            d = _point_segment_distance(pts[i], a, b)
-            if d <= params.r_s:
-                problems.append(
-                    f"robot {i} terminal-section distance {d:.4f} <= r_s = {params.r_s}"
-                )
+        d_end = _point_segment_distances(pts[ids], a, b)
+        close = d_end <= params.r_s
+        for i, di in zip(ids[close], d_end[close]):
+            problems.append(f"robot {i} terminal-section distance {di:.4f} <= r_s = {params.r_s}")
     return problems
 
 
@@ -175,6 +163,10 @@ class _Snapshot:
         else:
             self.boundary_d = np.zeros(0)
             self.boundary_dir = np.zeros((0, 2))
+        # shared by the safety check and the record's metrics
+        self.min_pair = (
+            min_pairwise_from_positions(self.positions) if len(self.active) >= 2 else math.nan
+        )
 
         self.view = None
         self.region = None
@@ -191,12 +183,13 @@ class _Snapshot:
             )
             delta_l = max(self.bandwidth, params.r_s)
             ls = [self.projections[i].l for i in self.active]
+            rs = [self.projections[i].r for i in self.active]
             self.region = occupied_region_from_arclengths(ls, tube, min_halfwidth=delta_l)
             self.view = DensityView(self.positions, self.bandwidth, params.rho_floor)
             self.dd = DesiredDensity(tube, self.region, delta_l=delta_l)
             # one batch per step for every robot's regulation ingredients
             self.rho_hat, self.grad_hat = self.view.estimate_and_gradient_many(self.positions)
-            self.grad_d = self.dd.gradient_many(self.positions, ls)
+            self.grad_d = self.dd.gradient_many(ls, rs)
 
     def containment_check(self, tube):
         for k, i in enumerate(self.active):
@@ -213,7 +206,7 @@ class _Snapshot:
     def safety_check(self, params):
         pts = self.positions
         if len(pts) >= 2:
-            d = min_pairwise_from_positions(pts)
+            d = self.min_pair
             if d <= 2.0 * params.r_s:
                 raise SafetyViolation(
                     f"min pairwise distance {d:.6f} <= 2 r_s = {2 * params.r_s}",
@@ -263,7 +256,6 @@ def _metrics(snapshot, tube, params, cmds, density_grid):
     n_active = len(pts)
     swarm = snapshot.swarm
     exited = sum(1 for r in swarm.robots if not r.active)
-    min_pair = min_pairwise_from_positions(pts) if n_active >= 2 else math.nan
     amd_val = amd_from_positions(pts) if n_active >= 2 else math.nan
     min_bound = float(np.min(snapshot.boundary_d)) if n_active >= 1 else math.nan
     if snapshot.view is not None:
@@ -275,12 +267,12 @@ def _metrics(snapshot, tube, params, cmds, density_grid):
     cond_ok = True
     max_norm = 0.0 if cmds else math.nan
     for cmd in cmds.values():
-        if np.linalg.norm(cmd.u4) > np.linalg.norm(cmd.u123()) + _COND23_TOL:
+        if np.linalg.norm(cmd.u4) > np.linalg.norm(cmd.u123()) + COND23_TOL:
             cond_ok = False
         max_norm = max(max_norm, float(np.linalg.norm(cmd.v)))
     return MetricsRecord(
         time=swarm.time,
-        min_pairwise_distance=min_pair,
+        min_pairwise_distance=snapshot.min_pair,
         min_boundary_distance=min_bound,
         amd=amd_val,
         exited_count=exited,

@@ -31,6 +31,11 @@ _UNIT_SPEED_TOL = 1e-9    # |d gamma / dl| - 1 at sample points
 _PROJ_MAX_NEWTON = 20
 _MEMBERSHIP_TOL = 1e-9    # m, slack when testing tube membership
 
+# boundary distance queries cull whole chunks of consecutive polyline
+# segments by their bounding boxes before the exact per-segment pass
+_BOUNDARY_CHUNK = 32
+_CULL_SLACK = 1e-9        # relative slack on squared box distances
+
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -472,6 +477,8 @@ class WidthProfile:
         self.knot_ls = arr[:, 0].copy()
         self.knot_rd = arr[:, 1].copy()
         self.knot_ru = arr[:, 2].copy()
+        rc = 0.5 * (self.knot_rd + self.knot_ru)
+        self._rc_slopes = np.concatenate([[0.0], np.diff(rc) / np.diff(self.knot_ls), [0.0]])
 
     def r_d(self, l):
         return np.interp(l, self.knot_ls, self.knot_rd)
@@ -482,6 +489,11 @@ class WidthProfile:
     def r_c(self, l):
         """Cross-section radius: half the total width."""
         return 0.5 * (self.r_d(l) + self.r_u(l))
+
+    def r_c_slope(self, l):
+        """d r_c / dl: the slope of the piece to the right of l (so a knot
+        takes the slope of the piece it starts), zero outside the knots."""
+        return self._rc_slopes[np.searchsorted(self.knot_ls, l, side="right")]
 
     def grid_over(self, a, b):
         """Breakpoints of the piecewise-linear profile restricted to [a, b]."""
@@ -721,9 +733,8 @@ class VirtualTube:
         r_u = self.widths.r_u(ls)[:, None]
         lower = pts - r_d * normals
         upper = pts + r_u * normals
-        self._boundary_ls = ls
-        self._boundary_polylines = (lower, upper)
-        # both lateral polylines in one segment soup for a single vector pass
+        # both lateral polylines in one segment list, lower side first: the
+        # order in which distance ties are broken
         a = np.concatenate([lower[:-1], upper[:-1]])
         b = np.concatenate([lower[1:], upper[1:]])
         d = b - a
@@ -734,23 +745,72 @@ class VirtualTube:
         self._seg_dx = d[:, 0].copy()
         self._seg_dy = d[:, 1].copy()
         self._seg_len2 = len2
+        # Chunks of _BOUNDARY_CHUNK consecutive segments of one side, in
+        # list order; a side's last chunk repeats that side's last segment,
+        # so no chunk straddles the two sides.
+        n_side = len(ls) - 1
+        n_chunks = -(-n_side // _BOUNDARY_CHUNK)
+        side = np.minimum(np.arange(n_chunks * _BOUNDARY_CHUNK), n_side - 1)
+        seg = np.concatenate([side, side + n_side]).reshape(-1, _BOUNDARY_CHUNK)
+        # rows ax, ay, dx, dy, len2, so that a query gathers them in one index
+        rows = np.stack([self._seg_ax, self._seg_ay, self._seg_dx, self._seg_dy, len2])
+        self._chunks = np.take(rows, seg, axis=1)
+        # A box spans its chunk's real segments (the padding repeats one of
+        # them).  Its margin covers the rounding of d = b - a and of the
+        # distance arithmetic, so a box is never farther than its segments.
+        pad = 1e-12 * (1.0 + float(np.max(np.abs(np.concatenate([a, b])))))
+        starts = seg[:, 0]
+        self._box_lo = (np.minimum.reduceat(np.minimum(a, b), starts) - pad).T.copy()
+        self._box_hi = (np.maximum.reduceat(np.maximum(a, b), starts) + pad).T.copy()
+
+    def _chunk_offsets(self, pts, rows, chunks):
+        """Offsets from pts[rows] to the nearest point of every segment of
+        the paired chunks, (P, _BOUNDARY_CHUNK) each, plus their squares:
+        the per-segment arithmetic of a full scan, on a subset."""
+        ax, ay, dx, dy, len2 = self._chunks[:, chunks]
+        q = pts[rows]
+        apx = q[:, :1] - ax
+        apy = q[:, 1:] - ay
+        t = (apx * dx + apy * dy) / len2
+        np.clip(t, 0.0, 1.0, out=t)
+        ex = apx - t * dx
+        ey = apy - t * dy
+        return ex, ey, ex * ex + ey * ey
 
     def boundary_distance_many(self, pts):
         """Distance and inward unit direction to the lateral boundary for
-        each point; no membership check (engine fast path)."""
+        each point; no membership check (engine fast path).
+
+        Exact: the box of each chunk bounds its segments' distances from
+        below, the nearest box's chunk bounds the answer from above, and
+        only chunks whose box is within that bound are scanned.  Ties go to
+        the lowest segment index, so the result equals a scan of every
+        segment bit for bit."""
         pts = np.asarray(pts, dtype=float)
         m = len(pts)
-        apx = pts[:, 0][:, None] - self._seg_ax[None, :]
-        apy = pts[:, 1][:, None] - self._seg_ay[None, :]
-        t = (apx * self._seg_dx[None, :] + apy * self._seg_dy[None, :]) / self._seg_len2[None, :]
-        np.clip(t, 0.0, 1.0, out=t)
-        ex = apx - t * self._seg_dx[None, :]
-        ey = apy - t * self._seg_dy[None, :]
-        d2 = ex * ex + ey * ey
-        idx = np.argmin(d2, axis=1)
+        p = pts.T[:, :, None]
+        gap = np.maximum(self._box_lo[:, None, :] - p, p - self._box_hi[:, None, :])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        lower2 = gap[0] + gap[1]                     # (M, chunks)
         rows = np.arange(m)
-        dist = np.sqrt(d2[rows, idx])
-        dirs = np.stack([ex[rows, idx], ey[rows, idx]], axis=1)
+        nearest = np.argmin(lower2, axis=1)
+        upper2 = self._chunk_offsets(pts, rows, nearest)[2].min(axis=1)
+        keep = lower2 <= upper2[:, None] * (1.0 + _CULL_SLACK)
+        keep[rows, nearest] = True  # at least one chunk per point, for reduceat
+        # row-major: grouped by point, chunks (hence segments) ascending
+        who, chunks = np.nonzero(keep)
+        ex, ey, d2 = self._chunk_offsets(pts, who, chunks)
+        counts = np.count_nonzero(keep, axis=1)
+        starts = np.cumsum(counts) - counts
+        chunk_min = d2.min(axis=1)
+        tied = chunk_min == np.minimum.reduceat(chunk_min, starts)[who]
+        pairs = len(who)
+        # each point's first pair at its minimum holds the lowest such segment
+        first = np.minimum.reduceat(np.where(tied, np.arange(pairs), pairs), starts)
+        col = np.argmin(d2[first], axis=1)
+        dist = np.sqrt(d2[first, col])
+        dirs = np.stack([ex[first, col], ey[first, col]], axis=1)
         norms = np.where(dist > 0, dist, 1.0)
         dirs = dirs / norms[:, None]
         return dist, dirs

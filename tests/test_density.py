@@ -16,6 +16,7 @@ from tubenav.density import (
     relative_error_field,
     silverman_bandwidth,
 )
+from tubenav.errors import TubeDomainError
 from tubenav.geometry import (
     ArcSegment,
     CurvilinearCoord,
@@ -24,6 +25,7 @@ from tubenav.geometry import (
     VirtualTube,
     WidthProfile,
 )
+from tubenav.scenario import bundled_scenario_path, load_scenario
 from tubenav.state import make_swarm
 
 
@@ -292,6 +294,158 @@ class TestDesiredDensityGradient:
         slope = dd.lam_moll * (-0.1)
         assert abs(g[0] - slope) < 1e-4
         assert abs(g[1]) < 1e-6
+
+
+def fd_gradient(dd, pts, seed_ls, h=1e-4):
+    """Central differences of the profile composed with the projection, one
+    projection per stencil point; one-sided where a stencil point projects
+    past a terminal section.  The oracle for the analytic gradient."""
+    pts = np.asarray(pts, dtype=float)
+    m = len(pts)
+    offsets = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    stencil = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+    ls = np.empty(4 * m)
+    usable = np.empty(4 * m, dtype=bool)
+    for k in range(4 * m):
+        pr = dd.tube.curve.project(stencil[k], seed_l=float(seed_ls[k // 4]))
+        ls[k] = pr.l
+        usable[k] = not (pr.beyond_start or pr.beyond_end)
+    vals = dd.profile_many(ls).reshape(m, 4)
+    usable = usable.reshape(m, 4)
+    center = dd.profile_many(np.asarray(seed_ls, dtype=float))
+    grad = np.empty((m, 2))
+    for i in range(m):
+        for axis, (j_plus, j_minus) in enumerate(((0, 1), (2, 3))):
+            if usable[i, j_plus] and usable[i, j_minus]:
+                grad[i, axis] = (vals[i, j_plus] - vals[i, j_minus]) / (2.0 * h)
+            elif usable[i, j_plus]:
+                grad[i, axis] = (vals[i, j_plus] - center[i]) / h
+            elif usable[i, j_minus]:
+                grad[i, axis] = (center[i] - vals[i, j_minus]) / h
+            else:
+                raise ValueError("finite-difference stencil entirely outside the tube")
+    return grad
+
+
+def _ring(radius=0.8, half_width=0.12):
+    curve = GeneratingCurve([ArcSegment((0, 0), radius, 0.0, 2 * math.pi)], closed=True)
+    return VirtualTube(curve, WidthProfile([(0.0, half_width, half_width)]), topology="closed")
+
+
+def _away_from(ls, marks, margin):
+    """Arc lengths at least ``margin`` from every mark (region edges, ramp
+    ends, width knots), where the profile is smooth across the stencil."""
+    return np.min(np.abs(ls[:, None] - np.asarray(marks)[None, :]), axis=1) > margin
+
+
+class TestAnalyticTargetGradient:
+    """grad rho_d = rho_d'(l) t / (1 - kappa r) against the stencil oracle."""
+
+    def _compare(self, tube, dd, ls, rs, marks, margin=1e-3):
+        ok = _away_from(ls, marks, margin)
+        ls, rs = ls[ok], rs[ok]
+        pts = tube.section_points(ls, rs)
+        g = dd.gradient_many(ls, rs)
+        fd = fd_gradient(dd, pts, ls)
+        err = np.linalg.norm(g - fd, axis=1)
+        assert np.all(err <= 1e-6 * np.linalg.norm(g, axis=1))
+        return ls, g
+
+    def _marks(self, tube, dd):
+        r = dd.region
+        return np.concatenate(
+            [tube.widths.knot_ls, [r.l_b, r.l_f, r.l_b + dd.delta, r.l_f - dd.delta]]
+        )
+
+    def test_bundled_s_tube_with_curved_sections(self):
+        tube = load_scenario(bundled_scenario_path("narrow_s_tube")).tube
+        region = occupied_region_from_arclengths([2.0, 27.0], tube)
+        dd = DesiredDensity(tube, region, delta_l=1.5)
+        rng = np.random.default_rng(0)
+        ls = rng.uniform(0.5, tube.length - 0.5, 400)
+        rs = rng.uniform(-0.9, 0.9, 400) * tube.widths.r_d(ls)
+        _, g = self._compare(tube, dd, ls, rs, self._marks(tube, dd))
+        assert np.count_nonzero(np.linalg.norm(g, axis=1)) > 100
+
+    def test_offset_stretch_on_an_arc(self):
+        # a tapered arc: the gradient at offset r is 1/(1 - kappa r) times
+        # the one on the spine, larger on the inner side of the bend
+        curve = GeneratingCurve([ArcSegment((0.0, 0.0), 3.0, 0.0, 2.0)])
+        tube = VirtualTube(curve, WidthProfile([(0.0, 1.2, 1.2), (6.0, 0.6, 0.6)]))
+        region = occupied_region_from_arclengths([0.5, 5.0], tube)
+        dd = DesiredDensity(tube, region, delta_l=0.8)
+        rng = np.random.default_rng(1)
+        ls = rng.uniform(0.0, tube.length, 300)
+        rs = rng.uniform(-0.95, 0.95, 300) * tube.widths.r_d(ls)
+        self._compare(tube, dd, ls, rs, self._marks(tube, dd))
+        l = 2.5
+        on_spine = dd.gradient_many([l], [0.0])[0]
+        inner = dd.gradient_many([l], [0.5])[0]  # left of a CCW arc: towards the centre
+        assert np.allclose(inner, on_spine / (1.0 - 0.5 / 3.0), rtol=1e-14, atol=0)
+
+    def test_ring_seam(self):
+        tube = _ring()
+        L = tube.length
+        # the rear ramp [L - 0.3, L + 0.2] straddles the seam
+        region = occupied_region_from_arclengths([L - 0.3, 0.2, 1.5, 2.5], tube)
+        dd = DesiredDensity(tube, region, delta_l=0.5)
+        assert region.l_b == L - 0.3 and region.l_f > L
+        ls = np.mod(np.linspace(L - 0.5, L + 3.0, 301), L)
+        rs = np.linspace(-0.1, 0.1, 301)
+        marks = np.concatenate([np.mod(self._marks(tube, dd), L), [0.0, L]])
+        ls, g = self._compare(tube, dd, ls, rs, marks)
+        seam = (ls > L - 0.25) | (ls < 0.15)
+        assert np.all(np.linalg.norm(g[seam], axis=1) > 0.0)
+
+    def test_exactly_zero_in_full_ring_mode(self):
+        tube = _ring()
+        region = OccupiedRegion(l_b=0.0, l_f=tube.length, lam=1.0)
+        dd = DesiredDensity(tube, region, delta_l=0.2)
+        assert dd.full_ring
+        ls = np.linspace(0.0, tube.length, 97)
+        g = dd.gradient_many(ls, np.linspace(-0.1, 0.1, 97))
+        assert np.all(g == 0.0)
+
+    def test_exactly_zero_at_region_edges(self):
+        tube = tapered_tube()
+        region = occupied_region_from_arclengths([2.0, 8.0], tube)
+        dd = DesiredDensity(tube, region, delta_l=0.5)
+        g = dd.gradient_many([2.0, 8.0, 1.0, 9.5], [0.3, -0.2, 0.0, 0.0])
+        assert np.all(g == 0.0)
+
+    def test_annular_rear_edge_has_no_stencil_bias(self):
+        # the rearmost robot of the bundled ring's start state sits on the
+        # region edge, where rho_d' = 0 but rho_d'' jumps: the stencil reads
+        # an O(h) bias there, the analytic gradient the true zero
+        sc = load_scenario(bundled_scenario_path("annular"))
+        pts = sc.initial_state().active_positions()
+        prs = sc.tube.curve.project_many(pts)
+        ls = np.array([pr.l for pr in prs])
+        rs = np.array([pr.r for pr in prs])
+        delta_l = max(sc.params.h, sc.params.r_s)
+        region = occupied_region_from_arclengths(ls, sc.tube, min_halfwidth=delta_l)
+        dd = DesiredDensity(sc.tube, region, delta_l=delta_l)
+        rear = int(np.flatnonzero(ls == region.l_b)[0])
+        g = dd.gradient_many(ls, rs)
+        assert np.all(g[rear] == 0.0)
+        fd = fd_gradient(dd, pts[rear:rear + 1], ls[rear:rear + 1])[0]
+        assert np.linalg.norm(fd) > 1e-3
+
+    def test_scalar_gradient_matches_batch(self):
+        tube = tapered_tube()
+        region = occupied_region_from_arclengths([1.0, 9.0], tube)
+        dd = DesiredDensity(tube, region, delta_l=0.5)
+        p = np.array([1.2, 0.4])
+        coord = tube.to_curvilinear(p)
+        assert np.array_equal(dd.gradient(p), dd.gradient_many([coord.l], [coord.r])[0])
+
+    def test_raises_past_the_centre_of_curvature(self):
+        curve = GeneratingCurve([ArcSegment((0.0, 0.0), 1.0, 0.0, 2.0)])
+        tube = VirtualTube(curve, WidthProfile([(0.0, 0.5, 0.5)]))
+        region = occupied_region_from_arclengths([0.2, 1.8], tube)
+        dd = DesiredDensity(tube, region, delta_l=0.3)
+        with pytest.raises(TubeDomainError, match="centre of curvature"):
+            dd.gradient_many([0.3, 0.4], [0.2, 1.0])  # kappa r = 1 at r = 1
 
 
 # ---------------------------------------------------------------------------

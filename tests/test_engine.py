@@ -51,7 +51,68 @@ def scenario_stub(tube, prm, positions, dt=0.01, t_end=1.0, mode="full",
     )
 
 
+def loop_validate_initial(swarm, tube, prm):
+    """Pair-by-pair, robot-by-robot validation: the oracle for the array
+    version, which must emit the same messages in the same order."""
+    problems = []
+    pts = swarm.active_positions()
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(np.linalg.norm(pts[i] - pts[j]))
+            if d <= 2.0 * prm.r_s:
+                problems.append(f"robots {i} and {j} at distance {d:.4f} <= 2 r_s = {2 * prm.r_s}")
+    inside = np.ones(n, dtype=bool)
+    for i in range(n):
+        _, ok = tube.locate(pts[i])
+        if not ok:
+            inside[i] = False
+            problems.append(f"robot {i} at {tuple(pts[i])} is outside the tube")
+    if n and inside.any():
+        d_lat, _ = tube.boundary_distance_many(pts[inside])
+        for k, i in enumerate(np.flatnonzero(inside)):
+            if d_lat[k] <= prm.r_s:
+                problems.append(f"robot {i} boundary distance {d_lat[k]:.4f} <= r_s = {prm.r_s}")
+    for a, b in tube.terminal_sections():
+        for i in range(n):
+            if not inside[i]:
+                continue
+            ab = b - a
+            t = float(np.clip((pts[i] - a) @ ab / float(ab @ ab), 0.0, 1.0))
+            d = float(np.linalg.norm(pts[i] - (a + t * ab)))
+            if d <= prm.r_s:
+                problems.append(
+                    f"robot {i} terminal-section distance {d:.4f} <= r_s = {prm.r_s}"
+                )
+    return problems
+
+
 class TestValidateInitial:
+    def test_messages_match_the_loop_version(self):
+        tube = straight_tube()
+        prm = params()
+        bad = make_swarm([
+            (0.3, 0.0),    # entry section, and a pair with the next robot
+            (0.9, 0.1),
+            (5.0, 1.7),    # lateral wall, and a pair with robot 4
+            (5.0, 3.0),    # outside
+            (5.8, 1.7),
+            (19.6, -1.6),  # exit section and lateral wall
+            (10.0, 0.0),   # clear
+            (10.5, 0.3),   # pair with the previous robot
+        ])
+        probs = validate_initial(bad, tube, prm)
+        assert probs == loop_validate_initial(bad, tube, prm)
+        for kind in ("robots 0 and 1", "robots 2 and 4", "robots 6 and 7", "outside",
+                     "robot 2 boundary", "robot 5 boundary", "robot 0 terminal",
+                     "robot 5 terminal"):
+            assert any(kind in p for p in probs), kind
+        ring = ring_tube()
+        on_ring = make_swarm([(2.0, 0.0), (2.0, 0.5), (0.0, 2.35), (-2.0, 0.0), (0.0, -3.0)])
+        ring_probs = validate_initial(on_ring, ring, prm)
+        assert ring_probs and ring_probs == loop_validate_initial(on_ring, ring, prm)
+        assert validate_initial(make_swarm(np.zeros((0, 2))), tube, prm) == []
+
     def test_exact_touching_is_a_violation(self):
         tube = straight_tube()
         prm = params()

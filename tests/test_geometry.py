@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubenav.errors import OutsideTubeError, TubeDomainError
 from tubenav.geometry import (
@@ -335,6 +337,107 @@ class TestBoundaryDistance:
         tube = straight_tube()
         with pytest.raises(OutsideTubeError):
             tube.boundary_distance((3.0, 2.0))
+
+
+def brute_force_boundary(tube, pts):
+    """Scan of every boundary polyline segment for every point: the oracle
+    for the chunk-culled query, with the same per-segment arithmetic."""
+    pts = np.asarray(pts, dtype=float)
+    m = len(pts)
+    apx = pts[:, 0][:, None] - tube._seg_ax[None, :]
+    apy = pts[:, 1][:, None] - tube._seg_ay[None, :]
+    t = (apx * tube._seg_dx[None, :] + apy * tube._seg_dy[None, :]) / tube._seg_len2[None, :]
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = apx - t * tube._seg_dx[None, :]
+    ey = apy - t * tube._seg_dy[None, :]
+    d2 = ex * ex + ey * ey
+    idx = np.argmin(d2, axis=1)
+    rows = np.arange(m)
+    dist = np.sqrt(d2[rows, idx])
+    dirs = np.stack([ex[rows, idx], ey[rows, idx]], axis=1)
+    norms = np.where(dist > 0, dist, 1.0)
+    return dist, dirs / norms[:, None]
+
+
+def ring_tube(radius=2.0, r_d=0.4, r_u=0.3):
+    curve = GeneratingCurve([ArcSegment((0.0, 0.0), radius, 0.0, 2 * math.pi)], closed=True)
+    return VirtualTube(curve, WidthProfile([(0.0, r_d, r_u)]), topology="closed")
+
+
+def long_tapered_tube():
+    # many chunks per side, a width change and an odd segment count
+    curve = GeneratingCurve([LineSegment((0.0, 0.0), (61.37, 0.0))])
+    return VirtualTube(curve, WidthProfile([(0.0, 3.0, 2.0), (20.0, 3.0, 2.0), (25.0, 1.0, 1.5)]))
+
+
+ORACLE_TUBES = {
+    "line": long_tapered_tube(),
+    "arc": arc_tube(r_d=0.4, r_u=0.6),
+    "spline": s_spline_tube(),
+    "closed": ring_tube(),
+}
+
+
+def _assert_matches_oracle(tube, pts):
+    d, dirs = tube.boundary_distance_many(pts)
+    d_ref, dirs_ref = brute_force_boundary(tube, pts)
+    assert np.array_equal(d, d_ref)
+    assert np.array_equal(dirs, dirs_ref)
+
+
+class TestBoundaryDistanceCulling:
+    """The chunk-culled query equals the full scan bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_TUBES))
+    def test_random_points_inside_and_around(self, kind):
+        tube = ORACLE_TUBES[kind]
+        rng = np.random.default_rng(5)
+        ls = rng.uniform(0.0, tube.length, 3000)
+        rs = rng.uniform(-1.2, 1.2, 3000) * tube.widths.r_c(ls)
+        pts = tube.section_points(ls, rs)
+        lo, hi = pts.min(axis=0) - 5.0, pts.max(axis=0) + 5.0
+        far = rng.uniform(lo, hi, size=(500, 2))
+        _assert_matches_oracle(tube, np.concatenate([pts, far]))
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_TUBES))
+    def test_polyline_vertices(self, kind):
+        tube = ORACLE_TUBES[kind]
+        vertices = np.stack([tube._seg_ax, tube._seg_ay], axis=1)
+        ends = vertices + np.stack([tube._seg_dx, tube._seg_dy], axis=1)
+        _assert_matches_oracle(tube, np.concatenate([vertices, ends]))
+
+    def test_equidistant_points_take_the_lowest_segment(self):
+        # centreline of a symmetric straight tube: every point is as far
+        # from the lower wall as from the upper one, and a point across from
+        # a polyline vertex is as far from both segments that share it
+        tube = straight_tube()
+        xs = np.concatenate([tube._seg_ax[:40], np.linspace(0.0, 10.0, 333)])
+        for y in (0.0, 0.3, -0.3):
+            pts = np.stack([xs, np.full_like(xs, y)], axis=1)
+            _assert_matches_oracle(tube, pts)
+        d, dirs = tube.boundary_distance_many([[5.0, 0.0]])
+        assert d[0] == 1.0
+        assert np.array_equal(dirs[0], [0.0, 1.0])  # the lower wall comes first
+
+    def test_single_point_and_none(self):
+        for tube in ORACLE_TUBES.values():
+            _assert_matches_oracle(tube, tube.section_points([0.37 * tube.length], [0.1]))
+        d, dirs = straight_tube().boundary_distance_many(np.zeros((0, 2)))
+        assert d.shape == (0,) and dirs.shape == (0, 2)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(ORACLE_TUBES)),
+        fracs=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(-1.5, 1.5)), min_size=1, max_size=12
+        ),
+    )
+    def test_property_matches_full_scan(self, kind, fracs):
+        tube = ORACLE_TUBES[kind]
+        f = np.array(fracs)
+        ls = f[:, 0] * tube.length
+        pts = tube.section_points(ls, f[:, 1] * tube.widths.r_c(ls))
+        _assert_matches_oracle(tube, pts)
 
 
 # ---------------------------------------------------------------------------
