@@ -77,6 +77,27 @@ class DensityView:
     def estimate(self, p):
         return float(self.estimate_many(np.asarray(p, dtype=float)[None, :])[0])
 
+    def estimate_sections(self, origins, tangents, normals, offsets):
+        """Kernel density at origins[c] + offsets[c, k] * normals[c], shape
+        (n_l, n_r), for columns with orthonormal frames (tangents, normals).
+
+        With (dx, dy) = (origin - x_j) / h, tau = (dx, dy) . t and
+        s = (dx, dy) . n, the scaled squared distance is tau^2 + (s + r / h)^2
+        exactly, so the kernel factors into exp(-tau^2 / 2), one (n_l, N)
+        array, times a per-offset factor that depends on s alone.  The
+        distance along the tube never enters the large (n_l, n_r, N) array."""
+        h = self.bandwidth
+        dx = (origins[:, 0, None] - self.positions[:, 0]) / h
+        dy = (origins[:, 1, None] - self.positions[:, 1]) / h
+        tau = dx * tangents[:, 0, None] + dy * tangents[:, 1, None]
+        s = dx * normals[:, 0, None] + dy * normals[:, 1, None]
+        z = s[:, None, :] + (offsets / h)[:, :, None]
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        along = np.exp(-0.5 * tau * tau)
+        return np.matmul(z, along[:, :, None])[..., 0] / (_TWO_PI * self.n * h * h)
+
     def gradient_many(self, pts):
         """Analytic gradient of the kernel sum at each query point, (M, 2)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -407,6 +428,8 @@ class ErrorField:
 
 
 def _region_grid(tube: VirtualTube, region: OccupiedRegion, resolution):
+    """Column arc lengths, cell sizes, the columns' spine frames (origins,
+    tangents, normals) and the cell-centre offsets along each normal."""
     n_l, n_r = resolution
     if n_l < 1 or n_r < 1:
         raise ValueError("grid resolution must be positive")
@@ -417,17 +440,15 @@ def _region_grid(tube: VirtualTube, region: OccupiedRegion, resolution):
     r_u = tube.widths.r_u(ls_eval)
     dr = (r_d + r_u) / n_r
     offsets = -r_d[:, None] + (np.arange(n_r)[None, :] + 0.5) * dr[:, None]
-    pts = tube.section_points(ls_eval, offsets)
-    return ls, dl, dr, pts
+    return ls, dl, dr, tube.curve.frames(ls_eval), offsets
 
 
 def error_grid(view: DensityView, dd: DesiredDensity, tube: VirtualTube,
                region: OccupiedRegion, resolution=(200, 40)) -> ErrorField:
     """Evaluate estimate and target on the region grid."""
-    ls, dl, dr, pts = _region_grid(tube, region, resolution)
-    n_l, n_r = pts.shape[0], pts.shape[1]
-    rho_hat = view.estimate_many(pts.reshape(-1, 2)).reshape(n_l, n_r)
-    rho_d = np.broadcast_to(dd.profile_many(ls)[:, None], (n_l, n_r)).copy()
+    ls, dl, dr, frames, offsets = _region_grid(tube, region, resolution)
+    rho_hat = view.estimate_sections(*frames, offsets)
+    rho_d = np.broadcast_to(dd.profile_many(ls)[:, None], offsets.shape).copy()
     excluded = rho_d < view.rho_floor
     with np.errstate(divide="ignore", invalid="ignore"):
         relative = np.where(excluded, np.nan, (rho_hat - rho_d) / rho_d)

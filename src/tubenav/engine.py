@@ -92,7 +92,7 @@ def validate_initial(swarm: SwarmState, tube: VirtualTube, params: ControllerPar
         )
     inside = np.array([tube.locate(p)[1] for p in pts], dtype=bool)
     for i in np.flatnonzero(~inside):
-        problems.append(f"robot {i} at {tuple(pts[i])} is outside the tube")
+        problems.append(f"robot {i} at {tuple(pts[i].tolist())} is outside the tube")
     ids = np.flatnonzero(inside)
     d_lat, _ = tube.boundary_distance_many(pts[ids])
     close = d_lat <= params.r_s

@@ -56,6 +56,20 @@ _TOP_DEFAULTS = {
 }
 
 
+_TUBE_KEYS = {"topology", "segments", "width_knots_m", "extension_length_m"}
+
+_SEGMENT_KEYS = {
+    "line": {"kind", "start_xy_m", "end_xy_m"},
+    "arc": {"kind", "center_xy_m", "radius_m", "start_angle_rad", "sweep_angle_rad"},
+    "spline": {"kind", "points_xy_m"},
+}
+
+_PLACEMENT_KEYS = {
+    "explicit": {"kind", "positions_xy_m", "jitter_m"},
+    "grid": {"kind", "rows", "cols", "spacing_m", "origin_xy_m", "jitter_m"},
+}
+
+
 @dataclass
 class Scenario:
     name: str
@@ -149,7 +163,34 @@ def _placement_positions(cfg: dict, seed: int) -> np.ndarray:
     return pts
 
 
+def _check_keys(cfg, allowed, path=""):
+    """Reject fields a loader would otherwise ignore, naming their JSON path."""
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{path or 'scenario'} must be an object", rule="param-bound")
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        names = ", ".join(f"{path}.{k}" if path else k for k in unknown)
+        raise ScenarioError(f"unknown scenario field(s): {names}", rule="param-bound")
+
+
+def _check_all_keys(raw: dict):
+    _check_keys(raw, {*_TOP_DEFAULTS, "tube", "placement", "params"})
+    _check_keys(raw.get("params", {}), _PARAM_DEFAULTS, "params")
+    tube = raw.get("tube", {})
+    _check_keys(tube, _TUBE_KEYS, "tube")
+    segments = tube.get("segments")
+    # a missing or malformed list is reported by build_tube
+    kinded = [(f"tube.segments[{i}]", seg, _SEGMENT_KEYS)
+              for i, seg in enumerate(segments if isinstance(segments, list) else [])]
+    kinded.append(("placement", raw.get("placement", {}), _PLACEMENT_KEYS))
+    for path, cfg, keys_by_kind in kinded:
+        # an unknown kind passes here: build_tube or _placement_positions rejects it
+        kind = cfg.get("kind") if isinstance(cfg, dict) else None
+        _check_keys(cfg, keys_by_kind.get(kind, cfg), path)
+
+
 def _resolve(raw: dict) -> dict:
+    _check_all_keys(raw)
     resolved = {}
     for key, default in _TOP_DEFAULTS.items():
         resolved[key] = raw.get(key, default)
@@ -163,9 +204,6 @@ def _resolve(raw: dict) -> dict:
         resolved["placement"].setdefault("jitter_m", 0.0)
     params_raw = raw.get("params", {})
     resolved["params"] = {k: params_raw.get(k, v) for k, v in _PARAM_DEFAULTS.items()}
-    unknown = set(params_raw) - set(_PARAM_DEFAULTS)
-    if unknown:
-        raise ScenarioError(f"unknown parameter fields: {sorted(unknown)}", rule="param-bound")
     return resolved
 
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubenav.density import (
     OccupiedRegion,
+    _region_grid,
     DensityView,
     DesiredDensity,
     density_error_l2,
@@ -19,6 +22,7 @@ from tubenav.density import (
 from tubenav.errors import TubeDomainError
 from tubenav.geometry import (
     ArcSegment,
+    CatmullRomSegment,
     CurvilinearCoord,
     GeneratingCurve,
     LineSegment,
@@ -449,6 +453,115 @@ class TestAnalyticTargetGradient:
 
 
 # ---------------------------------------------------------------------------
+# KDE along cross-sections
+# ---------------------------------------------------------------------------
+
+# Relative tolerance per cell.  Results below the normal float range carry
+# only a few significant bits whichever way they are computed, so they are
+# compared absolutely.
+_SECTION_RTOL = 1e-12
+_SECTION_ATOL = 1e-300
+
+
+def _assert_matches_point_kde(view, got, pts):
+    """got, (n_l, n_r), against estimate_many at the (n_l, n_r, 2) points."""
+    want = view.estimate_many(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=_SECTION_RTOL, atol=_SECTION_ATOL)
+
+
+class TestSectionKde:
+    """DensityView.estimate_sections against estimate_many at the grid's
+    points, tube.section_points(ls, offsets)."""
+
+    def _compare(self, tube, region, positions, h, resolution=(40, 8)):
+        view = DensityView(np.asarray(positions, dtype=float), h)
+        ls, _, _, frames, offsets = _region_grid(tube, region, resolution)
+        got = view.estimate_sections(*frames, offsets)
+        _assert_matches_point_kde(view, got, tube.section_points(ls, offsets))
+        return got
+
+    def _swarm_on(self, tube, ls, fracs):
+        ls = np.asarray(ls, dtype=float)
+        return tube.section_points(ls, np.asarray(fracs) * tube.widths.r_c(ls))
+
+    def test_line(self):
+        tube = tapered_tube()
+        pts = self._swarm_on(tube, np.linspace(1.0, 9.0, 25), np.linspace(-0.8, 0.8, 25))
+        region = occupied_region_from_arclengths(pts[:, 0], tube)
+        got = self._compare(tube, region, pts, 0.6)
+        assert np.all(got > 0.0)
+
+    def test_arc(self):
+        curve = GeneratingCurve([ArcSegment((0.0, 0.0), 3.0, 0.0, 2.0)])
+        tube = VirtualTube(curve, WidthProfile([(0.0, 1.2, 1.2), (6.0, 0.6, 0.6)]))
+        pts = self._swarm_on(tube, np.linspace(0.5, 5.5, 12), np.tile([-0.5, 0.5], 6))
+        region = occupied_region_from_arclengths(np.linspace(0.5, 5.5, 12), tube)
+        self._compare(tube, region, pts, 0.4, (60, 12))
+
+    def test_spline(self):
+        pts = [(0.0, 0.0), (2.0, 0.5), (4.0, -0.3), (6.0, 0.8), (8.0, 0.2)]
+        tube = VirtualTube(GeneratingCurve([CatmullRomSegment(pts)]),
+                           WidthProfile([(0.0, 1.2, 1.2)]))
+        ls = np.linspace(0.3, tube.length - 0.3, 9)
+        robots = self._swarm_on(tube, ls, np.linspace(-0.7, 0.7, 9))
+        region = occupied_region_from_arclengths(ls, tube)
+        self._compare(tube, region, robots, 0.35)
+
+    def test_closed_ring_region_across_the_seam(self):
+        tube = _ring()
+        L = tube.length
+        ls = np.array([L - 0.4, L - 0.1, 0.2, 0.6, 1.1])
+        robots = self._swarm_on(tube, ls, [0.3, -0.4, 0.0, 0.5, -0.2])
+        region = occupied_region_from_arclengths(ls, tube)
+        assert region.l_f > L  # the grid's columns wrap the seam
+        got = self._compare(tube, region, robots, 0.05, (50, 10))
+        assert np.all(got > 0.0)
+
+    def test_one_robot(self):
+        tube = tapered_tube()
+        region = occupied_region_from_arclengths([5.0], tube, min_halfwidth=1.0)
+        got = self._compare(tube, region, [[5.0, 0.2]], 0.5)
+        assert got.max() > 0.5 / (2 * math.pi * 0.25)
+
+    def test_robot_far_along_the_tube_underflows_to_zero(self):
+        tube = straight_tube(length=100.0)
+        region = occupied_region_from_arclengths([2.0, 8.0], tube)
+        near = [[3.0, 0.1], [6.0, -0.3]]
+        far = [[95.0, 0.0]]
+        _, _, _, frames, offsets = _region_grid(tube, region, (30, 6))
+        # every grid point is > 85 m = 283 h from the far robot: exp(-4e4) = 0
+        assert np.exp(-0.5 * (85.0 / 0.3) ** 2) == 0.0
+        got = self._compare(tube, region, near + far, 0.3, (30, 6))
+        near_only = DensityView(np.array(near), 0.3).estimate_sections(*frames, offsets)
+        assert np.allclose(got, near_only * 2.0 / 3.0, rtol=1e-15, atol=0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        robots=st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=1, max_size=15
+        ),
+        h=st.floats(0.1, 3.0),
+        columns=st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-math.pi, math.pi),
+                      st.floats(0.05, 3.0)),
+            min_size=1, max_size=8,
+        ),
+        n_r=st.integers(1, 6),
+    )
+    def test_property_random_frames(self, robots, h, columns, n_r):
+        c = np.array(columns)
+        origins = c[:, :2]
+        tangents = np.stack([np.cos(c[:, 2]), np.sin(c[:, 2])], axis=1)
+        normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
+        offsets = c[:, 3:4] * np.linspace(-1.0, 1.0, n_r)[None, :]
+        view = DensityView(np.array(robots), h)
+        got = view.estimate_sections(origins, tangents, normals, offsets)
+        pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
+        _assert_matches_point_kde(view, got, pts)
+
+
+# ---------------------------------------------------------------------------
 # error norms and fields
 # ---------------------------------------------------------------------------
 
@@ -462,6 +575,10 @@ class _CallableView:
     def estimate_many(self, pts):
         pts = np.atleast_2d(pts)
         return np.array([self.fn(p) for p in pts])
+
+    def estimate_sections(self, origins, tangents, normals, offsets):
+        pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
+        return self.estimate_many(pts.reshape(-1, 2)).reshape(offsets.shape)
 
 
 class TestDensityError:

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from tubenav import engine
 from tubenav.control import ControllerParams, compose_velocity
 from tubenav.density import DensityView, DesiredDensity, occupied_region_from_arclengths
 from tubenav.engine import apply_exit_rule, run, step, validate_initial
@@ -14,6 +16,7 @@ from tubenav.geometry import (
     VirtualTube,
     WidthProfile,
 )
+from tubenav.scenario import bundled_scenario_path, load_scenario
 from tubenav.state import make_swarm
 
 
@@ -67,7 +70,7 @@ def loop_validate_initial(swarm, tube, prm):
         _, ok = tube.locate(pts[i])
         if not ok:
             inside[i] = False
-            problems.append(f"robot {i} at {tuple(pts[i])} is outside the tube")
+            problems.append(f"robot {i} at {tuple(pts[i].tolist())} is outside the tube")
     if n and inside.any():
         d_lat, _ = tube.boundary_distance_many(pts[inside])
         for k, i in enumerate(np.flatnonzero(inside)):
@@ -107,6 +110,8 @@ class TestValidateInitial:
                      "robot 2 boundary", "robot 5 boundary", "robot 0 terminal",
                      "robot 5 terminal"):
             assert any(kind in p for p in probs), kind
+        assert "robot 3 at (5.0, 3.0) is outside the tube" in probs
+        assert not any("np.float64" in p for p in probs)
         ring = ring_tube()
         on_ring = make_swarm([(2.0, 0.0), (2.0, 0.5), (0.0, 2.35), (-2.0, 0.0), (0.0, -3.0)])
         ring_probs = validate_initial(on_ring, ring, prm)
@@ -308,3 +313,36 @@ class TestRun:
         assert log.termination == "fault"
         assert log.fault["kind"] == "robot-robot"
         assert log.records  # partial log retained
+
+
+def point_grid_error_l2(view, dd, tube, region, resolution):
+    """The density-error metric with the KDE evaluated at every grid point's
+    Cartesian position: the oracle for the per-column evaluation."""
+    n_l, n_r = resolution
+    dl = region.span / n_l
+    ls = region.l_b + (np.arange(n_l) + 0.5) * dl
+    ls_eval = np.mod(ls, tube.length) if tube.closed else ls
+    r_d = tube.widths.r_d(ls_eval)
+    dr = (r_d + tube.widths.r_u(ls_eval)) / n_r
+    offsets = -r_d[:, None] + (np.arange(n_r)[None, :] + 0.5) * dr[:, None]
+    pts = tube.section_points(ls_eval, offsets)
+    rho_hat = view.estimate_many(pts.reshape(-1, 2)).reshape(n_l, n_r)
+    rho_d = dd.profile_many(ls)[:, None]
+    return float(np.sqrt(np.sum((rho_hat - rho_d) ** 2 * (dr[:, None] * dl))))
+
+
+class TestDensityErrorMetric:
+    def test_bundled_narrow_run_matches_the_point_grid(self, monkeypatch):
+        sc = replace(load_scenario(bundled_scenario_path("narrow_s_tube")), t_end=1.0)
+        log = run(sc)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "density_error_l2_from_view", point_grid_error_l2)
+            ref = run(sc)
+        assert len(log.records) == len(ref.records) == 101
+        got = np.array([r.metrics.density_error_l2 for r in log.records])
+        want = np.array([r.metrics.density_error_l2 for r in ref.records])
+        assert np.all(want > 0.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        for a, b in zip(log.records, ref.records):
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.velocities, b.velocities)

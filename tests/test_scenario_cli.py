@@ -110,6 +110,65 @@ class TestLoadScenario:
         sc = scenario_from_dict(raw)
         assert sc.resolved["params"]["alpha0_m2ps"] == 1.0  # default materialized
 
+    @pytest.mark.parametrize("section, key, path", [
+        (None, "t_end", "t_end"),
+        ("placement", "jiter_m", "placement.jiter_m"),
+        ("tube", "widths", "tube.widths"),
+        ("params", "k_1", "params.k_1"),
+    ])
+    def test_unknown_field_rejected_with_its_path(self, section, key, path):
+        raw = short_scenario_dict()
+        (raw if section is None else raw[section])[key] = 1.0
+        with pytest.raises(ScenarioError, match=rf"unknown scenario field\(s\): {path}$") as exc:
+            scenario_from_dict(raw)
+        assert exc.value.rule == "param-bound"
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_unknown_segment_field_rejected(self, index):
+        raw = short_scenario_dict()
+        raw["tube"]["segments"][index]["radius"] = 2.0  # a line, then an arc (radius_m)
+        with pytest.raises(ScenarioError, match=rf"tube\.segments\[{index}\]\.radius"):
+            scenario_from_dict(raw)
+
+    def test_spline_and_explicit_placement_keys(self):
+        raw = short_scenario_dict()
+        raw["tube"] = {
+            "segments": [{"kind": "spline",
+                          "points_xy_m": [[0, 0], [10, 1], [20, -1], [30, 0]]}],
+            "width_knots_m": [[0.0, 2.0, 2.0]],
+        }
+        raw["placement"] = {"kind": "explicit", "positions_xy_m": [[3.0, 0.0], [6.0, 0.0]],
+                            "jitter_m": 0.01}
+        scenario_from_dict(raw)
+        raw["tube"]["segments"][0]["points"] = []
+        with pytest.raises(ScenarioError, match=r"tube\.segments\[0\]\.points$"):
+            scenario_from_dict(raw)
+        del raw["tube"]["segments"][0]["points"]
+        raw["placement"]["rows"] = 2  # a grid placement's key
+        with pytest.raises(ScenarioError, match=r"placement\.rows$"):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("section, value", [
+        ("placement", [[3.0, 0.0]]), ("params", None), ("tube", {"segments": None}),
+    ])
+    def test_malformed_section_is_a_scenario_error(self, section, value):
+        raw = short_scenario_dict()
+        raw[section] = value
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("name", ["narrow_s_tube", "annular"])
+    def test_resolved_file_round_trip(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert main(["simulate", str(bundled_scenario_path(name)), "--out", str(out),
+                     "--t-end", "0.02"]) == 0
+        again = load_scenario(out / "scenario_resolved.json")
+        assert again.resolved == json.loads((out / "scenario_resolved.json").read_text())
+        assert again.t_end == 0.02
+        assert again.fingerprint == scenario_from_dict(
+            {**json.loads(bundled_scenario_path(name).read_text()), "t_end_s": 0.02}
+        ).fingerprint
+
     def test_jitter_is_seeded_and_revalidated(self):
         raw = short_scenario_dict()
         raw["placement"]["jitter_m"] = 0.05
