@@ -5,7 +5,7 @@ velocity command combining potential-field safe navigation and kernel
 density feedback toward a capacity-proportional target distribution.
 """
 
-from .control import ControllerParams, VelocityCommand, compose_velocity
+from .control import ControllerParams, compose_velocity
 from .density import (
     DensityView,
     DesiredDensity,
@@ -15,7 +15,7 @@ from .density import (
     relative_error_field,
     silverman_bandwidth,
 )
-from .engine import SimulationLog, apply_exit_rule, run, step, validate_initial
+from .engine import SimulationLog, apply_exit_rule, run, validate_initial
 from .errors import (
     OutsideTubeError,
     SafetyViolation,
@@ -35,6 +35,6 @@ from .geometry import (
 )
 from .metrics import amd, audit_condition23, min_boundary_distance, min_pairwise_distance, throughput
 from .scenario import Scenario, bundled_scenario_path, load_scenario, scenario_from_dict
-from .state import RobotState, SwarmState, make_swarm
+from .state import SwarmState, make_swarm
 
 __version__ = "0.1.0"

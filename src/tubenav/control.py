@@ -1,4 +1,4 @@
-"""Per-robot saturated velocity command.
+"""Saturated velocity commands for a whole snapshot.
 
 The command composes four terms:
 
@@ -13,7 +13,8 @@ The command composes four terms:
       the safe-navigation term in norm,
 
 then saturates the sum at v_max.  The baseline mode drops u4 and is used as
-the comparison arm in paired runs.
+the comparison arm in paired runs.  Every term is evaluated for all active
+robots at once, as (M, 2) arrays over one snapshot.
 
 Barriers are ((outer - d)/(d - inner))^2 on (inner, outer]: zero value and
 zero slope at the outer edge, unbounded at the inner edge, so repulsion
@@ -22,15 +23,12 @@ dominates any bounded term before the forbidden distance is reached.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityView, DesiredDensity
-from .errors import OutsideTubeError, SafetyViolation
+from .errors import SafetyViolation
 from .geometry import VirtualTube
-from .state import SwarmState
 
 
 @dataclass
@@ -84,99 +82,16 @@ class ControllerParams:
         return self.r_s + self.r_a
 
 
-@dataclass
-class VelocityCommand:
-    v: np.ndarray        # applied velocity, norm <= v_max
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
-    u4: np.ndarray       # after the norm cap; zero in baseline mode
-    kappa_m: float       # saturation factor in (0, 1]
-
-    def u123(self):
-        return self.u1 + self.u2 + self.u3
-
-
 def _barrier_slope(d, inner, outer):
-    """d/dd of ((outer - d)/(d - inner))^2 on (inner, outer]; 0 above outer.
+    """Elementwise d/dd of ((outer - d)/(d - inner))^2 for d > inner, and
+    the mask of the band d < outer it is nonzero on.
 
-    Negative on the active band (the barrier grows as d shrinks), diverging
-    to -inf as d -> inner+.
+    Negative on the band (the barrier grows as d shrinks), diverging to -inf
+    as d -> inner+, zero at and above outer.
     """
-    if d >= outer:
-        return 0.0
-    return -2.0 * (outer - d) * (outer - inner) / (d - inner) ** 3
-
-
-# ---------------------------------------------------------------------------
-# individual terms
-# ---------------------------------------------------------------------------
-
-def approach_at_arclength(tube: VirtualTube, params: ControllerParams, l):
-    """Approach velocity as a function of arc length.
-
-    The modified mode moves at constant speed k1 along the tangent.  The
-    original mode scales with remaining distance to the end of the extended
-    spine and saturates at k1; inside the tube proper (l <= L) a valid
-    extension makes the two modes coincide.  Past the physical end the
-    tangent continues straight.
-    """
-    L = tube.length
-    if l <= L:
-        _, t, _ = tube.curve_frame(l)
-    else:
-        _, t, _ = tube.curve_frame(L)
-    if params.u1_mode == "modified" or tube.closed:
-        return params.k1 * t
-    l_end = tube.extension_length if tube.extension_length is not None else L + params.k1 / params.eta_min
-    speed = max(l_end - l, 0.0) * params.eta_min
-    return min(speed, params.k1) * t
-
-
-def line_approach(tube: VirtualTube, params: ControllerParams, p, seed_l=None):
-    """Approach term at an in-tube point."""
-    if seed_l is not None:
-        pr, inside = tube.locate(p, seed_l=seed_l)
-        if not inside:
-            raise OutsideTubeError("approach term queried outside the tube")
-        l = pr.l
-    else:
-        l = tube.to_curvilinear(p).l
-    return approach_at_arclength(tube, params, l)
-
-
-def robot_avoidance(params: ControllerParams, i: int, swarm: SwarmState):
-    """Repulsion from all neighbors within r_s + r_a of robot i."""
-    robot = swarm.robots[i]
-    if not robot.active:
-        raise ValueError(f"robot {i} is not active")
-    positions = [(j, r.position) for j, r in enumerate(swarm.robots) if r.active and j != i]
-    if not positions:
-        return np.zeros(2)
-    others = np.array([p for _, p in positions])
-    ids = [j for j, _ in positions]
-    return _avoidance_from_neighbors(params, robot.position, others, i, ids, swarm.time)
-
-
-def _avoidance_from_neighbors(params, p, others, i=None, ids=None, time=None):
-    rel = p[None, :] - others
-    dists = np.hypot(rel[:, 0], rel[:, 1])
-    reach = params.avoidance_reach
-    u2 = np.zeros(2)
-    for k in range(len(others)):
-        d = float(dists[k])
-        if d > reach:
-            continue
-        if d <= 2.0 * params.r_s:
-            raise SafetyViolation(
-                f"robots {i} and {ids[k] if ids else '?'} at distance {d:.6f}"
-                f" <= 2 r_s = {2 * params.r_s}",
-                kind="robot-robot",
-                details={"i": i, "j": ids[k] if ids else None, "distance": d, "time": time},
-            )
-        slope = _barrier_slope(d, 2.0 * params.r_s, reach)
-        u2 += (-params.k2 * slope / d) * rel[k]
-    return u2
+    band = d < outer
+    gap = np.where(band, d - inner, 1.0)
+    return band, np.where(band, -2.0 * (outer - d) * (outer - inner) / gap**3, 0.0)
 
 
 def avoidance_batch(params: ControllerParams, positions, ids=None, time=None):
@@ -196,118 +111,75 @@ def avoidance_batch(params: ControllerParams, positions, ids=None, time=None):
     dmin = float(np.min(d))
     if dmin <= 2.0 * params.r_s:
         a, b = np.unravel_index(int(np.argmin(d)), d.shape)
-        ia = ids[a] if ids else int(a)
-        ib = ids[b] if ids else int(b)
+        ia = int(ids[a]) if ids is not None else int(a)
+        ib = int(ids[b]) if ids is not None else int(b)
         raise SafetyViolation(
             f"robots {ia} and {ib} at distance {dmin:.6f} <= 2 r_s = {2 * params.r_s}",
             kind="robot-robot",
             details={"i": ia, "j": ib, "distance": dmin, "time": time},
         )
-    inner = 2.0 * params.r_s
-    outer = params.avoidance_reach
-    active = d <= outer
-    gap = np.where(active, d - inner, 1.0)
-    slope = np.where(active, -2.0 * (outer - d) * (outer - inner) / gap**3, 0.0)
-    w = np.where(active, -params.k2 * slope / d, 0.0)
+    band, slope = _barrier_slope(d, 2.0 * params.r_s, params.avoidance_reach)
+    w = np.where(band, -params.k2 * slope / d, 0.0)
     return np.stack([(w * dx).sum(axis=1), (w * dy).sum(axis=1)], axis=1)
 
 
-def tube_keeping(tube: VirtualTube, params: ControllerParams, p, boundary=None):
-    """Inward push when the lateral boundary is closer than r_s + r_t."""
-    if boundary is None:
-        b, direction = tube.boundary_distance(p)
-    else:
-        b, direction = boundary
-    if b <= params.r_s:
-        raise SafetyViolation(
-            f"boundary distance {b:.6f} <= r_s = {params.r_s}",
-            kind="boundary",
-            details={"distance": float(b)},
-        )
-    slope = _barrier_slope(b, params.r_s, params.r_s + params.r_t)
-    return (-params.k3 * slope) * np.asarray(direction, dtype=float)
+def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, positions,
+                     ls, tangents, boundary_d, boundary_dir, rho_hat, grad_hat,
+                     grad_d, ids, time):
+    """Commands of all M active robots from one snapshot.
 
+    Inputs are arrays with one row per active robot: positions (M, 2);
+    arc length ls (M,) and the unit spine tangent there (M, 2); lateral
+    boundary distance (M,) and the unit direction away from the nearest
+    boundary point (M, 2); the density estimate rho_hat (M,), its gradient
+    and the target gradient (M, 2) each.  ``ids`` names the robots in fault reports
+    and ``time`` is the snapshot time.  The density inputs are ignored in
+    baseline mode.
 
-def distribution_regulation(view: DensityView, dd: DesiredDensity,
-                            params: ControllerParams, p, seed_l=None):
-    """Raw density-feedback velocity and its diagnostic pieces."""
-    rho = view.estimate(p)
-    grad_hat = view.gradient(p)
-    grad_d = dd.gradient(p, seed_l=seed_l)
-    denom = max(rho, params.rho_floor)
-    u4_raw = -params.alpha0 * (grad_hat - grad_d) / denom
-    diag = {"rho_hat": rho, "grad_rho_hat": grad_hat, "grad_rho_d": grad_d}
-    return u4_raw, diag
-
-
-def enforce_condition23(u123, u4_raw):
-    """Cap the regulation term so its norm never exceeds the safe-navigation
-    term's.  Equivalent to a pointwise rescaling of the free diffusion
-    coefficient, so the capped term is still a valid regulation velocity."""
-    n123 = math.hypot(float(u123[0]), float(u123[1]))
-    n4 = math.hypot(float(u4_raw[0]), float(u4_raw[1]))
-    if n4 == 0.0 or n123 == 0.0:
-        return np.zeros(2)
-    scale = min(1.0, n123 / n4)
-    return u4_raw * scale
-
-
-def saturate(u, v_max):
-    """Clip a velocity to norm v_max, returning the applied velocity and the
-    scaling factor actually used."""
-    if v_max <= 0:
-        raise ValueError("v_max must be positive")
-    u = np.asarray(u, dtype=float)
-    norm = math.hypot(float(u[0]), float(u[1]))
-    if norm <= v_max:
-        return u.copy(), 1.0
-    kappa = v_max / norm
-    return u * kappa, kappa
-
-
-# ---------------------------------------------------------------------------
-# composition
-# ---------------------------------------------------------------------------
-
-def regulation_from_parts(params: ControllerParams, rho_hat, grad_hat, grad_d):
-    """Raw regulation velocity from precomputed density quantities."""
-    denom = max(float(rho_hat), params.rho_floor)
-    return -params.alpha0 * (np.asarray(grad_hat) - np.asarray(grad_d)) / denom
-
-
-def compose_velocity(tube: VirtualTube, params: ControllerParams, i: int,
-                     swarm: SwarmState, view: DensityView | None,
-                     dd: DesiredDensity | None, mode="full",
-                     coord=None, boundary=None, density_parts=None,
-                     u2=None) -> VelocityCommand:
-    """Full command for robot i from the current snapshot.
-
-    ``coord``, ``boundary``, ``u2`` and ``density_parts`` (rho_hat, grad
-    rho_hat, grad rho_d at the robot) are optional precomputed values the
-    engine shares across its per-step batch; tests may omit them.
+    Returns (u1, u2, u3, u4, v, kappa): five (M, 2) arrays, u4 after the
+    norm cap (zero in baseline mode) and v = kappa (u1 + u2 + u3 + u4) with
+    |v| <= v_max, and the (M,) saturation factors kappa in (0, 1].  Raises
+    SafetyViolation when a pair is at or within 2 r_s or a robot at or
+    within r_s of the boundary.
     """
     if mode not in ("full", "baseline"):
         raise ValueError("mode must be 'full' or 'baseline'")
-    robot = swarm.robots[i]
-    if not robot.active:
-        raise ValueError(f"robot {i} is not active")
-    p = robot.position
-    if coord is None:
-        coord = tube.to_curvilinear(p)
-    u1 = approach_at_arclength(tube, params, coord.l)
-    if u2 is None:
-        u2 = robot_avoidance(params, i, swarm)
-    u3 = tube_keeping(tube, params, p, boundary=boundary)
+    u1 = params.k1 * tangents
+    if params.u1_mode == "original" and not tube.closed:
+        l_end = tube.extension_length
+        if l_end is None:
+            l_end = tube.length + params.k1 / params.eta_min
+        speed = np.maximum(l_end - ls, 0.0) * params.eta_min
+        u1 = np.minimum(speed, params.k1)[:, None] * tangents
+
+    u2 = avoidance_batch(params, positions, ids, time)
+
+    if np.any(boundary_d <= params.r_s):
+        k = int(np.argmax(boundary_d <= params.r_s))
+        robot, b = int(ids[k]), float(boundary_d[k])
+        raise SafetyViolation(
+            f"robot {robot} boundary distance {b:.6f} <= r_s = {params.r_s}",
+            kind="boundary",
+            details={"robot": robot, "distance": b, "time": time},
+        )
+    _, slope = _barrier_slope(boundary_d, params.r_s, params.r_s + params.r_t)
+    u3 = (-params.k3 * slope)[:, None] * boundary_dir
+
     u123 = u1 + u2 + u3
     if mode == "full":
-        if density_parts is not None:
-            u4_raw = regulation_from_parts(params, *density_parts)
-        else:
-            if view is None or dd is None:
-                raise ValueError("full mode needs a density view and target density")
-            u4_raw, _ = distribution_regulation(view, dd, params, p, seed_l=coord.l)
-        u4 = enforce_condition23(u123, u4_raw)
+        denom = np.maximum(rho_hat, params.rho_floor)
+        u4 = -params.alpha0 * (grad_hat - grad_d) / denom[:, None]
+        # cap |u4| at |u123|: a pointwise rescaling of the diffusion
+        # coefficient, so the capped term is still a regulation velocity
+        n123 = np.hypot(u123[:, 0], u123[:, 1])
+        n4 = np.hypot(u4[:, 0], u4[:, 1])
+        keep = (n4 > 0.0) & (n123 > 0.0)
+        scale = np.minimum(1.0, n123 / np.where(keep, n4, 1.0))
+        u4 = np.where(keep[:, None], u4 * scale[:, None], 0.0)
     else:
-        u4 = np.zeros(2)
-    v, kappa = saturate(u123 + u4, params.v_max)
-    return VelocityCommand(v=v, u1=u1, u2=u2, u3=u3, u4=u4, kappa_m=kappa)
+        u4 = np.zeros_like(u123)
+
+    u = u123 + u4
+    norm = np.hypot(u[:, 0], u[:, 1])
+    kappa = params.v_max / np.maximum(norm, params.v_max)
+    return u1, u2, u3, u4, u * kappa[:, None], kappa

@@ -221,8 +221,7 @@ def occupied_region(swarm: SwarmState, tube: VirtualTube, min_halfwidth=0.0):
     pts = swarm.active_positions()
     if len(pts) == 0:
         raise ValueError("occupied region undefined with no active robots")
-    prs = tube.curve.project_many(pts)
-    return occupied_region_from_arclengths([pr.l for pr in prs], tube, min_halfwidth)
+    return occupied_region_from_arclengths(tube.curve.project_many(pts).l, tube, min_halfwidth)
 
 
 # ---------------------------------------------------------------------------

@@ -72,13 +72,11 @@ class LineSegment:
             0.0,
         )
 
-    def point_many(self, s):
+    def frames_many(self, s):
+        """Points and unit tangents at the arc lengths s, each (K, 2)."""
         s = np.asarray(s, dtype=float)
-        return self.start[None, :] + s[:, None] * self._u[None, :]
-
-    def tangent_many(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(self._u, (len(s), 2)).copy()
+        points = self.start[None, :] + s[:, None] * self._u[None, :]
+        return points, np.broadcast_to(self._u, (len(s), 2)).copy()
 
 
 class ArcSegment:
@@ -114,15 +112,12 @@ class ArcSegment:
             -sn / self.radius,
         )
 
-    def point_many(self, s):
+    def frames_many(self, s):
+        """Points and unit tangents at the arc lengths s, each (K, 2)."""
         th = self._theta(np.asarray(s, dtype=float))
-        return self.center[None, :] + self.radius * np.stack(
-            [np.cos(th), np.sin(th)], axis=1
-        )
-
-    def tangent_many(self, s):
-        th = self._theta(np.asarray(s, dtype=float))
-        return self.sign * np.stack([-np.sin(th), np.cos(th)], axis=1)
+        c, sn = np.cos(th), np.sin(th)
+        points = self.center[None, :] + self.radius * np.stack([c, sn], axis=1)
+        return points, self.sign * np.stack([-sn, c], axis=1)
 
 
 class CatmullRomSegment:
@@ -253,22 +248,18 @@ class CatmullRomSegment:
         cy = d2[1] / sp2 - d1[1] * dot / (sp2 * sp2)
         return (p[0], p[1], tx, ty, cx, cy)
 
-    def point_many(self, s):
+    def frames_many(self, s):
+        """Points and unit tangents at the arc lengths s, each (K, 2); one
+        table inversion per arc length."""
         s = np.asarray(s, dtype=float)
-        out = np.empty((len(s), 2))
+        points = np.empty((len(s), 2))
+        tangents = np.empty((len(s), 2))
         for k, sk in enumerate(s):
             i, u = self._invert(float(sk))
-            out[k] = self._piece_point(i, u)
-        return out
-
-    def tangent_many(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.empty((len(s), 2))
-        for k, sk in enumerate(s):
-            i, u = self._invert(float(sk))
+            points[k] = self._piece_point(i, u)
             d1 = self._piece_d1(i, u)
-            out[k] = d1 / math.hypot(d1[0], d1[1])
-        return out
+            tangents[k] = d1 / math.hypot(d1[0], d1[1])
+        return points, tangents
 
 
 def segment_from_config(cfg: dict):
@@ -294,8 +285,12 @@ def segment_from_config(cfg: dict):
 
 @dataclass
 class _Projection:
+    """Nearest spine point of one point, or, from ``project_many``, of
+    several: then every field is an array with one row per point."""
+
     l: float
     r: float
+    tangent: tuple        # unit tangent (tx, ty) at l; (M, 2) from project_many
     residual: float       # tangential component of (p - gamma(l))
     beyond_start: bool
     beyond_end: bool
@@ -395,8 +390,7 @@ class GeneratingCurve:
             mask = idx == i
             s_local = ls[mask] - self._cum[i]
             s_local = np.clip(s_local, 0.0, self.segments[i].length)
-            pts[mask] = self.segments[i].point_many(s_local)
-            tans[mask] = self.segments[i].tangent_many(s_local)
+            pts[mask], tans[mask] = self.segments[i].frames_many(s_local)
         normals = np.stack([-tans[:, 1], tans[:, 0]], axis=1)
         return pts, tans, normals
 
@@ -443,16 +437,24 @@ class GeneratingCurve:
         r = -dx * ty + dy * tx
         beyond_start = (not self.closed) and l <= 0.0 and g < -_MEMBERSHIP_TOL
         beyond_end = (not self.closed) and l >= L and g > _MEMBERSHIP_TOL
-        return _Projection(l=l, r=r, residual=g, beyond_start=beyond_start, beyond_end=beyond_end)
+        return _Projection(l=l, r=r, tangent=(tx, ty), residual=g,
+                           beyond_start=beyond_start, beyond_end=beyond_end)
 
-    def project_many(self, pts, seeds=None):
-        """Project several points; seeds (previous arc lengths) skip the table scan."""
-        pts = np.asarray(pts, dtype=float)
+    def project_many(self, pts, seeds=None) -> _Projection:
+        """Project several points into one array-valued projection; seeds
+        (previous arc lengths) skip the table scan."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         if seeds is None:
             diff = pts[:, None, :] - self.sample_points[None, :, :]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
             seeds = self.sample_ls[np.argmin(d2, axis=1)]
-        return [self.project(pts[k], seed_l=float(seeds[k])) for k in range(len(pts))]
+        prs = [self.project(p, seed_l=float(seed)) for p, seed in zip(pts, seeds)]
+        rows = np.array(
+            [(pr.l, pr.r, *pr.tangent, pr.residual, pr.beyond_start, pr.beyond_end) for pr in prs],
+            dtype=float,
+        ).reshape(-1, 7)
+        return _Projection(l=rows[:, 0], r=rows[:, 1], tangent=rows[:, 2:4], residual=rows[:, 4],
+                           beyond_start=rows[:, 5] != 0.0, beyond_end=rows[:, 6] != 0.0)
 
 
 # ---------------------------------------------------------------------------

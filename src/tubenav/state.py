@@ -1,70 +1,52 @@
-"""Swarm state containers.
+"""Swarm state container.
 
 Kept in a leaf module so geometry, density, controller and engine code can
-all depend on them without import cycles.
+all depend on it without import cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
-class RobotState:
-    id: int
-    position: np.ndarray  # (2,) m
-    velocity: np.ndarray  # (2,) m/s
-    active: bool = True
-    exit_time: float | None = None
-
-    def copy(self) -> "RobotState":
-        return RobotState(
-            id=self.id,
-            position=self.position.copy(),
-            velocity=self.velocity.copy(),
-            active=self.active,
-            exit_time=self.exit_time,
-        )
-
-
-@dataclass
 class SwarmState:
-    """Timestamped set of robot states.
+    """Timestamped robot states, one array row per robot.
 
-    Robot entries are never removed; exited robots are flagged inactive and
-    excluded from density samples, neighbor sets and metrics.
+    Rows are never removed; exited robots are flagged inactive and excluded
+    from density samples, neighbor sets and metrics.
     """
 
     time: float
-    robots: list[RobotState] = field(default_factory=list)
+    positions: np.ndarray   # (N, 2) m
+    velocities: np.ndarray  # (N, 2) m/s, zero once a robot has exited
+    active: np.ndarray      # (N,) bool
+    exit_time: np.ndarray   # (N,) s, NaN while a robot has not exited
 
     def copy(self) -> "SwarmState":
-        return SwarmState(time=self.time, robots=[r.copy() for r in self.robots])
-
-    def active_indices(self) -> list[int]:
-        return [i for i, r in enumerate(self.robots) if r.active]
+        return SwarmState(
+            time=self.time,
+            positions=self.positions.copy(),
+            velocities=self.velocities.copy(),
+            active=self.active.copy(),
+            exit_time=self.exit_time.copy(),
+        )
 
     def active_positions(self) -> np.ndarray:
         """Positions of active robots, shape (M, 2)."""
-        pts = [r.position for r in self.robots if r.active]
-        if not pts:
-            return np.zeros((0, 2))
-        return np.array(pts, dtype=float)
-
-    def positions(self) -> np.ndarray:
-        """Positions of all robots (active or not), shape (N, 2)."""
-        if not self.robots:
-            return np.zeros((0, 2))
-        return np.array([r.position for r in self.robots], dtype=float)
+        return self.positions[self.active]
 
 
 def make_swarm(positions, time=0.0) -> SwarmState:
     """Build a swarm at rest from an (N, 2) position array."""
-    positions = np.asarray(positions, dtype=float)
-    robots = [
-        RobotState(id=i, position=positions[i].copy(), velocity=np.zeros(2))
-        for i in range(len(positions))
-    ]
-    return SwarmState(time=float(time), robots=robots)
+    positions = np.array(positions, dtype=float).reshape(-1, 2)
+    n = len(positions)
+    return SwarmState(
+        time=float(time),
+        positions=positions,
+        velocities=np.zeros((n, 2)),
+        active=np.ones(n, dtype=bool),
+        exit_time=np.full(n, np.nan),
+    )

@@ -220,9 +220,7 @@ def test_criterion_7_numerical_oracles():
     rs = rng.uniform(-0.95, 0.95, n) * tube.widths.r_d(ls)
     pts = tube.section_points(ls, rs)
     prs = tube.curve.project_many(pts)
-    back = tube.section_points(
-        np.array([pr.l for pr in prs]), np.array([pr.r for pr in prs])
-    )
+    back = tube.section_points(prs.l, prs.r)
     rt_err = float(np.max(np.linalg.norm(back - pts, axis=1)))
     ok_rt = rt_err < 1e-6
 

@@ -424,8 +424,7 @@ class TestAnalyticTargetGradient:
         sc = load_scenario(bundled_scenario_path("annular"))
         pts = sc.initial_state().active_positions()
         prs = sc.tube.curve.project_many(pts)
-        ls = np.array([pr.l for pr in prs])
-        rs = np.array([pr.r for pr in prs])
+        ls, rs = prs.l, prs.r
         delta_l = max(sc.params.h, sc.params.r_s)
         region = occupied_region_from_arclengths(ls, sc.tube, min_halfwidth=delta_l)
         dd = DesiredDensity(sc.tube, region, delta_l=delta_l)

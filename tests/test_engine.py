@@ -8,7 +8,7 @@ import pytest
 from tubenav import engine
 from tubenav.control import ControllerParams, compose_velocity
 from tubenav.density import DensityView, DesiredDensity, occupied_region_from_arclengths
-from tubenav.engine import apply_exit_rule, run, step, validate_initial
+from tubenav.engine import apply_exit_rule, run, validate_initial
 from tubenav.geometry import (
     ArcSegment,
     GeneratingCurve,
@@ -159,20 +159,11 @@ class TestStep:
     def test_single_robot_advances_at_approach_speed(self):
         tube = straight_tube()
         prm = params()
-        state = make_swarm([(5.0, 0.0)])
-        for _ in range(10):
-            state = step(state, tube, prm, mode="baseline", dt=0.01)
-        assert abs(state.robots[0].position[0] - (5.0 + 10 * 0.01 * prm.k1)) < 1e-12
-        assert abs(state.robots[0].position[1]) < 1e-12
-        assert abs(state.time - 0.1) < 1e-12
-
-    def test_dt_zero_is_identity(self):
-        tube = straight_tube()
-        prm = params()
-        state = make_swarm([(5.0, 0.3), (8.0, -0.4)])
-        after = step(state, tube, prm, mode="full", dt=0.0)
-        assert np.array_equal(after.positions(), state.positions())
-        assert after.time == 0.0
+        sc = scenario_stub(tube, prm, [(5.0, 0.0)], dt=0.01, t_end=0.1, mode="baseline")
+        rec = run(sc).records[-1]
+        assert abs(rec.positions[0, 0] - (5.0 + 10 * 0.01 * prm.k1)) < 1e-12
+        assert abs(rec.positions[0, 1]) < 1e-12
+        assert abs(rec.time - 0.1) < 1e-12
 
     def test_step_halving_first_order_convergence(self):
         # Euler discretization error: halving dt roughly halves the final
@@ -195,20 +186,24 @@ class TestStep:
         assert 1.5 < e1 / e2 < 2.6
 
 
+def exit_rule_on(swarm, tube):
+    return apply_exit_rule(swarm, tube, tube.curve.project_many(swarm.active_positions()))
+
+
 class TestExitRule:
     def test_exactly_at_end_exits(self):
         tube = straight_tube(length=20.0)
         swarm = make_swarm([(20.0, 0.0)])
         swarm.time = 3.5
-        apply_exit_rule(swarm, tube)
-        assert not swarm.robots[0].active
-        assert swarm.robots[0].exit_time == 3.5
+        assert not exit_rule_on(swarm, tube).any()
+        assert not swarm.active[0]
+        assert swarm.exit_time[0] == 3.5
 
     def test_just_before_end_stays(self):
         tube = straight_tube(length=20.0)
         swarm = make_swarm([(20.0 - 1e-6, 0.0)])
-        apply_exit_rule(swarm, tube)
-        assert swarm.robots[0].active
+        assert exit_rule_on(swarm, tube).all()
+        assert swarm.active[0]
 
     def test_closed_tube_never_exits(self):
         tube = ring_tube()
@@ -252,18 +247,25 @@ class TestRun:
             assert np.array_equal(r1.u4, r2.u4)
 
     def test_synchronous_update_order_independent(self):
-        # commands are pure functions of the snapshot: evaluating them in any
-        # robot order gives identical results
+        # commands are pure functions of the snapshot: permuting the input
+        # robots permutes every output row, bit for bit
         tube = straight_tube()
         prm = params()
-        swarm = make_swarm([(3.0, 0.4), (3.9, -0.5), (5.0, 0.1)])
-        view = DensityView(swarm.active_positions(), bandwidth=prm.h)
+        pts = np.array([(3.0, 0.4), (3.9, -0.5), (5.0, 0.1)])
+        view = DensityView(pts, bandwidth=prm.h)
         region = occupied_region_from_arclengths([3.0, 3.9, 5.0], tube, min_halfwidth=0.8)
         dd = DesiredDensity(tube, region, delta_l=0.8)
-        forward = [compose_velocity(tube, prm, i, swarm, view, dd) for i in (0, 1, 2)]
-        backward = [compose_velocity(tube, prm, i, swarm, view, dd) for i in (2, 1, 0)]
-        for i, cmd in enumerate(forward):
-            assert np.array_equal(cmd.v, backward[2 - i].v)
+        prs = tube.curve.project_many(pts)
+        bd, bdir = tube.boundary_distance_many(pts)
+        rho, grad = view.estimate_and_gradient_many(pts)
+        inputs = [pts, prs.l, prs.tangent, bd, bdir, rho, grad, dd.gradient_many(prs.l, prs.r),
+                  np.arange(3)]
+        for mode in ("full", "baseline"):
+            forward = compose_velocity(tube, prm, mode, *inputs, 0.0)
+            for perm in ([2, 1, 0], [1, 2, 0], [0, 2, 1]):
+                permuted = compose_velocity(tube, prm, mode, *(a[perm] for a in inputs), 0.0)
+                for want, got in zip(forward, permuted):
+                    assert np.array_equal(got, want[perm])
 
     def test_all_exit_termination(self):
         tube = straight_tube(length=20.0)
@@ -303,16 +305,84 @@ class TestRun:
             assert rec.metrics.condition23_ok
 
     def test_fault_on_engineered_overlap(self):
-        # two robots placed legally but aimed to collide by a huge approach
-        # speed with tiny avoidance gain would violate in continuous time
-        # too; instead force the fault by starting inside the overlap zone
+        # two robots placed 0.9 m apart, inside the forbidden 2 r_s: the
+        # safety check of the first snapshot faults before any step
         tube = straight_tube()
         prm = params()
-        sc = scenario_stub(tube, prm, [(5.0, 0.4), (5.9, 0.4)], dt=0.01, t_end=1.0)
+        for mode in ("full", "baseline"):
+            sc = scenario_stub(tube, prm, [(5.0, 0.4), (5.9, 0.4)], dt=0.01, t_end=1.0, mode=mode)
+            log = run(sc)
+            assert log.termination == "fault"
+            assert log.fault["kind"] == "robot-robot"
+            assert len(log.records) == 1 and log.records[0].time == 0.0  # partial log retained
+            assert not log.records[0].velocities.any()
+
+
+@pytest.mark.parametrize("mode", ["full", "baseline"])
+class TestDegenerateSwarms:
+    def test_one_robot(self, mode):
+        tube = straight_tube()
+        sc = scenario_stub(tube, params(), [(5.0, 0.3)], t_end=0.5, mode=mode)
         log = run(sc)
-        assert log.termination == "fault"
-        assert log.fault["kind"] == "robot-robot"
-        assert log.records  # partial log retained
+        assert log.termination == "time-limit"
+        for rec in log.records:
+            m = rec.metrics
+            assert math.isnan(m.min_pairwise_distance) and math.isnan(m.amd)
+            # the KDE of one sample is a single Gaussian bump
+            assert math.isfinite(m.density_error_l2) and m.density_error_l2 > 0.0
+            assert m.condition23_ok and m.max_command_norm > 0.0
+
+    def test_two_robots_exit_one_after_the_other(self, mode):
+        # alpha0 = 0.1: at the default gain the capped regulation term of a
+        # lone robot at the front edge of its occupied region cancels u1,
+        # and it stalls short of the exit in full mode
+        tube = straight_tube(length=20.0)
+        sc = scenario_stub(tube, params(alpha0=0.1), [(18.0, 0.0), (19.4, 0.3)], t_end=5.0,
+                           mode=mode)
+        log = run(sc)
+        if mode == "full":
+            assert any(rec.u4.any() for rec in log.records)
+        counts = [int(rec.active.sum()) for rec in log.records]
+        assert counts[0] == 2 and counts[-1] == 0
+        assert all(b <= a for a, b in zip(counts, counts[1:]))
+        assert {1} <= set(counts)
+        assert log.exit_times[1] < log.exit_times[0]
+        assert log.termination == "all-exited"
+        last = log.records[-1].metrics
+        assert math.isnan(last.min_boundary_distance) and math.isnan(last.density_error_l2)
+        assert last.exited_count == 2
+
+    def test_full_ring_occupancy(self, mode):
+        sc = load_scenario(bundled_scenario_path("annular"))
+        radius = 0.8
+        angles = 2.0 * math.pi * np.arange(16) / 16
+        ring = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        assert validate_initial(make_swarm(ring), sc.tube, sc.params) == []
+        stub = scenario_stub(sc.tube, sc.params, ring, dt=sc.dt, t_end=2.0, mode=mode,
+                             grid=sc.density_grid)
+        log = run(stub)
+        assert log.termination == "time-limit" and log.fault is None
+        assert len(log.records) == 201
+        assert all(rec.active.all() and rec.metrics.condition23_ok for rec in log.records)
+
+
+ARRAY_FIELDS = ("positions", "velocities", "u1", "u2", "u3", "u4", "kappa", "active")
+
+
+class TestArrayRecords:
+    def test_euler_update_is_exact_and_records_do_not_alias(self):
+        sc = replace(load_scenario(bundled_scenario_path("narrow_s_tube")), t_end=1.0)
+        recs = run(sc).records
+        assert len(recs) == 101
+        for a, b in zip(recs, recs[1:]):
+            on = a.active
+            assert np.array_equal(b.positions[on], a.positions[on] + sc.dt * a.velocities[on])
+        nxt = recs[51]
+        kept = [np.copy(getattr(nxt, f)) for f in ARRAY_FIELDS]
+        for f in ARRAY_FIELDS:
+            getattr(recs[50], f)[...] = 0
+        for f, want in zip(ARRAY_FIELDS, kept):
+            assert np.array_equal(getattr(nxt, f), want), f
 
 
 def point_grid_error_l2(view, dd, tube, region, resolution):

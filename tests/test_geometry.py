@@ -96,6 +96,53 @@ class TestCurveFrame:
                 assert np.allclose(n, [-t[1], t[0]], atol=0)
 
 
+def two_call_frames(seg, s):
+    """The spline's former point_many + tangent_many pair, which inverted
+    every arc length twice: the oracle for frames_many."""
+    pts = np.empty((len(s), 2))
+    tans = np.empty((len(s), 2))
+    for k, sk in enumerate(s):
+        i, u = seg._invert(float(sk))
+        pts[k] = seg._piece_point(i, u)
+    for k, sk in enumerate(s):
+        i, u = seg._invert(float(sk))
+        d1 = seg._piece_d1(i, u)
+        tans[k] = d1 / math.hypot(d1[0], d1[1])
+    return pts, tans
+
+
+class TestSegmentFrames:
+    def test_spline_frames_equal_the_two_call_result(self):
+        seg = s_spline_tube().curve.segments[0]
+        s = np.concatenate([[0.0, seg.length], np.linspace(0.0, seg.length, 121)[1:-1]])
+        pts, tans = seg.frames_many(s)
+        want_pts, want_tans = two_call_frames(seg, s)
+        assert np.array_equal(pts, want_pts)
+        assert np.array_equal(tans, want_tans)
+
+    def test_spline_frames_invert_once_per_arc_length(self, monkeypatch):
+        tube = s_spline_tube()
+        seg = tube.curve.segments[0]
+        calls = []
+        invert = seg._invert
+        monkeypatch.setattr(seg, "_invert", lambda sk: calls.append(sk) or invert(sk))
+        ls = np.linspace(0.0, tube.length, 120)
+        tube.curve.frames(ls)
+        assert len(calls) == len(ls)
+
+    def test_projection_carries_the_frame_tangent(self):
+        for tube in (straight_tube(), arc_tube(), s_spline_tube()):
+            pts = tube.section_points(np.linspace(0.1, tube.length - 0.1, 9), np.full(9, 0.3))
+            prs = tube.curve.project_many(pts)
+            assert prs.tangent.shape == (9, 2)
+            for k in range(9):
+                one = tube.curve.project(pts[k])
+                _, _, tx, ty, _, _ = tube.curve.eval_scalar(one.l)
+                assert one.tangent == (tx, ty)
+                assert (prs.l[k], prs.r[k]) == (one.l, one.r)
+                assert tuple(prs.tangent[k]) == one.tangent
+
+
 # ---------------------------------------------------------------------------
 # cross_section_endpoints
 # ---------------------------------------------------------------------------
@@ -454,10 +501,10 @@ class TestInvariants:
         pts = tube.section_points(ls, rs)
         prs = tube.curve.project_many(pts)
         for k in range(n):
-            assert abs(prs[k].l - ls[k]) < 1e-6
-            assert abs(prs[k].r - rs[k]) < 1e-6
+            assert abs(prs.l[k] - ls[k]) < 1e-6
+            assert abs(prs.r[k] - rs[k]) < 1e-6
         # distinct points -> distinct coordinates (by injectivity of the inverse)
-        coords = np.stack([[pr.l for pr in prs], [pr.r for pr in prs]], axis=1)
+        coords = np.stack([prs.l, prs.r], axis=1)
         d = np.linalg.norm(coords[1:] - coords[:-1], axis=1)
         p_d = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
         assert np.all(d[p_d > 1e-9] > 0)
@@ -495,8 +542,8 @@ class TestInvariants:
             LineSegment((0.0, 0.0), (4.0, 0.0)),
             ArcSegment((4.0, 3.0), 3.0, -math.pi / 2, 1.0),
         ]
-        end = segs[1].point_many(np.array([segs[1].length]))[0]
-        tan = segs[1].tangent_many(np.array([segs[1].length]))[0]
+        ends, tans = segs[1].frames_many(np.array([segs[1].length]))
+        end, tan = ends[0], tans[0]
         segs.append(LineSegment(end, end + 5.0 * tan))
         curve = GeneratingCurve(segs)
         tube = VirtualTube(curve, WidthProfile([(0.0, 1.0, 1.0)]))

@@ -131,7 +131,7 @@ class TestMinDistances:
     def test_only_active_robots_count(self):
         tube = straight_tube(half_width=2.0)
         swarm = make_swarm([(5.0, 1.9), (10.0, 0.0)])
-        swarm.robots[0].active = False
+        swarm.active[0] = False
         assert abs(min_boundary_distance(swarm, tube) - 2.0) < 1e-9
 
 
