@@ -10,9 +10,6 @@ from .density import (
     DensityView,
     DesiredDensity,
     OccupiedRegion,
-    density_error_l2,
-    occupied_region,
-    relative_error_field,
     silverman_bandwidth,
 )
 from .engine import SimulationLog, apply_exit_rule, run, validate_initial

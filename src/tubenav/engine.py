@@ -152,6 +152,7 @@ class _Snapshot:
         self.l = prs.l[stay]
         self.r = prs.r[stay]
         self.tangent = prs.tangent[stay]
+        self.curvature = prs.curvature[stay]
         self.beyond_start = prs.beyond_start[stay]
         self.positions = swarm.positions[self.ids]
         self.boundary_d, self.boundary_dir = tube.boundary_distance_many(self.positions)
@@ -173,10 +174,10 @@ class _Snapshot:
             )
             delta_l = max(bandwidth, params.r_s)
             self.region = occupied_region_from_arclengths(self.l, tube, min_halfwidth=delta_l)
-            self.view = DensityView(self.positions, bandwidth, params.rho_floor)
+            self.view = DensityView(self.positions, bandwidth)
             self.dd = DesiredDensity(tube, self.region, delta_l=delta_l)
             self.rho_hat, self.grad_hat = self.view.estimate_and_gradient_many(self.positions)
-            self.grad_d = self.dd.gradient_many(self.l, self.r)
+            self.grad_d = self.dd.gradient_many(self.l, self.r, self.tangent, self.curvature)
 
     def containment_check(self, tube):
         r_d = tube.widths.r_d(self.l)

@@ -191,10 +191,8 @@ class CatmullRomSegment:
             return 0.0
         mid = 0.5 * (ua + ub)
         half = 0.5 * (ub - ua)
-        total = 0.0
-        for xk, wk in zip(_GL16_NODES, _GL16_WEIGHTS):
-            total += wk * self._speed(i, mid + half * xk)
-        return total * half
+        d = self._piece_d1(i, (mid + half * _GL16_NODES)[:, None])
+        return float(np.hypot(d[:, 0], d[:, 1]) @ _GL16_WEIGHTS) * half
 
     def _build_tables(self):
         k = self._TABLE_SUBDIV
@@ -291,6 +289,7 @@ class _Projection:
     l: float
     r: float
     tangent: tuple        # unit tangent (tx, ty) at l; (M, 2) from project_many
+    curvature: float      # signed curvature c . n at l; (M,) from project_many
     residual: float       # tangential component of (p - gamma(l))
     beyond_start: bool
     beyond_end: bool
@@ -405,7 +404,8 @@ class GeneratingCurve:
 
         Newton iteration on the stationarity residual (p - gamma(l)) . t(l);
         open curves clamp l to [0, L] and report whether the unconstrained
-        optimum lies beyond an endpoint.
+        optimum lies beyond an endpoint.  Raises TubeDomainError if the
+        iterates still move after _PROJ_MAX_NEWTON steps.
         """
         px, py = float(p[0]), float(p[1])
         L = self.total_length
@@ -413,7 +413,7 @@ class GeneratingCurve:
             l = self._seed(px, py)
         else:
             l = float(seed_l) % L if self.closed else min(max(float(seed_l), 0.0), L)
-        g = 0.0
+        seed = l
         for _ in range(_PROJ_MAX_NEWTON):
             x, y, tx, ty, cx, cy = self.eval_scalar(l)
             dx, dy = px - x, py - y
@@ -431,14 +431,19 @@ class GeneratingCurve:
                 l = ln
                 break
             l = ln
-        x, y, tx, ty, _, _ = self.eval_scalar(l)
+        else:
+            raise TubeDomainError(
+                f"projection of ({px!r}, {py!r}) did not converge in {_PROJ_MAX_NEWTON} Newton"
+                f" steps from seed l={seed!r}: last step {step:.3e}, now at l={l!r}"
+            )
+        x, y, tx, ty, cx, cy = self.eval_scalar(l)
         dx, dy = px - x, py - y
         g = dx * tx + dy * ty
         r = -dx * ty + dy * tx
         beyond_start = (not self.closed) and l <= 0.0 and g < -_MEMBERSHIP_TOL
         beyond_end = (not self.closed) and l >= L and g > _MEMBERSHIP_TOL
-        return _Projection(l=l, r=r, tangent=(tx, ty), residual=g,
-                           beyond_start=beyond_start, beyond_end=beyond_end)
+        return _Projection(l=l, r=r, tangent=(tx, ty), curvature=ty * -cx + tx * cy,
+                           residual=g, beyond_start=beyond_start, beyond_end=beyond_end)
 
     def project_many(self, pts, seeds=None) -> _Projection:
         """Project several points into one array-valued projection; seeds
@@ -450,11 +455,13 @@ class GeneratingCurve:
             seeds = self.sample_ls[np.argmin(d2, axis=1)]
         prs = [self.project(p, seed_l=float(seed)) for p, seed in zip(pts, seeds)]
         rows = np.array(
-            [(pr.l, pr.r, *pr.tangent, pr.residual, pr.beyond_start, pr.beyond_end) for pr in prs],
+            [(pr.l, pr.r, *pr.tangent, pr.curvature, pr.residual, pr.beyond_start, pr.beyond_end)
+             for pr in prs],
             dtype=float,
-        ).reshape(-1, 7)
-        return _Projection(l=rows[:, 0], r=rows[:, 1], tangent=rows[:, 2:4], residual=rows[:, 4],
-                           beyond_start=rows[:, 5] != 0.0, beyond_end=rows[:, 6] != 0.0)
+        ).reshape(-1, 8)
+        return _Projection(l=rows[:, 0], r=rows[:, 1], tangent=rows[:, 2:4], curvature=rows[:, 4],
+                           residual=rows[:, 5], beyond_start=rows[:, 6] != 0.0,
+                           beyond_end=rows[:, 7] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +659,9 @@ class VirtualTube:
     # -- curvilinear map --------------------------------------------------------
 
     def locate(self, p, seed_l=None):
-        """Projection of p plus tube-membership flag; does not raise."""
+        """Projection of p plus tube-membership flag.  An outside point is
+        reported by the flag; only an unconverged projection raises
+        (TubeDomainError, see GeneratingCurve.project)."""
         pr = self.curve.project(p, seed_l=seed_l)
         r_d = float(self.widths.r_d(pr.l))
         r_u = float(self.widths.r_u(pr.l))

@@ -189,6 +189,42 @@ def _check_all_keys(raw: dict):
         _check_keys(cfg, keys_by_kind.get(kind, cfg), path)
 
 
+def _check_value(value, path, integer=False, nullable=False):
+    """Reject a scalar field of the wrong type, naming its JSON path: a
+    finite number, or an integer; bools are neither."""
+    if value is None and nullable:
+        return
+    if integer:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ScenarioError(f"{path} must be {kind}, got {value!r}", rule="param-bound")
+
+
+def _check_values(resolved: dict):
+    _check_value(resolved["seed"], "seed", integer=True)
+    _check_value(resolved["dt_s"], "dt_s")
+    _check_value(resolved["t_end_s"], "t_end_s")
+    _check_value(resolved["regularity_spacing_m"], "regularity_spacing_m", nullable=True)
+    grid = resolved["density_grid"]
+    if not isinstance(grid, (list, tuple)) or len(grid) != 2:
+        raise ScenarioError(f"density_grid must be two positive cell counts, got {grid!r}",
+                            rule="param-bound")
+    for i, cells in enumerate(grid):
+        _check_value(cells, f"density_grid[{i}]", integer=True)
+    for key, value in resolved["params"].items():
+        if key != "u1_mode":
+            _check_value(value, f"params.{key}", nullable=key == "h_m")
+    placement = resolved["placement"]
+    for key in ("rows", "cols", "spacing_m", "jitter_m"):
+        if key in placement:
+            _check_value(placement[key], f"placement.{key}", integer=key in ("rows", "cols"),
+                         nullable=key == "jitter_m")
+
+
 def _resolve(raw: dict) -> dict:
     _check_all_keys(raw)
     resolved = {}
@@ -204,6 +240,7 @@ def _resolve(raw: dict) -> dict:
         resolved["placement"].setdefault("jitter_m", 0.0)
     params_raw = raw.get("params", {})
     resolved["params"] = {k: params_raw.get(k, v) for k, v in _PARAM_DEFAULTS.items()}
+    _check_values(resolved)
     return resolved
 
 
@@ -232,7 +269,7 @@ def scenario_from_dict(raw: dict, source="<dict>") -> Scenario:
     if t_end < 0:
         raise ScenarioError("t_end_s must be nonnegative", rule="param-bound")
     grid = resolved["density_grid"]
-    if len(grid) != 2 or grid[0] < 1 or grid[1] < 1:
+    if grid[0] < 1 or grid[1] < 1:
         raise ScenarioError("density_grid must be two positive cell counts", rule="param-bound")
 
     if params.u1_mode == "original" and tube.closed:

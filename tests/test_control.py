@@ -133,9 +133,10 @@ def regulation_from_parts(params, rho_hat, grad_hat, grad_d):
 
 
 def distribution_regulation(view, dd, params, p, seed_l=None):
-    rho = view.estimate(p)
-    grad_hat = view.gradient(p)
-    grad_d = dd.gradient(p, seed_l=seed_l)
+    rho, grad_hat = view.estimate_and_gradient_many(p)
+    rho, grad_hat = float(rho[0]), grad_hat[0]
+    pr = dd.tube.curve.project(p, seed_l=seed_l)
+    grad_d = dd.gradient_many([pr.l], [pr.r], [pr.tangent], [pr.curvature])[0]
     u4_raw = regulation_from_parts(params, rho, grad_hat, grad_d)
     return u4_raw, {"rho_hat": rho, "grad_rho_hat": grad_hat, "grad_rho_d": grad_d}
 
@@ -188,7 +189,7 @@ def density_for(tube, params, positions):
     ls = tube.curve.project_many(positions).l
     delta_l = max(params.h, params.r_s)
     region = occupied_region_from_arclengths(ls, tube, min_halfwidth=delta_l)
-    return DensityView(positions, params.h, params.rho_floor), DesiredDensity(tube, region, delta_l)
+    return DensityView(positions, params.h), DesiredDensity(tube, region, delta_l)
 
 
 def batch(tube, params, positions, view, dd, mode="full", ids=None):
@@ -201,7 +202,7 @@ def batch(tube, params, positions, view, dd, mode="full", ids=None):
     ids = np.arange(len(pts)) if ids is None else np.asarray(ids)
     return Batch(*compose_velocity(
         tube, params, mode, pts, prs.l, prs.tangent, bd, bdir, rho, grad,
-        dd.gradient_many(prs.l, prs.r), ids, 0.0,
+        dd.gradient_many(prs.l, prs.r, prs.tangent, prs.curvature), ids, 0.0,
     ))
 
 

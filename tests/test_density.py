@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,19 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubenav.density import (
+    _GL20_NODES,
+    _GL20_WEIGHTS,
     OccupiedRegion,
     _region_grid,
     DensityView,
     DesiredDensity,
-    density_error_l2,
     density_error_l2_from_view,
     error_grid,
     l2_norm_on_grid,
-    occupied_region,
     occupied_region_from_arclengths,
-    relative_error_field,
     silverman_bandwidth,
 )
+from tubenav.engine import run
 from tubenav.errors import TubeDomainError
 from tubenav.geometry import (
     ArcSegment,
@@ -29,8 +30,7 @@ from tubenav.geometry import (
     VirtualTube,
     WidthProfile,
 )
-from tubenav.scenario import bundled_scenario_path, load_scenario
-from tubenav.state import make_swarm
+from tubenav.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 
 
 def straight_tube(length=10.0, r_d=1.0, r_u=1.0):
@@ -52,6 +52,14 @@ def brute_force_kde(samples, h, p):
     return total / (len(samples) * h**2)
 
 
+def estimate_at(view, p):
+    return float(view.estimate_many(p)[0])
+
+
+def kde_gradient_at(view, p):
+    return view.estimate_and_gradient_many(p)[1][0]
+
+
 # ---------------------------------------------------------------------------
 # KDE estimate
 # ---------------------------------------------------------------------------
@@ -59,23 +67,23 @@ def brute_force_kde(samples, h, p):
 class TestKdeEstimate:
     def test_single_sample_peak(self):
         view = DensityView(np.array([[0.0, 0.0]]), bandwidth=1.0)
-        assert abs(view.estimate((0.0, 0.0)) - 1.0 / (2 * math.pi)) < 1e-15
+        assert abs(estimate_at(view, (0.0, 0.0)) - 1.0 / (2 * math.pi)) < 1e-15
 
     def test_two_sample_symmetry_and_linearity(self):
         view = DensityView(np.array([[1.0, 0.0], [-1.0, 0.0]]), bandwidth=1.0)
-        v_center = view.estimate((0.0, 0.0))
-        v_mirror = view.estimate((0.0, 0.0))
+        v_center = estimate_at(view, (0.0, 0.0))
+        v_mirror = estimate_at(view, (0.0, 0.0))
         assert v_center == v_mirror
         single = DensityView(np.array([[1.0, 0.0]]), bandwidth=1.0)
         # at the midpoint both kernels contribute the distance-1 value
-        assert abs(v_center - single.estimate((0.0, 0.0))) < 1e-15
+        assert abs(v_center - estimate_at(single, (0.0, 0.0))) < 1e-15
 
     def test_against_brute_force_sum(self):
         rng = np.random.default_rng(13)
         samples = rng.normal(0, 2, size=(25, 2))
         view = DensityView(samples, bandwidth=0.7)
         for p in rng.normal(0, 2, size=(10, 2)):
-            assert abs(view.estimate(p) - brute_force_kde(samples, 0.7, p)) < 1e-12
+            assert abs(estimate_at(view, p) - brute_force_kde(samples, 0.7, p)) < 1e-12
 
     def test_zero_robots_rejected(self):
         with pytest.raises(ValueError):
@@ -86,7 +94,7 @@ class TestKdeEstimate:
         # (beyond ~38 bandwidths exp underflows double precision to 0)
         view = DensityView(np.array([[0.0, 0.0]]), bandwidth=0.5)
         for p in [(15.0, 0.0), (-10.0, 6.0), (0.0, 0.0), (0.0, -17.0)]:
-            assert view.estimate(p) > 0.0
+            assert estimate_at(view, p) > 0.0
 
     def test_total_mass(self):
         # numeric check that the kernel mixture integrates to one; the disk
@@ -111,11 +119,11 @@ class TestKdeEstimate:
 class TestKdeGradient:
     def test_zero_at_sample_point(self):
         view = DensityView(np.array([[0.0, 0.0]]), bandwidth=1.0)
-        assert np.allclose(view.gradient((0.0, 0.0)), 0.0)
+        assert np.allclose(kde_gradient_at(view, (0.0, 0.0)), 0.0)
 
     def test_points_downhill_away_from_sample(self):
         view = DensityView(np.array([[0.0, 0.0]]), bandwidth=1.0)
-        g = view.gradient((0.8, 0.0))
+        g = kde_gradient_at(view, (0.8, 0.0))
         assert g[0] < 0.0 and abs(g[1]) < 1e-15
 
     def test_matches_finite_differences(self):
@@ -125,11 +133,11 @@ class TestKdeGradient:
         view = DensityView(samples, bandwidth=0.6)
         h = 1e-5
         for p in rng.normal(0, 1.5, size=(100, 2)):
-            g = view.gradient(p)
+            g = kde_gradient_at(view, p)
             fd = np.array(
                 [
-                    (view.estimate(p + [h, 0]) - view.estimate(p - [h, 0])) / (2 * h),
-                    (view.estimate(p + [0, h]) - view.estimate(p - [0, h])) / (2 * h),
+                    (estimate_at(view, p + [h, 0]) - estimate_at(view, p - [h, 0])) / (2 * h),
+                    (estimate_at(view, p + [0, h]) - estimate_at(view, p - [0, h])) / (2 * h),
                 ]
             )
             assert np.linalg.norm(g - fd) <= 1e-6 * (1.0 + np.linalg.norm(g))
@@ -147,11 +155,19 @@ class TestSilverman:
 # occupied region
 # ---------------------------------------------------------------------------
 
+def mask_one_mass(tube, region):
+    """The target's mass integral with the mask held at 1: the integral of
+    2 r_c^2 over the region, by the library's quadrature."""
+    dd = DesiredDensity(tube, region, delta_l=0.5)
+    dd.full_ring = True  # _mask_and_slope returns ones
+    return dd._mass()
+
+
 class TestOccupiedRegion:
     def test_min_max_arclengths(self):
         tube = straight_tube()
-        swarm = make_swarm([(1.0, 0.2), (3.0, -0.5), (7.0, 0.0)])
-        region = occupied_region(swarm, tube)
+        pts = [(1.0, 0.2), (3.0, -0.5), (7.0, 0.0)]
+        region = occupied_region_from_arclengths(tube.curve.project_many(pts).l, tube)
         assert abs(region.l_b - 1.0) < 1e-9
         assert abs(region.l_f - 7.0) < 1e-9
 
@@ -160,12 +176,12 @@ class TestOccupiedRegion:
         region = occupied_region_from_arclengths([4.0], tube, min_halfwidth=0.5)
         assert abs(region.l_b - 3.5) < 1e-12
         assert abs(region.l_f - 4.5) < 1e-12
-        assert region.lam > 0
+        assert mask_one_mass(tube, region) > 0
 
     def test_lambda_constant_capacity(self):
         tube = straight_tube()  # r_c = 1 everywhere
         region = occupied_region_from_arclengths([0.0, 10.0], tube)
-        assert abs(region.lam - 1.0 / 20.0) < 1e-12
+        assert abs(1.0 / mask_one_mass(tube, region) - 1.0 / 20.0) < 1e-12
 
     def test_no_active_robots(self):
         tube = straight_tube()
@@ -187,6 +203,26 @@ class TestOccupiedRegion:
 # desired density
 # ---------------------------------------------------------------------------
 
+def target_at(dd, pts):
+    """Target density at Cartesian points, through their projections."""
+    return dd.profile_many(dd.tube.curve.project_many(pts).l)
+
+
+def target_gradient_at(dd, pts):
+    """Target gradient at Cartesian points, from their projections as the
+    engine computes it."""
+    prs = dd.tube.curve.project_many(pts)
+    return dd.gradient_many(prs.l, prs.r, prs.tangent, prs.curvature)
+
+
+def spine_gradient(dd, ls, rs):
+    """Target gradient at tube coordinates, with the tangents and signed
+    curvatures read from one eval_scalar call per arc length."""
+    frames = np.array([dd.tube.curve.eval_scalar(float(l)) for l in ls]).reshape(-1, 6)
+    tx, ty, cx, cy = frames[:, 2], frames[:, 3], frames[:, 4], frames[:, 5]
+    return dd.gradient_many(ls, rs, frames[:, 2:4], ty * -cx + tx * cy)
+
+
 class TestDesiredDensity:
     def test_uniform_interior_value(self):
         tube = straight_tube()  # constant r_c = 1
@@ -196,7 +232,7 @@ class TestDesiredDensity:
         # cosine ramps carry half mass, so the interior sits at
         # 1/(2 r_c (span - delta)); that is within ~delta/span of uniform
         expected = 1.0 / (2.0 * 1.0 * (10.0 - delta))
-        got = dd.value((5.0, 0.3))
+        got = target_at(dd, [(5.0, 0.3)])[0]
         assert abs(got - expected) < 1e-9
         uniform = 1.0 / (2.0 * 1.0 * 10.0)
         assert abs(got - uniform) / uniform < 0.06
@@ -205,8 +241,7 @@ class TestDesiredDensity:
         tube = straight_tube(length=20.0)
         region = occupied_region_from_arclengths([5.0, 10.0], tube)
         dd = DesiredDensity(tube, region, delta_l=0.5)
-        assert dd.value((2.0, 0.0)) == 0.0
-        assert dd.value((15.0, 0.0)) == 0.0
+        assert np.all(target_at(dd, [(2.0, 0.0), (15.0, 0.0)]) == 0.0)
 
     def test_normalization_linear_capacity(self):
         # oracle: closed-form integral of 2 (a + b l)^2 over the region
@@ -218,7 +253,7 @@ class TestDesiredDensity:
             return 2.0 * (a + b * l) ** 3 / (3.0 * b)
 
         exact = anti(9.0) - anti(1.0)
-        assert abs(1.0 / region.lam - exact) < 1e-9
+        assert abs(mask_one_mass(tube, region) - exact) < 1e-9
 
     def test_unit_mass_after_mollification(self):
         # oracle: high-resolution quadrature of the mollified field over the tube
@@ -238,8 +273,8 @@ class TestDesiredDensity:
         for _ in range(20):
             l = float(rng.uniform(1.0, 9.0))
             r1, r2 = rng.uniform(-0.9, 0.9, 2)
-            v1 = dd.value(tube.to_cartesian(CurvilinearCoord(l, float(r1))))
-            v2 = dd.value(tube.to_cartesian(CurvilinearCoord(l, float(r2))))
+            v1, v2 = target_at(dd, [tube.to_cartesian(CurvilinearCoord(l, float(r1))),
+                                    tube.to_cartesian(CurvilinearCoord(l, float(r2)))])
             assert abs(v1 - v2) < 1e-12
 
     def test_capacity_proportionality_in_interior(self):
@@ -247,7 +282,8 @@ class TestDesiredDensity:
         region = occupied_region_from_arclengths([1.0, 9.0], tube)
         dd = DesiredDensity(tube, region, delta_l=0.5)
         l1, l2 = 3.0, 7.0  # both in the un-mollified interior
-        ratio = dd.profile(l1) / dd.profile(l2)
+        rho_1, rho_2 = dd.profile_many([l1, l2])
+        ratio = rho_1 / rho_2
         cap_ratio = tube.widths.r_c(l1) / tube.widths.r_c(l2)
         assert abs(ratio - cap_ratio) < 1e-9
 
@@ -256,11 +292,11 @@ class TestDesiredDensity:
         tube = VirtualTube(curve, WidthProfile([(0.0, 0.3, 0.3)]), topology="closed")
         L = tube.length
         # exact full coverage: constant-capacity ring, no edges to mollify
-        region = OccupiedRegion(l_b=0.0, l_f=L, lam=1.0 / (2.0 * 0.3**2 * L))
+        region = OccupiedRegion(l_b=0.0, l_f=L)
         dd = DesiredDensity(tube, region, delta_l=0.2)
         vals = dd.profile_many(np.linspace(0, L, 50))
         assert np.allclose(vals, vals[0], rtol=0, atol=1e-15)
-        assert abs(vals[0] - region.lam * 0.3) < 1e-15
+        assert abs(vals[0] - 0.3 / (2.0 * 0.3**2 * L)) < 1e-15
 
     def test_nearly_full_ring_keeps_a_seam_dip(self):
         curve = GeneratingCurve([ArcSegment((0, 0), 2.0, 0.0, 2 * math.pi)], closed=True)
@@ -270,7 +306,168 @@ class TestDesiredDensity:
         dd = DesiredDensity(tube, region, delta_l=0.1)
         # the largest inter-robot gap stays outside the covering arc
         gap_mid = region.l_f + 0.5 * (tube.length - region.span)
-        assert dd.profile(gap_mid % tube.length) == 0.0
+        assert dd.profile_many([gap_mid % tube.length])[0] == 0.0
+
+
+# The normalizer as it was computed before the single Gauss-Legendre pass:
+# Simpson per width piece on 2 r_c^2 (a region that covers the ring), or
+# that interior plus Gauss-Legendre ramp bands cut at the width-knot images.
+
+def _integral_2rc2(tube, a, b):
+    if b <= a:
+        return 0.0
+    L = tube.length
+    if tube.closed:
+        shift = math.floor(a / L) * L
+        a, b = a - shift, b - shift
+        if b > L:
+            return _integral_2rc2(tube, a, L) + _integral_2rc2(tube, 0.0, b - L)
+    grid = tube.widths.grid_over(a, b)
+    total = 0.0
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        mid = 0.5 * (lo + hi)
+        f = lambda l: 2.0 * float(tube.widths.r_c(l)) ** 2
+        total += (hi - lo) / 6.0 * (f(lo) + 4.0 * f(mid) + f(hi))
+    return total
+
+
+def _split_at_knots(tube, a, b):
+    L = tube.length
+    knots = tube.widths.knot_ls
+    if tube.closed:
+        knots = np.concatenate(
+            [knots + k * L for k in range(math.floor(a / L), math.ceil(b / L) + 1)]
+        )
+    inner = knots[(knots > a + 1e-15) & (knots < b - 1e-15)]
+    cuts = np.concatenate([[a], np.sort(inner), [b]])
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def two_path_mass(dd):
+    """The oracle: the mass 1 / lam_moll by the two former paths."""
+    tube = dd.tube
+    l_b, l_f, d = dd.region.l_b, dd.region.l_f, dd.delta
+    if dd.full_ring:
+        return _integral_2rc2(tube, l_b, l_f)
+    interior = _integral_2rc2(tube, l_b + d, l_f - d) if l_f - d > l_b + d else 0.0
+
+    def ramp_integral(a, b):
+        if b <= a:
+            return 0.0
+        total = 0.0
+        for lo, hi in _split_at_knots(tube, a, b):
+            mid = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo)
+            xs = mid + half * _GL20_NODES
+            r_c = tube.widths.r_c(np.mod(xs, tube.length) if tube.closed else xs)
+            total += float(np.dot(dd._mask_and_slope(xs)[0] * 2.0 * r_c ** 2, _GL20_WEIGHTS)) * half
+        return total
+
+    return interior + ramp_integral(l_b, min(l_b + d, l_f)) + ramp_integral(
+        max(l_f - d, l_b + d), l_f)
+
+
+@st.composite
+def mass_cases(draw):
+    """A tube, its occupied region and the mollification width.  Closed
+    tubes are rings with widths periodic across the seam; regions may wrap
+    the seam or cover the ring; some width knots fall inside the ramp
+    bands."""
+    closed = draw(st.booleans())
+    L = draw(st.floats(4.0, 30.0))
+    delta_l = draw(st.floats(0.25, 3.0))
+    if closed and draw(st.integers(0, 3)) == 0:
+        span = L  # the whole ring
+        l_b = draw(st.sampled_from([0.0, draw(st.floats(0.0, L))]))
+    else:
+        span = draw(st.floats(0.5, L - 0.01))
+        l_b = draw(st.floats(0.0, L if closed else L - span))
+    delta = min(delta_l, 0.5 * span)
+    fracs = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    ends = draw(st.lists(st.booleans(), min_size=len(fracs), max_size=len(fracs)))
+    in_bands = [(l_b + f * delta) if rear else (l_b + span - f * delta)
+                for f, rear in zip(fracs, ends)]
+    free = draw(st.lists(st.floats(0.0, L), min_size=0 if closed else 1, max_size=4))
+    ls = np.array(in_bands + free)
+    if closed:
+        ls = np.mod(ls, L)
+        ls = ls[(ls > 1e-6) & (ls < L - 1e-6)]
+        ls = np.concatenate([[0.0], ls, [L]])
+    else:
+        ls = ls[(ls >= 0.0) & (ls <= L)]
+    ls = np.sort(ls)
+    ls = ls[np.concatenate([[True], np.diff(ls) > 1e-6])]
+    hi = 0.4 if closed else 3.0
+    widths = draw(st.lists(st.tuples(st.floats(0.1, hi), st.floats(0.1, hi)),
+                           min_size=len(ls), max_size=len(ls)))
+    if closed:
+        widths[-1] = widths[0]
+    knots = [(l, rd, ru) for l, (rd, ru) in zip(ls, widths)]
+    if closed:
+        curve = GeneratingCurve([ArcSegment((0, 0), L / (2 * math.pi), 0.0, 2 * math.pi)],
+                                closed=True)
+        tube = VirtualTube(curve, WidthProfile(knots), topology="closed")
+    else:
+        tube = VirtualTube(GeneratingCurve([LineSegment((0.0, 0.0), (L, 0.0))]),
+                           WidthProfile(knots))
+    return tube, OccupiedRegion(l_b=l_b, l_f=l_b + span), delta_l
+
+
+class TestNormalization:
+    """The one-pass mass integral against the two former paths and a dense
+    trapezoid."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=mass_cases())
+    def test_property_matches_two_path_oracle_and_unit_mass(self, case):
+        tube, region, delta_l = case
+        dd = DesiredDensity(tube, region, delta_l)
+        want = two_path_mass(dd)
+        assert abs(1.0 / dd.lam_moll - want) <= 1e-13 * want
+        xs = np.linspace(region.l_b, region.l_f, 200_001)
+        r_c = tube.widths.r_c(np.mod(xs, tube.length) if tube.closed else xs)
+        mass = float(np.trapezoid(dd.profile_many(xs) * 2.0 * r_c, xs))
+        assert abs(mass - 1.0) < 1e-6
+
+    def test_cases_cover_every_kind(self):
+        # the strategy reaches wrapped regions, full rings and knots in ramps
+        seen = set()
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(case=mass_cases())
+        def collect(case):
+            tube, region, delta_l = case
+            dd = DesiredDensity(tube, region, delta_l)
+            knots = tube.widths.knot_ls
+            seen.add("closed" if tube.closed else "open")
+            if dd.full_ring:
+                seen.add("full ring")
+            elif tube.closed and region.l_f > tube.length:
+                seen.add("wraps the seam")
+            if tube.closed:
+                knots = np.concatenate([knots + k * tube.length for k in (-1, 0, 1, 2)])
+            bands = [(region.l_b, region.l_b + dd.delta), (region.l_f - dd.delta, region.l_f)]
+            if not dd.full_ring and any(((knots > a) & (knots < b)).any() for a, b in bands):
+                seen.add("knot in a ramp band")
+
+        collect()
+        assert seen == {"open", "closed", "full ring", "wraps the seam", "knot in a ramp band"}
+
+    def test_one_gauss_legendre_pass(self, monkeypatch):
+        # the bundled S tube: one _mask_and_slope call on an (n_pieces, 20) array
+        tube = load_scenario(bundled_scenario_path("narrow_s_tube")).tube
+        calls = []
+        original = DesiredDensity._mask_and_slope
+
+        def counted(self, ls):
+            calls.append(np.shape(ls))
+            return original(self, ls)
+
+        monkeypatch.setattr(DesiredDensity, "_mask_and_slope", counted)
+        dd = DesiredDensity(tube, occupied_region_from_arclengths([2.0, 27.0], tube), 1.5)
+        # cut at 2, 3.5, 6, 8, 19, 23, 25.5, 27
+        assert calls == [(7, 20)]
+        assert abs(1.0 / dd.lam_moll - two_path_mass(dd)) <= 1e-13 / dd.lam_moll
 
 
 class TestDesiredDensityGradient:
@@ -278,14 +475,14 @@ class TestDesiredDensityGradient:
         tube = straight_tube()
         region = occupied_region_from_arclengths([0.0, 10.0], tube)
         dd = DesiredDensity(tube, region, delta_l=0.5)
-        g = dd.gradient((5.0, 0.2))
+        g = target_gradient_at(dd, [(5.0, 0.2)])[0]
         assert np.linalg.norm(g) < 1e-8
 
     def test_rear_skirt_points_forward(self):
         tube = straight_tube()
         region = occupied_region_from_arclengths([2.0, 8.0], tube)
         dd = DesiredDensity(tube, region, delta_l=0.5)
-        g = dd.gradient((2.25, 0.0))  # inside the rear ramp
+        g = target_gradient_at(dd, [(2.25, 0.0)])[0]  # inside the rear ramp
         assert g[0] > 0.0
         assert abs(g[1]) < 1e-8
 
@@ -294,10 +491,25 @@ class TestDesiredDensityGradient:
         tube = tapered_tube(r0=2.0, r1=1.0)
         region = occupied_region_from_arclengths([1.0, 9.0], tube)
         dd = DesiredDensity(tube, region, delta_l=0.5)
-        g = dd.gradient((5.0, 0.4))
+        g = target_gradient_at(dd, [(5.0, 0.4)])[0]
         slope = dd.lam_moll * (-0.1)
         assert abs(g[0] - slope) < 1e-4
         assert abs(g[1]) < 1e-6
+
+
+def oracle_gradient(dd, ls, rs):
+    """The target gradient with its own spine frame per point: one
+    eval_scalar call per arc length for the tangent and the curvature
+    vector c, kappa = c . n."""
+    ls = np.asarray(ls, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    frames = np.array([dd.tube.curve.eval_scalar(float(l)) for l in ls]).reshape(-1, 6)
+    tx, ty, cx, cy = frames[:, 2], frames[:, 3], frames[:, 4], frames[:, 5]
+    stretch = 1.0 - (ty * -cx + tx * cy) * rs
+    if np.any(stretch <= 0.0):
+        raise TubeDomainError("at or past the centre of curvature")
+    slope = dd.profile_slope_many(ls) / stretch
+    return np.stack([slope * tx, slope * ty], axis=1)
 
 
 def fd_gradient(dd, pts, seed_ls, h=1e-4):
@@ -349,7 +561,7 @@ class TestAnalyticTargetGradient:
         ok = _away_from(ls, marks, margin)
         ls, rs = ls[ok], rs[ok]
         pts = tube.section_points(ls, rs)
-        g = dd.gradient_many(ls, rs)
+        g = spine_gradient(dd, ls, rs)
         fd = fd_gradient(dd, pts, ls)
         err = np.linalg.norm(g - fd, axis=1)
         assert np.all(err <= 1e-6 * np.linalg.norm(g, axis=1))
@@ -383,8 +595,8 @@ class TestAnalyticTargetGradient:
         rs = rng.uniform(-0.95, 0.95, 300) * tube.widths.r_d(ls)
         self._compare(tube, dd, ls, rs, self._marks(tube, dd))
         l = 2.5
-        on_spine = dd.gradient_many([l], [0.0])[0]
-        inner = dd.gradient_many([l], [0.5])[0]  # left of a CCW arc: towards the centre
+        on_spine = spine_gradient(dd, [l], [0.0])[0]
+        inner = spine_gradient(dd, [l], [0.5])[0]  # left of a CCW arc: towards the centre
         assert np.allclose(inner, on_spine / (1.0 - 0.5 / 3.0), rtol=1e-14, atol=0)
 
     def test_ring_seam(self):
@@ -403,18 +615,18 @@ class TestAnalyticTargetGradient:
 
     def test_exactly_zero_in_full_ring_mode(self):
         tube = _ring()
-        region = OccupiedRegion(l_b=0.0, l_f=tube.length, lam=1.0)
+        region = OccupiedRegion(l_b=0.0, l_f=tube.length)
         dd = DesiredDensity(tube, region, delta_l=0.2)
         assert dd.full_ring
         ls = np.linspace(0.0, tube.length, 97)
-        g = dd.gradient_many(ls, np.linspace(-0.1, 0.1, 97))
+        g = spine_gradient(dd, ls, np.linspace(-0.1, 0.1, 97))
         assert np.all(g == 0.0)
 
     def test_exactly_zero_at_region_edges(self):
         tube = tapered_tube()
         region = occupied_region_from_arclengths([2.0, 8.0], tube)
         dd = DesiredDensity(tube, region, delta_l=0.5)
-        g = dd.gradient_many([2.0, 8.0, 1.0, 9.5], [0.3, -0.2, 0.0, 0.0])
+        g = spine_gradient(dd, [2.0, 8.0, 1.0, 9.5], [0.3, -0.2, 0.0, 0.0])
         assert np.all(g == 0.0)
 
     def test_annular_rear_edge_has_no_stencil_bias(self):
@@ -429,18 +641,19 @@ class TestAnalyticTargetGradient:
         region = occupied_region_from_arclengths(ls, sc.tube, min_halfwidth=delta_l)
         dd = DesiredDensity(sc.tube, region, delta_l=delta_l)
         rear = int(np.flatnonzero(ls == region.l_b)[0])
-        g = dd.gradient_many(ls, rs)
+        g = dd.gradient_many(ls, rs, prs.tangent, prs.curvature)
         assert np.all(g[rear] == 0.0)
         fd = fd_gradient(dd, pts[rear:rear + 1], ls[rear:rear + 1])[0]
         assert np.linalg.norm(fd) > 1e-3
 
-    def test_scalar_gradient_matches_batch(self):
+    def test_projection_frame_matches_per_point_frame(self):
         tube = tapered_tube()
         region = occupied_region_from_arclengths([1.0, 9.0], tube)
         dd = DesiredDensity(tube, region, delta_l=0.5)
         p = np.array([1.2, 0.4])
         coord = tube.to_curvilinear(p)
-        assert np.array_equal(dd.gradient(p), dd.gradient_many([coord.l], [coord.r])[0])
+        assert np.array_equal(target_gradient_at(dd, [p])[0],
+                              oracle_gradient(dd, [coord.l], [coord.r])[0])
 
     def test_raises_past_the_centre_of_curvature(self):
         curve = GeneratingCurve([ArcSegment((0.0, 0.0), 1.0, 0.0, 2.0)])
@@ -448,7 +661,29 @@ class TestAnalyticTargetGradient:
         region = occupied_region_from_arclengths([0.2, 1.8], tube)
         dd = DesiredDensity(tube, region, delta_l=0.3)
         with pytest.raises(TubeDomainError, match="centre of curvature"):
-            dd.gradient_many([0.3, 0.4], [0.2, 1.0])  # kappa r = 1 at r = 1
+            spine_gradient(dd, [0.3, 0.4], [0.2, 1.0])  # kappa r = 1 at r = 1
+
+
+class TestTargetGradientInRuns:
+    @pytest.mark.parametrize("name", ["narrow_s_tube", "annular"])
+    def test_bit_equal_to_per_point_frames(self, monkeypatch, name):
+        # every snapshot of 1 s of the bundled run: the gradient from the
+        # projection's tangent and curvature equals the per-point frame one
+        library = DesiredDensity.gradient_many
+        robots = []
+
+        def checked(dd, ls, rs, tangents, curvatures):
+            got = library(dd, ls, rs, tangents, curvatures)
+            assert np.array_equal(got, oracle_gradient(dd, ls, rs))
+            robots.append(np.count_nonzero(np.linalg.norm(got, axis=1)))
+            return got
+
+        monkeypatch.setattr(DesiredDensity, "gradient_many", checked)
+        raw = json.loads(bundled_scenario_path(name).read_text())
+        log = run(scenario_from_dict({**raw, "t_end_s": 1.0}))
+        assert log.termination == "time-limit"
+        assert len(robots) == len(log.records) == 101
+        assert sum(robots) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +802,8 @@ class TestSectionKde:
 class _CallableView:
     """Stub view evaluating an arbitrary field, for synthetic-field tests."""
 
-    def __init__(self, fn, rho_floor=1e-6):
+    def __init__(self, fn):
         self.fn = fn
-        self.rho_floor = rho_floor
 
     def estimate_many(self, pts):
         pts = np.atleast_2d(pts)
@@ -578,6 +812,17 @@ class _CallableView:
     def estimate_sections(self, origins, tangents, normals, offsets):
         pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
         return self.estimate_many(pts.reshape(-1, 2)).reshape(offsets.shape)
+
+
+def relative_error_field(view, dd, tube, region, resolution, rho_floor=1e-6):
+    """Cellwise (estimate - target) / target on the error grid, NaN on the
+    cells where the target is below the positivity floor; returns the
+    field, the relative errors and the mask of those excluded cells."""
+    field = error_grid(view, dd, tube, region, resolution)
+    excluded = field.rho_d < rho_floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = np.where(excluded, np.nan, (field.rho_hat - field.rho_d) / field.rho_d)
+    return field, relative, excluded
 
 
 class TestDensityError:
@@ -592,7 +837,7 @@ class TestDensityError:
 
         def rho_d_field(p):
             pr = tube.curve.project(p)
-            return dd.profile(pr.l)
+            return dd.profile_many([pr.l])[0]
 
         view = _CallableView(rho_d_field)
         err = density_error_l2_from_view(view, dd, tube, region, resolution=(60, 12))
@@ -604,7 +849,7 @@ class TestDensityError:
         def offset_field(c):
             def fn(p):
                 pr = tube.curve.project(p)
-                return dd.profile(pr.l) + c * 0.01
+                return dd.profile_many([pr.l])[0] + c * 0.01
             return fn
 
         e1 = density_error_l2_from_view(_CallableView(offset_field(1.0)), dd, tube, region, (40, 8))
@@ -619,9 +864,9 @@ class TestDensityError:
         pts = np.stack(
             [rng.uniform(1.0, 9.0, 25), rng.uniform(-0.8, 0.8, 25)], axis=1
         )
-        swarm = make_swarm(pts)
-        coarse = density_error_l2(swarm, dd, tube, resolution=(100, 20), bandwidth=0.6)
-        fine = density_error_l2(swarm, dd, tube, resolution=(200, 40), bandwidth=0.6)
+        view = DensityView(pts, 0.6)
+        coarse = density_error_l2_from_view(view, dd, tube, region, resolution=(100, 20))
+        fine = density_error_l2_from_view(view, dd, tube, region, resolution=(200, 40))
         assert abs(fine - coarse) / fine < 0.01
 
     def test_relative_field_zero_and_scaled(self):
@@ -629,17 +874,16 @@ class TestDensityError:
 
         def exact(p):
             pr = tube.curve.project(p)
-            return dd.profile(pr.l)
+            return dd.profile_many([pr.l])[0]
 
-        field = error_grid(_CallableView(exact), dd, tube, region, (40, 8))
-        ok = ~field.excluded
-        assert np.all(np.abs(field.relative[ok]) < 1e-9)
+        _, relative, excluded = relative_error_field(_CallableView(exact), dd, tube, region,
+                                                     (40, 8))
+        assert np.all(np.abs(relative[~excluded]) < 1e-9)
 
-        double = error_grid(
+        _, relative, excluded = relative_error_field(
             _CallableView(lambda p: 2.0 * exact(p)), dd, tube, region, (40, 8)
         )
-        ok = ~double.excluded
-        assert np.allclose(double.relative[ok], 1.0, atol=1e-9)
+        assert np.allclose(relative[~excluded], 1.0, atol=1e-9)
 
     def test_relative_field_reaggregates_to_l2(self):
         tube, region, dd = self._setup()
@@ -647,10 +891,10 @@ class TestDensityError:
         pts = np.stack(
             [rng.uniform(1.0, 9.0, 25), rng.uniform(-0.8, 0.8, 25)], axis=1
         )
-        swarm = make_swarm(pts)
+        view = DensityView(pts, 0.6)
         res = (80, 16)
-        field = relative_error_field(swarm, dd, tube, resolution=res, bandwidth=0.6)
-        assert not field.excluded.any()  # reference config keeps target above floor
-        recombined = l2_norm_on_grid(field.relative * field.rho_d, field)
-        direct = density_error_l2(swarm, dd, tube, resolution=res, bandwidth=0.6)
+        field, relative, excluded = relative_error_field(view, dd, tube, region, res)
+        assert not excluded.any()  # reference config keeps target above floor
+        recombined = l2_norm_on_grid(relative * field.rho_d, field)
+        direct = density_error_l2_from_view(view, dd, tube, region, res)
         assert abs(recombined - direct) < 1e-12 * max(1.0, direct)

@@ -258,8 +258,8 @@ class TestRun:
         prs = tube.curve.project_many(pts)
         bd, bdir = tube.boundary_distance_many(pts)
         rho, grad = view.estimate_and_gradient_many(pts)
-        inputs = [pts, prs.l, prs.tangent, bd, bdir, rho, grad, dd.gradient_many(prs.l, prs.r),
-                  np.arange(3)]
+        grad_d = dd.gradient_many(prs.l, prs.r, prs.tangent, prs.curvature)
+        inputs = [pts, prs.l, prs.tangent, bd, bdir, rho, grad, grad_d, np.arange(3)]
         for mode in ("full", "baseline"):
             forward = compose_velocity(tube, prm, mode, *inputs, 0.0)
             for perm in ([2, 1, 0], [1, 2, 0], [0, 2, 1]):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubenav import geometry
 from tubenav.errors import OutsideTubeError, TubeDomainError
 from tubenav.geometry import (
     ArcSegment,
@@ -137,10 +138,61 @@ class TestSegmentFrames:
             assert prs.tangent.shape == (9, 2)
             for k in range(9):
                 one = tube.curve.project(pts[k])
-                _, _, tx, ty, _, _ = tube.curve.eval_scalar(one.l)
+                _, _, tx, ty, cx, cy = tube.curve.eval_scalar(one.l)
                 assert one.tangent == (tx, ty)
+                assert one.curvature == ty * -cx + tx * cy  # c . n
                 assert (prs.l[k], prs.r[k]) == (one.l, one.r)
                 assert tuple(prs.tangent[k]) == one.tangent
+                assert prs.curvature[k] == one.curvature
+        # signed: positive on a counterclockwise arc, zero on a line
+        assert np.allclose(arc_tube(radius=5.0).curve.project_many([(4.0, 2.0)]).curvature,
+                           0.2, rtol=1e-12, atol=0)
+        assert straight_tube().curve.project((3.0, 0.2)).curvature == 0.0
+
+
+def scalar_gauss_len(seg, i, ua, ub):
+    """The spline's former length sum: 16 scalar speed evaluations."""
+    mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+    total = 0.0
+    for xk, wk in zip(*np.polynomial.legendre.leggauss(16)):
+        total += wk * seg._speed(i, mid + half * xk)
+    return total * half
+
+
+class TestSplineLength:
+    def test_array_gauss_sum_matches_the_scalar_sum(self):
+        seg = s_spline_tube().curve.segments[0]
+        us = np.linspace(0.0, 1.0, 33)
+        for i in range(seg._n_pieces):
+            for ua, ub in [(0.0, 1.0), (0.0, 0.37), (0.5, 0.53), *zip(us[:-1], us[1:])]:
+                want = scalar_gauss_len(seg, i, ua, ub)
+                assert abs(seg._gauss_len(i, ua, ub) - want) <= 1e-15 * want
+        assert seg._gauss_len(0, 0.4, 0.4) == 0.0
+        total = sum(scalar_gauss_len(seg, i, a, b) for i in range(seg._n_pieces)
+                    for a, b in zip(us[:-1], us[1:]))
+        assert abs(seg.length - total) <= 1e-14 * total
+
+
+class TestProjectionConvergence:
+    def test_unconverged_projection_raises_with_its_context(self, monkeypatch):
+        tube = arc_tube()
+        ok = tube.curve.project((4.0, 2.0), seed_l=1.0)
+        monkeypatch.setattr(geometry, "_PROJ_MAX_NEWTON", 1)
+        with pytest.raises(TubeDomainError, match=r"projection of \(4\.0, 2\.0\) did not "
+                           r"converge in 1 Newton steps from seed l=1\.0: last step") as exc:
+            tube.curve.project((4.0, 2.0), seed_l=1.0)
+        step = float(str(exc.value).split("last step ")[1].split(",")[0])
+        assert step != 0.0 and abs(1.0 + step - ok.l) < 0.1  # the first Newton step
+        with pytest.raises(TubeDomainError, match="did not converge"):
+            tube.locate((4.0, 2.0), seed_l=1.0)
+        with pytest.raises(TubeDomainError, match="did not converge"):
+            tube.curve.project_many([(4.0, 2.0)], seeds=[1.0])
+
+    def test_converged_at_the_seed_needs_one_step(self, monkeypatch):
+        # a step below the tolerance on the first iteration is convergence
+        tube = straight_tube()
+        monkeypatch.setattr(geometry, "_PROJ_MAX_NEWTON", 1)
+        assert tube.curve.project((3.0, 0.2), seed_l=3.0).l == 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,36 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("path, value", [
+        ("density_grid", 120),
+        ("density_grid", ["a", "b"]),
+        ("density_grid", [120.5, 24]),
+        ("dt_s", "x"),
+        ("dt_s", [0.01]),
+        ("t_end_s", None),
+        ("seed", "abc"),
+        ("regularity_spacing_m", "0.1"),
+        ("params.k1_mps", "1"),
+        ("placement.rows", 5.7),
+        ("placement.spacing_m", None),
+        ("placement.jitter_m", "x"),
+    ])
+    def test_wrong_value_type_names_its_path(self, path, value):
+        raw = short_scenario_dict()
+        section, _, key = path.rpartition(".")
+        (raw[section] if section else raw)[key] = value
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert exc.value.rule == "param-bound"
+        assert str(exc.value).startswith(path)
+
+    def test_wrong_value_type_exits_with_code_2(self, tmp_path, capsys):
+        raw = short_scenario_dict()
+        raw["dt_s"] = "x"
+        assert main(["simulate", str(write_scenario(tmp_path, raw))]) == 2
+        assert "scenario error [param-bound]: dt_s must be a finite number, got 'x'" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("name", ["narrow_s_tube", "annular"])
     def test_resolved_file_round_trip(self, tmp_path, name):
         out = tmp_path / "out"
