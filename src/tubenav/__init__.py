@@ -23,7 +23,6 @@ from .errors import (
 from .geometry import (
     ArcSegment,
     CatmullRomSegment,
-    CurvilinearCoord,
     GeneratingCurve,
     LineSegment,
     VirtualTube,

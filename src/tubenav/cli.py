@@ -77,7 +77,7 @@ def cmd_compare(args):
     logs = {}
     scen = None
     for arm in ("full", "baseline"):
-        arm_raw = apply_overrides(raw, mode=arm)
+        arm_raw = apply_overrides(raw, t_end=args.t_end, mode=arm)
         scenario = scenario_from_dict(arm_raw, source=str(args.scenario))
         scen = scenario
         log = engine.run(scenario)
@@ -216,6 +216,7 @@ def build_parser():
     p_cmp = sub.add_parser("compare", help="run full and baseline arms from the same start")
     p_cmp.add_argument("scenario")
     p_cmp.add_argument("--out", help="output directory")
+    p_cmp.add_argument("--t-end", dest="t_end", type=float, help="override duration (s)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_chk = sub.add_parser("check-tube", help="report tube regularity, area and narrow bands")

@@ -94,7 +94,7 @@ def validate_initial(swarm: SwarmState, tube: VirtualTube, params: ControllerPar
         problems.append(
             f"robots {i} and {j} at distance {d[i, j]:.4f} <= 2 r_s = {2 * params.r_s}"
         )
-    inside = np.array([tube.locate(p)[1] for p in pts], dtype=bool)
+    _, inside = tube.locate(pts)
     for i in np.flatnonzero(~inside):
         problems.append(f"robot {i} at {tuple(pts[i].tolist())} is outside the tube")
     ids = np.flatnonzero(inside)

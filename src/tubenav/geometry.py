@@ -15,13 +15,12 @@ dense sample table is kept only to seed nearest-point projections.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutsideTubeError, TubeDomainError
+from .errors import TubeDomainError
 
 # construction-time validation tolerances
 _JOINT_POS_TOL = 1e-9     # m, positional continuity at segment joints
@@ -42,6 +41,13 @@ _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # ---------------------------------------------------------------------------
 # curve segments
 # ---------------------------------------------------------------------------
+#
+# Every segment kind has one evaluation, ``eval_many(s, k=0)``: points, unit
+# tangents and curvature vectors (d/dl of the unit tangent) at the arc
+# lengths s within the segment, each (K, 2).  A segment holds its
+# parameters with a leading axis of length one; ``stack`` concatenates
+# several segments of one kind along that axis, and ``k`` then picks each
+# query's segment, so a curve evaluates all its segments of a kind at once.
 
 class LineSegment:
     """Straight piece, arc-length parameterized trivially."""
@@ -58,25 +64,25 @@ class LineSegment:
         self.start = start
         self.end = end
         self.length = length
-        self._u = chord / length
-        self._sx, self._sy = float(start[0]), float(start[1])
-        self._ux, self._uy = float(self._u[0]), float(self._u[1])
+        self._a = start[None, :]
+        self._u = (chord / length)[None, :]
 
-    def eval_scalar(self, s):
-        return (
-            self._sx + s * self._ux,
-            self._sy + s * self._uy,
-            self._ux,
-            self._uy,
-            0.0,
-            0.0,
-        )
+    @classmethod
+    def stack(cls, segments):
+        out = cls.__new__(cls)
+        out._a = np.concatenate([seg._a for seg in segments])
+        out._u = np.concatenate([seg._u for seg in segments])
+        return out
 
-    def frames_many(self, s):
-        """Points and unit tangents at the arc lengths s, each (K, 2)."""
-        s = np.asarray(s, dtype=float)
-        points = self.start[None, :] + s[:, None] * self._u[None, :]
-        return points, np.broadcast_to(self._u, (len(s), 2)).copy()
+    def max_curvature(self):
+        return 0.0
+
+    def eval_many(self, s, k=0):
+        u = self._u[k]
+        points = self._a[k] + np.asarray(s, dtype=float)[:, None] * u
+        tangents = np.empty_like(points)
+        tangents[:] = u
+        return points, tangents, np.zeros(points.shape)
 
 
 class ArcSegment:
@@ -95,38 +101,40 @@ class ArcSegment:
         self.sweep = float(sweep_angle)
         self.sign = 1.0 if sweep_angle > 0 else -1.0
         self.length = self.radius * abs(self.sweep)
-        self._cx, self._cy = float(self.center[0]), float(self.center[1])
+        self._c = self.center[None, :]
+        self._r = np.array([[self.radius]])
+        self._th0 = np.array([self.start_angle])
+        self._sign = np.array([self.sign])
+        self._tsign = np.array([[-self.sign, self.sign]])
 
-    def _theta(self, s):
-        return self.start_angle + self.sign * s / self.radius
+    @classmethod
+    def stack(cls, segments):
+        out = cls.__new__(cls)
+        for name in ("_c", "_r", "_th0", "_sign", "_tsign"):
+            setattr(out, name, np.concatenate([getattr(seg, name) for seg in segments]))
+        return out
 
-    def eval_scalar(self, s):
-        th = self._theta(s)
-        c, sn = math.cos(th), math.sin(th)
-        return (
-            self._cx + self.radius * c,
-            self._cy + self.radius * sn,
-            -self.sign * sn,
-            self.sign * c,
-            -c / self.radius,
-            -sn / self.radius,
-        )
+    def max_curvature(self):
+        return 1.0 / self.radius
 
-    def frames_many(self, s):
-        """Points and unit tangents at the arc lengths s, each (K, 2)."""
-        th = self._theta(np.asarray(s, dtype=float))
-        c, sn = np.cos(th), np.sin(th)
-        points = self.center[None, :] + self.radius * np.stack([c, sn], axis=1)
-        return points, self.sign * np.stack([-sn, c], axis=1)
+    def eval_many(self, s, k=0):
+        r = self._r[k]
+        th = self._th0[k] + self._sign[k] * np.asarray(s, dtype=float) / r[..., 0]
+        cs = np.empty((len(th), 2))
+        np.cos(th, out=cs[:, 0])
+        np.sin(th, out=cs[:, 1])
+        # (cos, sin) gives the point's offset r (cos, sin), the tangent
+        # sign (-sin, cos) and the curvature vector -(cos, sin) / r
+        return self._c[k] + r * cs, cs[:, ::-1] * self._tsign[k], cs / -r
 
 
 class CatmullRomSegment:
     """Catmull-Rom cubic through waypoints, reparameterized to arc length.
 
-    Each Hermite piece gets a cumulative-length table (Gauss quadrature
+    Each cubic piece gets a cumulative-length table (16-node Gauss-Legendre
     between table nodes); arc-length queries invert the table with Newton
-    steps on s(u), so evaluation error is at quadrature level rather than
-    table-interpolation level.
+    steps on s(u), all queries at once, so evaluation error is at
+    quadrature level rather than table-interpolation level.
     """
 
     kind = "spline"
@@ -145,119 +153,110 @@ class CatmullRomSegment:
             tang[0] = pts[1] - pts[0]
             tang[-1] = pts[-1] - pts[-2]
             tang[1:-1] = 0.5 * (pts[2:] - pts[:-2])
-        self._p0 = pts[:-1]
-        self._p1 = pts[1:]
-        self._m0 = tang[:-1]
-        self._m1 = tang[1:]
+        p0, p1, m0, m1 = pts[:-1], pts[1:], tang[:-1], tang[1:]
+        # Hermite pieces as power series c0 + c1 u + c2 u^2 + c3 u^3, u in [0, 1]
+        self._coef = np.stack(
+            [p0, m0, 3.0 * (p1 - p0) - 2.0 * m0 - m1, 2.0 * (p0 - p1) + m0 + m1], axis=1
+        )
         self._n_pieces = n - 1
-        self._build_tables()
-
-    # Hermite basis on u in [0, 1]
-    def _piece_point(self, i, u):
-        u2, u3 = u * u, u * u * u
-        h00 = 2 * u3 - 3 * u2 + 1
-        h10 = u3 - 2 * u2 + u
-        h01 = -2 * u3 + 3 * u2
-        h11 = u3 - u2
-        return (
-            h00 * self._p0[i] + h10 * self._m0[i] + h01 * self._p1[i] + h11 * self._m1[i]
+        self._u_nodes = np.linspace(0.0, 1.0, self._TABLE_SUBDIV + 1)
+        pieces = np.repeat(np.arange(self._n_pieces), self._TABLE_SUBDIV)
+        cells = self._gauss_len(pieces, np.tile(self._u_nodes[:-1], self._n_pieces),
+                                np.tile(self._u_nodes[1:], self._n_pieces))
+        # per piece: arc length at each table node, from 0 to the piece length
+        self._table = np.concatenate(
+            [np.zeros((self._n_pieces, 1)),
+             np.cumsum(cells.reshape(self._n_pieces, -1), axis=1)], axis=1
         )
+        cum = np.concatenate([[0.0], np.cumsum(self._table[:, -1])])
+        self.length = float(cum[-1])
+        self._piece_s0 = cum[:-1]          # piece start within its segment
+        self._key = self._piece_s0         # piece start along the stack
+        self._offset = np.zeros(1)         # segment start along the stack
+        self._first = np.array([0, self._n_pieces])
+        self._len = np.array([self.length])
 
-    def _piece_d1(self, i, u):
-        u2 = u * u
-        h00 = 6 * u2 - 6 * u
-        h10 = 3 * u2 - 4 * u + 1
-        h01 = -6 * u2 + 6 * u
-        h11 = 3 * u2 - 2 * u
-        return (
-            h00 * self._p0[i] + h10 * self._m0[i] + h01 * self._p1[i] + h11 * self._m1[i]
-        )
+    @classmethod
+    def stack(cls, segments):
+        out = cls.__new__(cls)
+        out._u_nodes = segments[0]._u_nodes
+        for name in ("_coef", "_table", "_piece_s0", "_len"):
+            setattr(out, name, np.concatenate([getattr(seg, name) for seg in segments]))
+        out._offset = np.concatenate([[0.0], np.cumsum(out._len)[:-1]])
+        out._first = np.concatenate([[0], np.cumsum([seg._n_pieces for seg in segments])])
+        out._key = out._piece_s0 + np.repeat(out._offset, np.diff(out._first))
+        return out
 
-    def _piece_d2(self, i, u):
-        h00 = 12 * u - 6
-        h10 = 6 * u - 4
-        h01 = -12 * u + 6
-        h11 = 6 * u - 2
-        return (
-            h00 * self._p0[i] + h10 * self._m0[i] + h01 * self._p1[i] + h11 * self._m1[i]
-        )
-
-    def _speed(self, i, u):
-        d = self._piece_d1(i, u)
-        return math.hypot(d[0], d[1])
+    def _derivs(self, i, u, order):
+        """Derivative ``order`` (0, 1 or 2) of pieces i at u, (..., 2); i and
+        u broadcast."""
+        c = self._coef[i]
+        u = np.asarray(u)[..., None]
+        if order == 0:
+            return c[..., 0, :] + u * (c[..., 1, :] + u * (c[..., 2, :] + u * c[..., 3, :]))
+        if order == 1:
+            return c[..., 1, :] + u * (2.0 * c[..., 2, :] + 3.0 * u * c[..., 3, :])
+        return 2.0 * c[..., 2, :] + 6.0 * u * c[..., 3, :]
 
     def _gauss_len(self, i, ua, ub):
-        if ub <= ua:
-            return 0.0
+        """Arc length of pieces i from ua to ub (0 where ub <= ua), (K,):
+        one (K, 16) Gauss-Legendre evaluation."""
         mid = 0.5 * (ua + ub)
         half = 0.5 * (ub - ua)
-        d = self._piece_d1(i, (mid + half * _GL16_NODES)[:, None])
-        return float(np.hypot(d[:, 0], d[:, 1]) @ _GL16_WEIGHTS) * half
+        d = self._derivs(i[:, None], mid[:, None] + half[:, None] * _GL16_NODES, 1)
+        total = (np.hypot(d[..., 0], d[..., 1]) * _GL16_WEIGHTS).sum(axis=1) * half
+        return np.where(ub > ua, total, 0.0)
 
-    def _build_tables(self):
-        k = self._TABLE_SUBDIV
-        self._u_nodes = np.linspace(0.0, 1.0, k + 1)
-        self._s_nodes = []
-        self._piece_len = []
-        for i in range(self._n_pieces):
-            s = np.zeros(k + 1)
-            for j in range(k):
-                s[j + 1] = s[j] + self._gauss_len(i, self._u_nodes[j], self._u_nodes[j + 1])
-            self._s_nodes.append(s)
-            self._piece_len.append(s[-1])
-        self._cum = np.concatenate([[0.0], np.cumsum(self._piece_len)])
-        self.length = float(self._cum[-1])
-
-    def _invert(self, s):
-        """Arc length within the segment -> (piece index, local parameter u)."""
-        s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        i = min(max(i, 0), self._n_pieces - 1)
-        sl = s - self._cum[i]
-        table = self._s_nodes[i]
-        j = int(np.searchsorted(table, sl, side="right")) - 1
-        j = min(max(j, 0), len(table) - 2)
-        # linear seed inside the table cell, then Newton on s(u) - sl = 0
+    def _invert(self, s, k):
+        """Arc lengths within the segments k -> (piece index, local parameter
+        u), each (K,): a table lookup, then Newton on s(u) for every query
+        at once."""
+        s = np.clip(s, 0.0, self._len[k])
+        first = self._first[k]
+        last = self._first[np.asarray(k) + 1] - 1
+        i = np.searchsorted(self._key, self._offset[k] + s, side="right") - 1
+        i = np.clip(i, first, last)
+        sl = s - self._piece_s0[i]
+        table = self._table[i]
+        j = np.count_nonzero(table <= sl[:, None], axis=1) - 1
+        j = np.clip(j, 0, self._TABLE_SUBDIV - 1)
+        rows = np.arange(len(s))
+        t0, t1 = table[rows, j], table[rows, j + 1]
         u0, u1 = self._u_nodes[j], self._u_nodes[j + 1]
-        frac = (sl - table[j]) / max(table[j + 1] - table[j], 1e-300)
-        u = u0 + frac * (u1 - u0)
+        # linear seed inside the table cell, then Newton on s(u) - sl = 0
+        u = u0 + (sl - t0) / np.maximum(t1 - t0, 1e-300) * (u1 - u0)
+        live = rows
         for _ in range(6):
-            resid = table[j] + self._gauss_len(i, u0, u) - sl
-            sp = self._speed(i, u)
-            if sp <= 0.0:
-                break
-            du = -resid / sp
-            u = min(max(u + du, 0.0), 1.0)
-            if abs(du) < 1e-15:
+            ul = u[live]
+            resid = t0[live] + self._gauss_len(i[live], u0[live], ul) - sl[live]
+            d1 = self._derivs(i[live], ul, 1)
+            sp = np.hypot(d1[:, 0], d1[:, 1])
+            moving = sp > 0.0
+            du = -resid[moving] / sp[moving]
+            live = live[moving]
+            u[live] = np.clip(ul[moving] + du, 0.0, 1.0)
+            live = live[np.abs(du) >= 1e-15]
+            if not live.size:
                 break
         return i, u
 
-    def eval_scalar(self, s):
-        i, u = self._invert(s)
-        d1 = self._piece_d1(i, u)
-        d2 = self._piece_d2(i, u)
-        p = self._piece_point(i, u)
-        sp2 = d1[0] * d1[0] + d1[1] * d1[1]
-        sp = math.sqrt(sp2)
-        tx, ty = d1[0] / sp, d1[1] / sp
-        dot = d1[0] * d2[0] + d1[1] * d2[1]
-        # curvature vector: d/dl of the unit tangent
-        cx = d2[0] / sp2 - d1[0] * dot / (sp2 * sp2)
-        cy = d2[1] / sp2 - d1[1] * dot / (sp2 * sp2)
-        return (p[0], p[1], tx, ty, cx, cy)
+    def max_curvature(self):
+        """Largest |c| over dense parameter samples of each piece."""
+        u = np.linspace(0.0, 1.0, 8 * self._TABLE_SUBDIV + 1)
+        i = np.arange(self._n_pieces)[:, None]
+        d1, d2 = self._derivs(i, u, 1), self._derivs(i, u, 2)
+        cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+        return float(np.max(np.abs(cross) / np.hypot(d1[..., 0], d1[..., 1]) ** 3))
 
-    def frames_many(self, s):
-        """Points and unit tangents at the arc lengths s, each (K, 2); one
-        table inversion per arc length."""
+    def eval_many(self, s, k=0):
         s = np.asarray(s, dtype=float)
-        points = np.empty((len(s), 2))
-        tangents = np.empty((len(s), 2))
-        for k, sk in enumerate(s):
-            i, u = self._invert(float(sk))
-            points[k] = self._piece_point(i, u)
-            d1 = self._piece_d1(i, u)
-            tangents[k] = d1 / math.hypot(d1[0], d1[1])
-        return points, tangents
+        i, u = self._invert(s, np.broadcast_to(k, s.shape))
+        d1, d2 = self._derivs(i, u, 1), self._derivs(i, u, 2)
+        sp2 = d1[:, 0] * d1[:, 0] + d1[:, 1] * d1[:, 1]
+        dot = d1[:, 0] * d2[:, 0] + d1[:, 1] * d2[:, 1]
+        tangents = d1 / np.sqrt(sp2)[:, None]
+        curvatures = d2 / sp2[:, None] - d1 * (dot / (sp2 * sp2))[:, None]
+        return self._derivs(i, u, 0), tangents, curvatures
 
 
 def segment_from_config(cfg: dict):
@@ -278,29 +277,123 @@ def segment_from_config(cfg: dict):
 
 
 # ---------------------------------------------------------------------------
+# nearest-segment search
+# ---------------------------------------------------------------------------
+
+class _NearestSegment:
+    """Exact nearest-segment search over runs of consecutive segments (a
+    polyline per run; a point set is a run of zero-length segments).
+
+    Segments are grouped into chunks of _BOUNDARY_CHUNK consecutive segments
+    of one run, each with a bounding box.  The box of a chunk bounds its
+    segments' distances from below, the nearest box's chunk bounds the
+    answer from above, and only chunks whose box is within that bound are
+    scanned.  Ties go to the lowest segment index, so a query equals a scan
+    of every segment bit for bit."""
+
+    def __init__(self, a, b, runs=1):
+        d = b - a
+        len2 = d[:, 0] ** 2 + d[:, 1] ** 2
+        len2[len2 == 0.0] = 1e-300
+        # rows ax, ay, dx, dy, len2, so that a query gathers them in one index
+        self.rows = np.stack([a[:, 0], a[:, 1], d[:, 0], d[:, 1], len2])
+        # a run's last chunk repeats that run's last segment, so no chunk
+        # straddles two runs
+        n_run = len(a) // runs
+        n_chunks = -(-n_run // _BOUNDARY_CHUNK)
+        run = np.minimum(np.arange(n_chunks * _BOUNDARY_CHUNK), n_run - 1)
+        self._seg = np.concatenate([run + q * n_run for q in range(runs)]).reshape(
+            -1, _BOUNDARY_CHUNK)
+        self._chunks = np.take(self.rows, self._seg, axis=1)
+        # A box spans its chunk's real segments (the padding repeats one of
+        # them).  Its margin covers the rounding of d = b - a and of the
+        # distance arithmetic, so a box is never farther than its segments.
+        pad = 1e-12 * (1.0 + float(np.max(np.abs(np.concatenate([a, b])))))
+        starts = self._seg[:, 0]
+        self._box_lo = (np.minimum.reduceat(np.minimum(a, b), starts) - pad).T.copy()
+        self._box_hi = (np.maximum.reduceat(np.maximum(a, b), starts) + pad).T.copy()
+
+    def _offsets(self, pts, rows, chunks):
+        """Offsets from pts[rows] to the nearest point of every segment of
+        the paired chunks, (P, _BOUNDARY_CHUNK) each, plus their squares:
+        the per-segment arithmetic of a full scan, on a subset."""
+        ax, ay, dx, dy, len2 = self._chunks[:, chunks]
+        q = pts[rows]
+        apx = q[:, :1] - ax
+        apy = q[:, 1:] - ay
+        t = (apx * dx + apy * dy) / len2
+        np.clip(t, 0.0, 1.0, out=t)
+        ex = apx - t * dx
+        ey = apy - t * dy
+        return ex, ey, ex * ex + ey * ey
+
+    def nearest(self, pts):
+        """Index of the nearest segment to each point, with the offset
+        (ex, ey) from that segment's nearest point and its square d2."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        m = len(pts)
+        p = pts.T[:, :, None]
+        gap = np.maximum(self._box_lo[:, None, :] - p, p - self._box_hi[:, None, :])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        lower2 = gap[0] + gap[1]                     # (M, chunks)
+        rows = np.arange(m)
+        nearest = np.argmin(lower2, axis=1)
+        upper2 = self._offsets(pts, rows, nearest)[2].min(axis=1)
+        keep = lower2 <= upper2[:, None] * (1.0 + _CULL_SLACK)
+        keep[rows, nearest] = True  # at least one chunk per point, for reduceat
+        # row-major: grouped by point, chunks (hence segments) ascending
+        who, chunks = np.nonzero(keep)
+        ex, ey, d2 = self._offsets(pts, who, chunks)
+        counts = np.count_nonzero(keep, axis=1)
+        starts = np.cumsum(counts) - counts
+        chunk_min = d2.min(axis=1)
+        tied = chunk_min == np.minimum.reduceat(chunk_min, starts)[who]
+        pairs = len(who)
+        # each point's first pair at its minimum holds the lowest such segment
+        first = np.minimum.reduceat(np.where(tied, np.arange(pairs), pairs), starts)
+        col = np.argmin(d2[first], axis=1)
+        return self._seg[chunks[first], col], ex[first, col], ey[first, col], d2[first, col]
+
+
+# ---------------------------------------------------------------------------
 # generating curve
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Projection:
-    """Nearest spine point of one point, or, from ``project_many``, of
-    several: then every field is an array with one row per point."""
+    """Nearest spine points of several points, every field an array with one
+    row per point; from ``project``, the one row as plain values."""
 
-    l: float
-    r: float
-    tangent: tuple        # unit tangent (tx, ty) at l; (M, 2) from project_many
-    curvature: float      # signed curvature c . n at l; (M,) from project_many
-    residual: float       # tangential component of (p - gamma(l))
-    beyond_start: bool
-    beyond_end: bool
+    l: np.ndarray
+    r: np.ndarray
+    tangent: np.ndarray       # unit tangent at l, (M, 2); a (tx, ty) tuple from project
+    curvature: np.ndarray     # signed curvature c . n at l
+    residual: np.ndarray      # tangential component of (p - gamma(l))
+    beyond_start: np.ndarray
+    beyond_end: np.ndarray
+
+
+def _unconverged(p, tries):
+    """The error of a projection that did not converge from any of its
+    (seed, last step, final l) tries."""
+    how = "; retried from the table ".join(
+        f"seed l={float(seed)!r}: last step {float(step):.3e}, now at l={float(l)!r}"
+        for seed, step, l in tries
+    )
+    return TubeDomainError(
+        f"projection of ({float(p[0])!r}, {float(p[1])!r}) did not converge in"
+        f" {_PROJ_MAX_NEWTON} Newton steps from {how}"
+    )
 
 
 class GeneratingCurve:
     """Arc-length-parameterized spine of a tube.
 
     Provides exact frame evaluation (point, unit tangent, counterclockwise
-    unit normal) and nearest-point projection seeded from a dense sample
-    table (spacing min(0.01 L, 0.05 m)) and refined by Newton iteration.
+    unit normal, curvature vector) and nearest-point projection seeded from
+    a dense sample table (spacing min(0.01 L, 0.05 m)) and refined by Newton
+    iteration, every query over arrays of arc lengths or points.
     """
 
     def __init__(self, segments, closed=False):
@@ -308,11 +401,18 @@ class GeneratingCurve:
             raise ValueError("curve needs at least one segment")
         self.segments = list(segments)
         self.closed = bool(closed)
-        self._cum = [0.0]
-        for seg in self.segments:
-            self._cum.append(self._cum[-1] + seg.length)
-        self.total_length = self._cum[-1]
-        self._cum_arr = np.array(self._cum)
+        self._lengths = np.array([seg.length for seg in self.segments])
+        self._cum_arr = np.concatenate([[0.0], np.cumsum(self._lengths)])
+        self.total_length = float(self._cum_arr[-1])
+        # the segments of each kind evaluate as one stack (a lone segment is
+        # its own stack); segment n is row _within[n] of stack _stack_of[n]
+        kinds = list(dict.fromkeys(type(seg) for seg in self.segments))
+        by_kind = [[seg for seg in self.segments if type(seg) is kind] for kind in kinds]
+        self._stacks = [segs[0] if len(segs) == 1 else kind.stack(segs)
+                        for kind, segs in zip(kinds, by_kind)]
+        self._stack_of = np.array([kinds.index(type(seg)) for seg in self.segments])
+        self._within = np.array([by_kind[q].index(seg)
+                                 for q, seg in zip(self._stack_of, self.segments)])
         self._validate_joints()
         self._build_sample_table()
         self._validate_unit_speed()
@@ -320,21 +420,14 @@ class GeneratingCurve:
     # -- construction checks ------------------------------------------------
 
     def _validate_joints(self):
-        ends = []
-        for seg in self.segments:
-            x0, y0, tx0, ty0, _, _ = seg.eval_scalar(0.0)
-            x1, y1, tx1, ty1, _, _ = seg.eval_scalar(seg.length)
-            ends.append(((x0, y0, tx0, ty0), (x1, y1, tx1, ty1)))
-        pairs = list(zip(ends[:-1], ends[1:]))
-        if self.closed:
-            pairs.append((ends[-1], ends[0]))
-        for (_, (x1, y1, tx1, ty1)), ((x0, y0, tx0, ty0), _) in pairs:
-            gap = math.hypot(x0 - x1, y0 - y1)
+        ends = [seg.eval_many([0.0, seg.length])[:2] for seg in self.segments]
+        joints = list(zip(ends[:-1], ends[1:])) + ([(ends[-1], ends[0])] if self.closed else [])
+        for (p1, t1), (p0, t0) in joints:
+            gap = math.hypot(*(p0[0] - p1[1]))
             if gap > _JOINT_POS_TOL:
                 raise ValueError(f"segment joint gap {gap:.3e} m exceeds tolerance")
-            cross = tx1 * ty0 - ty1 * tx0
-            dot = tx1 * tx0 + ty1 * ty0
-            angle = abs(math.atan2(cross, dot))
+            (tx1, ty1), (tx0, ty0) = t1[1], t0[0]
+            angle = abs(math.atan2(tx1 * ty0 - ty1 * tx0, tx1 * tx0 + ty1 * ty0))
             if angle > _JOINT_ANGLE_TOL:
                 raise ValueError(
                     f"tangent kink of {angle:.3e} rad at segment joint exceeds tolerance"
@@ -356,112 +449,126 @@ class GeneratingCurve:
             self.sample_ls
         )
         self.sample_spacing = L / n
+        self._samples = _NearestSegment(self.sample_points, self.sample_points)
 
     # -- evaluation -----------------------------------------------------------
 
-    def _locate_segment(self, l):
-        i = bisect.bisect_right(self._cum, l) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        return i, l - self._cum[i]
+    def eval_many(self, ls, clip=False):
+        """Points, unit tangents and curvature vectors at the arc lengths ls,
+        (M, 2) each.  Each arc length is taken in the segment it falls in;
+        ``clip`` clamps it to that segment's ends."""
+        ls = np.asarray(ls, dtype=float)
+        if len(self.segments) == 1:
+            return self._stacks[0].eval_many(np.clip(ls, 0.0, self.total_length) if clip else ls)
+        idx = np.minimum(np.searchsorted(self._cum_arr[1:], ls, side="right"),
+                         len(self.segments) - 1)
+        s = ls - self._cum_arr[idx]
+        if clip:
+            s = np.clip(s, 0.0, self._lengths[idx])
+        k = self._within[idx]
+        if len(self._stacks) == 1:
+            return self._stacks[0].eval_many(s, k)
+        out = np.empty((3, len(ls), 2))
+        stack_of = self._stack_of[idx]
+        for q, stack in enumerate(self._stacks):
+            rows = np.flatnonzero(stack_of == q)
+            if rows.size:
+                for part, values in zip(out, stack.eval_many(s[rows], k[rows])):
+                    part[rows] = values
+        return out[0], out[1], out[2]
 
     def eval_scalar(self, l):
-        """(px, py, tx, ty, cx, cy) at arc length l; c is the curvature vector."""
-        i, s = self._locate_segment(l)
-        return self.segments[i].eval_scalar(s)
-
-    def frame(self, l):
-        """Point, unit tangent and counterclockwise unit normal at l."""
-        px, py, tx, ty, _, _ = self.eval_scalar(l)
-        return (
-            np.array([px, py]),
-            np.array([tx, ty]),
-            np.array([-ty, tx]),
-        )
+        """(px, py, tx, ty, cx, cy) at arc length l: one row of eval_many."""
+        return tuple(np.concatenate(self.eval_many([float(l)]), axis=1)[0].tolist())
 
     def frames(self, ls):
-        """Vectorized frame evaluation for an array of arc lengths."""
-        ls = np.asarray(ls, dtype=float)
-        idx = np.searchsorted(self._cum_arr[1:], ls, side="right")
-        idx = np.clip(idx, 0, len(self.segments) - 1)
-        pts = np.empty((len(ls), 2))
-        tans = np.empty((len(ls), 2))
-        for i in np.unique(idx):
-            mask = idx == i
-            s_local = ls[mask] - self._cum[i]
-            s_local = np.clip(s_local, 0.0, self.segments[i].length)
-            pts[mask], tans[mask] = self.segments[i].frames_many(s_local)
-        normals = np.stack([-tans[:, 1], tans[:, 0]], axis=1)
-        return pts, tans, normals
+        """Points, unit tangents and counterclockwise unit normals at the arc
+        lengths ls, (M, 2) each; arc lengths clamped to their segments."""
+        pts, tans, _ = self.eval_many(ls, clip=True)
+        return pts, tans, np.stack([-tans[:, 1], tans[:, 0]], axis=1)
 
     # -- projection -----------------------------------------------------------
 
-    def _seed(self, px, py):
-        d2 = (self.sample_points[:, 0] - px) ** 2 + (self.sample_points[:, 1] - py) ** 2
-        return float(self.sample_ls[int(np.argmin(d2))])
+    def table_seeds(self, pts):
+        """Arc length of the sample nearest to each point: the sample a scan
+        of the whole table picks, ties going to the lowest arc length."""
+        return self.sample_ls[self._samples.nearest(pts)[0]]
 
-    def project(self, p, seed_l=None) -> _Projection:
-        """Nearest-point projection of p onto the curve.
-
-        Newton iteration on the stationarity residual (p - gamma(l)) . t(l);
-        open curves clamp l to [0, L] and report whether the unconstrained
-        optimum lies beyond an endpoint.  Raises TubeDomainError if the
-        iterates still move after _PROJ_MAX_NEWTON steps.
-        """
-        px, py = float(p[0]), float(p[1])
+    def _newton(self, px, py, l):
+        """Newton iteration on the stationarity residual (p - gamma(l)) . t(l),
+        every row at once; a row stops once it moves by less than the
+        tolerance.  Open curves clamp l to [0, L], closed ones wrap it (and
+        measure the move around the seam).  Returns each row's final l and
+        last step, and the rows still moving after _PROJ_MAX_NEWTON steps."""
         L = self.total_length
-        if seed_l is None:
-            l = self._seed(px, py)
-        else:
-            l = float(seed_l) % L if self.closed else min(max(float(seed_l), 0.0), L)
-        seed = l
+        l = l.copy()
+        step = np.zeros_like(l)
+        live = np.arange(len(l))
         for _ in range(_PROJ_MAX_NEWTON):
-            x, y, tx, ty, cx, cy = self.eval_scalar(l)
-            dx, dy = px - x, py - y
-            g = dx * tx + dy * ty
-            gp = dx * cx + dy * cy - 1.0
-            if abs(gp) < 1e-9:
-                gp = -1.0
-            step = -g / gp
-            ln = l + step
-            if self.closed:
-                ln %= L
-            else:
-                ln = min(max(ln, 0.0), L)
-            if abs(ln - l) < 1e-13 * (1.0 + L):
-                l = ln
+            if not live.size:
                 break
-            l = ln
-        else:
-            raise TubeDomainError(
-                f"projection of ({px!r}, {py!r}) did not converge in {_PROJ_MAX_NEWTON} Newton"
-                f" steps from seed l={seed!r}: last step {step:.3e}, now at l={l!r}"
-            )
-        x, y, tx, ty, cx, cy = self.eval_scalar(l)
-        dx, dy = px - x, py - y
-        g = dx * tx + dy * ty
-        r = -dx * ty + dy * tx
-        beyond_start = (not self.closed) and l <= 0.0 and g < -_MEMBERSHIP_TOL
-        beyond_end = (not self.closed) and l >= L and g > _MEMBERSHIP_TOL
-        return _Projection(l=l, r=r, tangent=(tx, ty), curvature=ty * -cx + tx * cy,
-                           residual=g, beyond_start=beyond_start, beyond_end=beyond_end)
+            lr = l[live]
+            pt, tan, curv = self.eval_many(lr)
+            dx, dy = px[live] - pt[:, 0], py[live] - pt[:, 1]
+            g = dx * tan[:, 0] + dy * tan[:, 1]
+            gp = dx * curv[:, 0] + dy * curv[:, 1] - 1.0
+            gp[np.abs(gp) < 1e-9] = -1.0
+            st = -g / gp
+            ln = lr + st
+            ln = ln % L if self.closed else np.minimum(np.maximum(ln, 0.0), L)
+            l[live] = ln
+            step[live] = st
+            moved = np.abs(ln - lr)
+            if self.closed:  # a step across the seam moves by its wrapped length
+                moved = np.minimum(moved, L - moved)
+            live = live[moved >= 1e-13 * (1.0 + L)]
+        return l, step, live
 
     def project_many(self, pts, seeds=None) -> _Projection:
-        """Project several points into one array-valued projection; seeds
-        (previous arc lengths) skip the table scan."""
+        """Nearest-point projection of each point onto the curve, all rows at
+        once.  ``seeds`` (previous arc lengths) skip the table search; a
+        seeded row whose iterates still move after _PROJ_MAX_NEWTON steps is
+        retried from its table seed, and TubeDomainError is raised only if
+        that fails too.  Open curves clamp l to [0, L] and report whether the
+        unconstrained optimum lies beyond an endpoint."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        px, py = pts[:, 0], pts[:, 1]
+        L = self.total_length
         if seeds is None:
-            diff = pts[:, None, :] - self.sample_points[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            seeds = self.sample_ls[np.argmin(d2, axis=1)]
-        prs = [self.project(p, seed_l=float(seed)) for p, seed in zip(pts, seeds)]
-        rows = np.array(
-            [(pr.l, pr.r, *pr.tangent, pr.curvature, pr.residual, pr.beyond_start, pr.beyond_end)
-             for pr in prs],
-            dtype=float,
-        ).reshape(-1, 8)
-        return _Projection(l=rows[:, 0], r=rows[:, 1], tangent=rows[:, 2:4], curvature=rows[:, 4],
-                           residual=rows[:, 5], beyond_start=rows[:, 6] != 0.0,
-                           beyond_end=rows[:, 7] != 0.0)
+            seed = self.table_seeds(pts)
+        else:
+            seed = np.asarray(seeds, dtype=float).reshape(-1)
+            seed = seed % L if self.closed else np.clip(seed, 0.0, L)
+        l, step, live = self._newton(px, py, seed)
+        if live.size and seeds is not None:
+            retry = self.table_seeds(pts[live])
+            l_retry, step_retry, bad = self._newton(px[live], py[live], retry)
+            if bad.size:
+                b, k = bad[0], live[bad[0]]
+                raise _unconverged(pts[k], [(seed[k], step[k], l[k]),
+                                            (retry[b], step_retry[b], l_retry[b])])
+            l[live] = l_retry
+        elif live.size:
+            k = live[0]
+            raise _unconverged(pts[k], [(seed[k], step[k], l[k])])
+        pt, tan, curv = self.eval_many(l)
+        dx, dy = px - pt[:, 0], py - pt[:, 1]
+        tx, ty = tan[:, 0], tan[:, 1]
+        g = dx * tx + dy * ty
+        is_open = not self.closed
+        return _Projection(
+            l=l, r=-dx * ty + dy * tx, tangent=tan, curvature=ty * -curv[:, 0] + tx * curv[:, 1],
+            residual=g, beyond_start=is_open & (l <= 0.0) & (g < -_MEMBERSHIP_TOL),
+            beyond_end=is_open & (l >= L) & (g > _MEMBERSHIP_TOL),
+        )
+
+    def project(self, p, seed_l=None) -> _Projection:
+        """Projection of one point: one row of project_many, as plain values."""
+        pr = self.project_many([p], None if seed_l is None else [seed_l])
+        return _Projection(**{
+            key: tuple(v[0].tolist()) if key == "tangent" else v[0].item()
+            for key, v in vars(pr).items()
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +620,6 @@ class WidthProfile:
 # ---------------------------------------------------------------------------
 # virtual tube
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CurvilinearCoord:
-    """Tube coordinate: arc length l along the spine, signed normal offset r
-    (positive on the counterclockwise-normal side)."""
-
-    l: float
-    r: float
-
 
 @dataclass
 class RegularityReport:
@@ -626,17 +724,12 @@ class VirtualTube:
             raise TubeDomainError(f"arc length {l} outside [0, {self.length}]")
         return min(max(l, 0.0), self.length)
 
-    def curve_frame(self, l):
-        """gamma(l), unit tangent, counterclockwise unit normal."""
-        return self.curve.frame(self._check_l(l))
-
-    def cross_section_endpoints(self, l):
-        """Lower and upper endpoints of the cross-section at l."""
-        l = self._check_l(l)
-        p, _, n = self.curve.frame(l)
-        r_d = float(self.widths.r_d(l))
-        r_u = float(self.widths.r_u(l))
-        return p - r_d * n, p + r_u * n
+    def section_ends(self, ls):
+        """Lower and upper endpoints of the cross-sections at the arc lengths
+        ls (within [0, L]), (M, 2) each."""
+        pts, _, normals = self.curve.frames(ls)
+        return (pts - self.widths.r_d(ls)[:, None] * normals,
+                pts + self.widths.r_u(ls)[:, None] * normals)
 
     def flow_capacity(self, l):
         """Cross-section radius (r_d + r_u)/2: the per-section throughput proxy."""
@@ -658,44 +751,18 @@ class VirtualTube:
 
     # -- curvilinear map --------------------------------------------------------
 
-    def locate(self, p, seed_l=None):
-        """Projection of p plus tube-membership flag.  An outside point is
-        reported by the flag; only an unconverged projection raises
-        (TubeDomainError, see GeneratingCurve.project)."""
-        pr = self.curve.project(p, seed_l=seed_l)
-        r_d = float(self.widths.r_d(pr.l))
-        r_u = float(self.widths.r_u(pr.l))
+    def locate(self, pts, seeds=None):
+        """Projections of the points (M, 2) plus their tube-membership flags
+        (M,).  An outside point is reported by its flag; only an unconverged
+        projection raises (TubeDomainError, see GeneratingCurve.project_many)."""
+        pr = self.curve.project_many(pts, seeds)
         inside = (
-            not pr.beyond_start
-            and not pr.beyond_end
-            and -r_d - _MEMBERSHIP_TOL <= pr.r <= r_u + _MEMBERSHIP_TOL
+            ~pr.beyond_start
+            & ~pr.beyond_end
+            & (-self.widths.r_d(pr.l) - _MEMBERSHIP_TOL <= pr.r)
+            & (pr.r <= self.widths.r_u(pr.l) + _MEMBERSHIP_TOL)
         )
         return pr, inside
-
-    def to_curvilinear(self, p) -> CurvilinearCoord:
-        """Map a Cartesian point inside the tube to its tube coordinate."""
-        pr, inside = self.locate(p)
-        coord = CurvilinearCoord(l=pr.l, r=pr.r)
-        if not inside:
-            raise OutsideTubeError(
-                f"point {tuple(np.asarray(p, float))} is outside the tube "
-                f"(nearest section l={pr.l:.6f}, offset r={pr.r:.6f})",
-                best_coord=coord,
-            )
-        return coord
-
-    def to_cartesian(self, coord: CurvilinearCoord):
-        """Inverse map; the coordinate must be inside the width bounds."""
-        l = self._check_l(coord.l)
-        r = float(coord.r)
-        r_d = float(self.widths.r_d(l))
-        r_u = float(self.widths.r_u(l))
-        if r < -r_d - _MEMBERSHIP_TOL or r > r_u + _MEMBERSHIP_TOL:
-            raise TubeDomainError(
-                f"offset {r} outside [-{r_d}, {r_u}] at arc length {l}"
-            )
-        p, _, n = self.curve.frame(l)
-        return p + r * n
 
     def section_points(self, ls, rs):
         """Vectorized inverse map: points at arc lengths ls and offsets rs.
@@ -715,12 +782,8 @@ class VirtualTube:
     def _boundary_spacing(self):
         """Sample spacing keeping the polyline within ~2e-4 of the true
         lateral boundary (chord sagitta bound from the offset-curve
-        curvature)."""
-        probe = np.linspace(0.0, self.length, 257)
-        kappa = 0.0
-        for l in probe:
-            _, _, _, _, cx, cy = self.curve.eval_scalar(float(l))
-            kappa = max(kappa, math.hypot(cx, cy))
+        curvature, with the spine's largest curvature over all segments)."""
+        kappa = max(seg.max_curvature() for seg in self.curve.segments)
         w_max = float(max(np.max(self.widths.knot_rd), np.max(self.widths.knot_ru)))
         denom = 1.0 - min(kappa * w_max, 0.9)
         kappa_b = kappa / denom if kappa > 0 else 0.0
@@ -739,105 +802,29 @@ class VirtualTube:
                 ]
             )
         )
-        pts, _, normals = self.curve.frames(ls)
-        r_d = self.widths.r_d(ls)[:, None]
-        r_u = self.widths.r_u(ls)[:, None]
-        lower = pts - r_d * normals
-        upper = pts + r_u * normals
+        lower, upper = self.section_ends(ls)
         # both lateral polylines in one segment list, lower side first: the
         # order in which distance ties are broken
-        a = np.concatenate([lower[:-1], upper[:-1]])
-        b = np.concatenate([lower[1:], upper[1:]])
-        d = b - a
-        len2 = d[:, 0] ** 2 + d[:, 1] ** 2
-        len2[len2 == 0.0] = 1e-300
-        self._seg_ax = a[:, 0].copy()
-        self._seg_ay = a[:, 1].copy()
-        self._seg_dx = d[:, 0].copy()
-        self._seg_dy = d[:, 1].copy()
-        self._seg_len2 = len2
-        # Chunks of _BOUNDARY_CHUNK consecutive segments of one side, in
-        # list order; a side's last chunk repeats that side's last segment,
-        # so no chunk straddles the two sides.
-        n_side = len(ls) - 1
-        n_chunks = -(-n_side // _BOUNDARY_CHUNK)
-        side = np.minimum(np.arange(n_chunks * _BOUNDARY_CHUNK), n_side - 1)
-        seg = np.concatenate([side, side + n_side]).reshape(-1, _BOUNDARY_CHUNK)
-        # rows ax, ay, dx, dy, len2, so that a query gathers them in one index
-        rows = np.stack([self._seg_ax, self._seg_ay, self._seg_dx, self._seg_dy, len2])
-        self._chunks = np.take(rows, seg, axis=1)
-        # A box spans its chunk's real segments (the padding repeats one of
-        # them).  Its margin covers the rounding of d = b - a and of the
-        # distance arithmetic, so a box is never farther than its segments.
-        pad = 1e-12 * (1.0 + float(np.max(np.abs(np.concatenate([a, b])))))
-        starts = seg[:, 0]
-        self._box_lo = (np.minimum.reduceat(np.minimum(a, b), starts) - pad).T.copy()
-        self._box_hi = (np.maximum.reduceat(np.maximum(a, b), starts) + pad).T.copy()
-
-    def _chunk_offsets(self, pts, rows, chunks):
-        """Offsets from pts[rows] to the nearest point of every segment of
-        the paired chunks, (P, _BOUNDARY_CHUNK) each, plus their squares:
-        the per-segment arithmetic of a full scan, on a subset."""
-        ax, ay, dx, dy, len2 = self._chunks[:, chunks]
-        q = pts[rows]
-        apx = q[:, :1] - ax
-        apy = q[:, 1:] - ay
-        t = (apx * dx + apy * dy) / len2
-        np.clip(t, 0.0, 1.0, out=t)
-        ex = apx - t * dx
-        ey = apy - t * dy
-        return ex, ey, ex * ex + ey * ey
+        walls = _NearestSegment(np.concatenate([lower[:-1], upper[:-1]]),
+                                np.concatenate([lower[1:], upper[1:]]), runs=2)
+        self._walls = walls
+        self._seg_ax, self._seg_ay, self._seg_dx, self._seg_dy, self._seg_len2 = walls.rows
 
     def boundary_distance_many(self, pts):
         """Distance and inward unit direction to the lateral boundary for
-        each point; no membership check (engine fast path).
-
-        Exact: the box of each chunk bounds its segments' distances from
-        below, the nearest box's chunk bounds the answer from above, and
-        only chunks whose box is within that bound are scanned.  Ties go to
-        the lowest segment index, so the result equals a scan of every
-        segment bit for bit."""
-        pts = np.asarray(pts, dtype=float)
-        m = len(pts)
-        p = pts.T[:, :, None]
-        gap = np.maximum(self._box_lo[:, None, :] - p, p - self._box_hi[:, None, :])
-        np.maximum(gap, 0.0, out=gap)
-        gap *= gap
-        lower2 = gap[0] + gap[1]                     # (M, chunks)
-        rows = np.arange(m)
-        nearest = np.argmin(lower2, axis=1)
-        upper2 = self._chunk_offsets(pts, rows, nearest)[2].min(axis=1)
-        keep = lower2 <= upper2[:, None] * (1.0 + _CULL_SLACK)
-        keep[rows, nearest] = True  # at least one chunk per point, for reduceat
-        # row-major: grouped by point, chunks (hence segments) ascending
-        who, chunks = np.nonzero(keep)
-        ex, ey, d2 = self._chunk_offsets(pts, who, chunks)
-        counts = np.count_nonzero(keep, axis=1)
-        starts = np.cumsum(counts) - counts
-        chunk_min = d2.min(axis=1)
-        tied = chunk_min == np.minimum.reduceat(chunk_min, starts)[who]
-        pairs = len(who)
-        # each point's first pair at its minimum holds the lowest such segment
-        first = np.minimum.reduceat(np.where(tied, np.arange(pairs), pairs), starts)
-        col = np.argmin(d2[first], axis=1)
-        dist = np.sqrt(d2[first, col])
-        dirs = np.stack([ex[first, col], ey[first, col]], axis=1)
+        each point; no membership check (engine fast path).  Exact: equal to
+        a scan of every boundary segment bit for bit (see _NearestSegment)."""
+        _, ex, ey, d2 = self._walls.nearest(pts)
+        dist = np.sqrt(d2)
         norms = np.where(dist > 0, dist, 1.0)
-        dirs = dirs / norms[:, None]
-        return dist, dirs
-
-    def boundary_distance(self, p):
-        """Minimum distance from an in-tube point to the lateral boundary,
-        and the unit direction from the nearest boundary point toward p."""
-        self.to_curvilinear(p)  # membership check; raises if outside
-        d, dirs = self.boundary_distance_many(np.asarray(p, dtype=float)[None, :])
-        return float(d[0]), dirs[0]
+        return dist, np.stack([ex, ey], axis=1) / norms[:, None]
 
     def terminal_sections(self):
         """Terminal cross-section segments (open tubes only)."""
         if self.closed:
             return []
-        return [self.cross_section_endpoints(0.0), self.cross_section_endpoints(self.length)]
+        lower, upper = self.section_ends(np.array([0.0, self.length]))
+        return list(zip(lower, upper))
 
     # -- regularity --------------------------------------------------------------
 
@@ -851,11 +838,7 @@ class VirtualTube:
         ls = np.linspace(0.0, self.length, n + 1)
         if self.closed:
             ls = ls[:-1]
-        pts, _, normals = self.curve.frames(ls)
-        r_d = self.widths.r_d(ls)[:, None]
-        r_u = self.widths.r_u(ls)[:, None]
-        lower = pts - r_d * normals
-        upper = pts + r_u * normals
+        lower, upper = self.section_ends(ls)
         skip = ds * (1.0 + 1e-9)
         hits = []
         for i in range(len(ls)):

@@ -145,8 +145,6 @@ def _placement_positions(cfg: dict, seed: int) -> np.ndarray:
     kind = cfg.get("kind")
     if kind == "explicit":
         pts = np.asarray(cfg["positions_xy_m"], dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-            raise ScenarioError("explicit placement needs (N, 2) positions", rule="param-bound")
     elif kind == "grid":
         rows, cols = int(cfg["rows"]), int(cfg["cols"])
         spacing = float(cfg["spacing_m"])
@@ -219,10 +217,33 @@ def _check_values(resolved: dict):
         if key != "u1_mode":
             _check_value(value, f"params.{key}", nullable=key == "h_m")
     placement = resolved["placement"]
+    kind = placement.get("kind")
+    for key in sorted(_PLACEMENT_KEYS.get(kind, set()) - {"kind", "jitter_m"}):
+        if key not in placement:
+            raise ScenarioError(f"placement.{key} is required by a {kind} placement",
+                                rule="param-bound")
     for key in ("rows", "cols", "spacing_m", "jitter_m"):
         if key in placement:
             _check_value(placement[key], f"placement.{key}", integer=key in ("rows", "cols"),
                          nullable=key == "jitter_m")
+    if "origin_xy_m" in placement:
+        _check_point(placement["origin_xy_m"], "placement.origin_xy_m")
+    if "positions_xy_m" in placement:
+        positions = placement["positions_xy_m"]
+        if not isinstance(positions, (list, tuple)) or not positions:
+            raise ScenarioError(f"placement.positions_xy_m must be a nonempty list of [x, y]"
+                                f" pairs, got {positions!r}", rule="param-bound")
+        for i, p in enumerate(positions):
+            _check_point(p, f"placement.positions_xy_m[{i}]")
+
+
+def _check_point(value, path):
+    """Reject a point that is not a pair of finite numbers, naming its path."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(f"{path} must be a pair [x, y] of finite numbers, got {value!r}",
+                            rule="param-bound")
+    for i, v in enumerate(value):
+        _check_value(v, f"{path}[{i}]")
 
 
 def _resolve(raw: dict) -> dict:

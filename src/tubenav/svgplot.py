@@ -90,10 +90,7 @@ def _polygon(points, transform, fill, opacity=1.0):
 
 def _boundary_polylines(tube, n=600):
     ls = np.linspace(0.0, tube.length, n)
-    pts, _, normals = tube.curve.frames(ls)
-    lower = pts - tube.widths.r_d(ls)[:, None] * normals
-    upper = pts + tube.widths.r_u(ls)[:, None] * normals
-    return ls, lower, upper
+    return ls, *tube.section_ends(ls)
 
 
 def render_snapshot(positions, velocities, active, tube, r_s, path, time=None,
@@ -112,9 +109,7 @@ def render_snapshot(positions, velocities, active, tube, r_s, path, time=None,
     # shade sections that fit at most one robot
     for lo, hi in narrow_intervals(tube, r_s):
         band_ls = np.linspace(lo, hi, max(int((hi - lo) / 0.1), 2))
-        pts_b, _, normals_b = tube.curve.frames(band_ls % tube.length if tube.closed else band_ls)
-        low_b = pts_b - tube.widths.r_d(band_ls)[:, None] * normals_b
-        up_b = pts_b + tube.widths.r_u(band_ls)[:, None] * normals_b
+        low_b, up_b = tube.section_ends(band_ls)
         poly = list(map(tuple, low_b)) + list(map(tuple, up_b[::-1]))
         body += _polygon(poly, tf, fill="#bcd9f0", opacity=0.6)
     body += _polyline(list(map(tuple, lower)), tf, stroke="#222222", width=2.0, cls="wall")

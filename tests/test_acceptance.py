@@ -14,7 +14,7 @@ import pytest
 
 from tubenav.density import DensityView, DesiredDensity, occupied_region_from_arclengths
 from tubenav.engine import run
-from tubenav.geometry import CurvilinearCoord, GeneratingCurve, LineSegment, VirtualTube, WidthProfile
+from tubenav.geometry import GeneratingCurve, LineSegment, VirtualTube, WidthProfile
 from tubenav.metrics import (
     amd,
     audit_condition23,
@@ -29,6 +29,8 @@ from tubenav.scenario import (
     scenario_from_dict,
 )
 from tubenav.state import make_swarm
+
+from scalar_tube import CurvilinearCoord
 
 RUNTIME_TARGET_S = 60.0
 

@@ -13,6 +13,8 @@ from tubenav.errors import OutsideTubeError, SafetyViolation
 from tubenav.geometry import ArcSegment, GeneratingCurve, LineSegment, VirtualTube, WidthProfile
 from tubenav.state import make_swarm
 
+from scalar_tube import boundary_distance, curve_frame, to_curvilinear
+
 
 def straight_tube(length=20.0, half_width=2.0, extension=None):
     curve = GeneratingCurve([LineSegment((0.0, 0.0), (length, 0.0))])
@@ -60,9 +62,9 @@ def _barrier_slope(d, inner, outer):
 def approach_at_arclength(tube, params, l):
     L = tube.length
     if l <= L:
-        _, t, _ = tube.curve_frame(l)
+        _, t, _ = curve_frame(tube, l)
     else:
-        _, t, _ = tube.curve_frame(L)
+        _, t, _ = curve_frame(tube, L)
     if params.u1_mode == "modified" or tube.closed:
         return params.k1 * t
     l_end = tube.extension_length if tube.extension_length is not None else L + params.k1 / params.eta_min
@@ -72,12 +74,12 @@ def approach_at_arclength(tube, params, l):
 
 def line_approach(tube, params, p, seed_l=None):
     if seed_l is not None:
-        pr, inside = tube.locate(p, seed_l=seed_l)
-        if not inside:
+        pr, inside = tube.locate([p], seeds=[seed_l])
+        if not inside[0]:
             raise OutsideTubeError("approach term queried outside the tube")
-        l = pr.l
+        l = float(pr.l[0])
     else:
-        l = tube.to_curvilinear(p).l
+        l = to_curvilinear(tube, p).l
     return approach_at_arclength(tube, params, l)
 
 
@@ -114,7 +116,7 @@ def _avoidance_from_neighbors(params, p, others, i=None, ids=None, time=None):
 
 def tube_keeping(tube, params, p, boundary=None):
     if boundary is None:
-        b, direction = tube.boundary_distance(p)
+        b, direction = boundary_distance(tube, p)
     else:
         b, direction = boundary
     if b <= params.r_s:
@@ -163,7 +165,7 @@ def saturate(u, v_max):
 def oracle_compose(tube, params, i, swarm, view, dd, mode="full"):
     """Robot i's command computed on its own from the snapshot."""
     p = swarm.positions[i]
-    coord = tube.to_curvilinear(p)
+    coord = to_curvilinear(tube, p)
     u1 = line_approach(tube, params, p)
     u2 = robot_avoidance(params, i, swarm)
     u3 = tube_keeping(tube, params, p)

@@ -24,13 +24,14 @@ from tubenav.errors import TubeDomainError
 from tubenav.geometry import (
     ArcSegment,
     CatmullRomSegment,
-    CurvilinearCoord,
     GeneratingCurve,
     LineSegment,
     VirtualTube,
     WidthProfile,
 )
 from tubenav.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
+
+from scalar_tube import CurvilinearCoord, to_cartesian, to_curvilinear
 
 
 def straight_tube(length=10.0, r_d=1.0, r_u=1.0):
@@ -273,8 +274,8 @@ class TestDesiredDensity:
         for _ in range(20):
             l = float(rng.uniform(1.0, 9.0))
             r1, r2 = rng.uniform(-0.9, 0.9, 2)
-            v1, v2 = target_at(dd, [tube.to_cartesian(CurvilinearCoord(l, float(r1))),
-                                    tube.to_cartesian(CurvilinearCoord(l, float(r2)))])
+            v1, v2 = target_at(dd, [to_cartesian(tube, CurvilinearCoord(l, float(r1))),
+                                    to_cartesian(tube, CurvilinearCoord(l, float(r2)))])
             assert abs(v1 - v2) < 1e-12
 
     def test_capacity_proportionality_in_interior(self):
@@ -651,7 +652,7 @@ class TestAnalyticTargetGradient:
         region = occupied_region_from_arclengths([1.0, 9.0], tube)
         dd = DesiredDensity(tube, region, delta_l=0.5)
         p = np.array([1.2, 0.4])
-        coord = tube.to_curvilinear(p)
+        coord = to_curvilinear(tube, p)
         assert np.array_equal(target_gradient_at(dd, [p])[0],
                               oracle_gradient(dd, [coord.l], [coord.r])[0])
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -10,12 +11,21 @@ from tubenav.errors import OutsideTubeError, TubeDomainError
 from tubenav.geometry import (
     ArcSegment,
     CatmullRomSegment,
-    CurvilinearCoord,
     GeneratingCurve,
     LineSegment,
     VirtualTube,
     WidthProfile,
     narrow_intervals,
+)
+from tubenav.scenario import bundled_scenario_path, load_scenario
+
+from scalar_tube import (
+    CurvilinearCoord,
+    boundary_distance,
+    cross_section_endpoints,
+    curve_frame,
+    to_cartesian,
+    to_curvilinear,
 )
 
 
@@ -46,14 +56,14 @@ def s_spline_tube():
 class TestCurveFrame:
     def test_straight_tube_frame(self):
         tube = straight_tube()
-        p, t, n = tube.curve_frame(3.0)
+        p, t, n = curve_frame(tube, 3.0)
         assert np.allclose(p, [3.0, 0.0])
         assert np.allclose(t, [1.0, 0.0])
         assert np.allclose(n, [0.0, 1.0])
 
     def test_arc_frame_analytic(self):
         tube = arc_tube()
-        p, t, n = tube.curve_frame(0.0)
+        p, t, n = curve_frame(tube, 0.0)
         assert np.allclose(p, [5.0, 0.0], atol=1e-12)
         assert np.allclose(t, [0.0, 1.0], atol=1e-12)
         assert np.allclose(n, [-1.0, 0.0], atol=1e-12)
@@ -64,32 +74,32 @@ class TestCurveFrame:
         L = tube.length
         h = 1e-5
         for l in np.linspace(2 * h, L - 2 * h, 25):
-            _, t, _ = tube.curve_frame(l)
-            p_plus, _, _ = tube.curve_frame(l + h)
-            p_minus, _, _ = tube.curve_frame(l - h)
+            _, t, _ = curve_frame(tube, l)
+            p_plus, _, _ = curve_frame(tube, l + h)
+            p_minus, _, _ = curve_frame(tube, l - h)
             fd = (p_plus - p_minus) / (2 * h)
             assert np.linalg.norm(t - fd) < 1e-6
 
     def test_out_of_range_open_tube(self):
         tube = straight_tube()
         with pytest.raises(TubeDomainError):
-            tube.curve_frame(11.0)
+            curve_frame(tube, 11.0)
         with pytest.raises(TubeDomainError):
-            tube.curve_frame(-0.5)
+            curve_frame(tube, -0.5)
 
     def test_closed_tube_wraps(self):
         curve = GeneratingCurve(
             [ArcSegment((0.0, 0.0), 2.0, 0.0, 2 * math.pi)], closed=True
         )
         tube = VirtualTube(curve, WidthProfile([(0.0, 0.4, 0.4)]), topology="closed")
-        p1, _, _ = tube.curve_frame(1.0)
-        p2, _, _ = tube.curve_frame(1.0 + tube.length)
+        p1, _, _ = curve_frame(tube, 1.0)
+        p2, _, _ = curve_frame(tube, 1.0 + tube.length)
         assert np.allclose(p1, p2, atol=1e-12)
 
     def test_unit_tangent_and_orthonormal_frame(self):
         for tube in (straight_tube(), arc_tube(), s_spline_tube()):
             for l in np.linspace(0.0, tube.length, 50):
-                _, t, n = tube.curve_frame(l)
+                _, t, n = curve_frame(tube, l)
                 assert abs(np.linalg.norm(t) - 1.0) < 1e-9
                 assert abs(np.linalg.norm(n) - 1.0) < 1e-12
                 assert abs(float(t @ n)) < 1e-12
@@ -97,39 +107,191 @@ class TestCurveFrame:
                 assert np.allclose(n, [-t[1], t[0]], atol=0)
 
 
-def two_call_frames(seg, s):
-    """The spline's former point_many + tangent_many pair, which inverted
-    every arc length twice: the oracle for frames_many."""
-    pts = np.empty((len(s), 2))
-    tans = np.empty((len(s), 2))
-    for k, sk in enumerate(s):
-        i, u = seg._invert(float(sk))
-        pts[k] = seg._piece_point(i, u)
-    for k, sk in enumerate(s):
-        i, u = seg._invert(float(sk))
-        d1 = seg._piece_d1(i, u)
-        tans[k] = d1 / math.hypot(d1[0], d1[1])
-    return pts, tans
+# ---------------------------------------------------------------------------
+# scalar oracle: the former per-point segment evaluation and Newton projection
+# ---------------------------------------------------------------------------
+
+class OracleSpline:
+    """The former scalar Catmull-Rom evaluation: Hermite basis, a length
+    table from 16-node Gauss sums of scalar speeds, and a scalar Newton
+    inversion per arc length."""
+
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
+        tang = np.zeros_like(pts)
+        if len(pts) == 2:
+            tang[0] = tang[1] = pts[1] - pts[0]
+        else:
+            tang[0] = pts[1] - pts[0]
+            tang[-1] = pts[-1] - pts[-2]
+            tang[1:-1] = 0.5 * (pts[2:] - pts[:-2])
+        self._p0, self._p1, self._m0, self._m1 = pts[:-1], pts[1:], tang[:-1], tang[1:]
+        self.n_pieces = len(pts) - 1
+        self.u_nodes = np.linspace(0.0, 1.0, 33)
+        self.tables = []
+        for i in range(self.n_pieces):
+            s = np.zeros(33)
+            for j in range(32):
+                s[j + 1] = s[j] + self.gauss_len(i, self.u_nodes[j], self.u_nodes[j + 1])
+            self.tables.append(s)
+        self.cum = np.concatenate([[0.0], np.cumsum([t[-1] for t in self.tables])])
+        self.length = float(self.cum[-1])
+
+    def _basis(self, i, h):
+        return h[0] * self._p0[i] + h[1] * self._m0[i] + h[2] * self._p1[i] + h[3] * self._m1[i]
+
+    def point(self, i, u):
+        return self._basis(i, (2 * u**3 - 3 * u**2 + 1, u**3 - 2 * u**2 + u,
+                               -2 * u**3 + 3 * u**2, u**3 - u**2))
+
+    def d1(self, i, u):
+        return self._basis(i, (6 * u * u - 6 * u, 3 * u * u - 4 * u + 1,
+                               -6 * u * u + 6 * u, 3 * u * u - 2 * u))
+
+    def d2(self, i, u):
+        return self._basis(i, (12 * u - 6, 6 * u - 4, -12 * u + 6, 6 * u - 2))
+
+    def speed(self, i, u):
+        d = self.d1(i, u)
+        return math.hypot(d[0], d[1])
+
+    def gauss_len(self, i, ua, ub):
+        if ub <= ua:
+            return 0.0
+        mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+        total = 0.0
+        for xk, wk in zip(*np.polynomial.legendre.leggauss(16)):
+            total += wk * self.speed(i, mid + half * xk)
+        return total * half
+
+    def invert(self, s):
+        s = min(max(s, 0.0), self.length)
+        i = min(max(int(np.searchsorted(self.cum, s, side="right")) - 1, 0), self.n_pieces - 1)
+        sl = s - self.cum[i]
+        table = self.tables[i]
+        j = min(max(int(np.searchsorted(table, sl, side="right")) - 1, 0), len(table) - 2)
+        u0, u1 = self.u_nodes[j], self.u_nodes[j + 1]
+        u = u0 + (sl - table[j]) / max(table[j + 1] - table[j], 1e-300) * (u1 - u0)
+        for _ in range(6):
+            resid = table[j] + self.gauss_len(i, u0, u) - sl
+            sp = self.speed(i, u)
+            if sp <= 0.0:
+                break
+            du = -resid / sp
+            u = min(max(u + du, 0.0), 1.0)
+            if abs(du) < 1e-15:
+                break
+        return i, u
+
+    def eval_scalar(self, s):
+        i, u = self.invert(s)
+        d1, d2, p = self.d1(i, u), self.d2(i, u), self.point(i, u)
+        sp2 = d1[0] * d1[0] + d1[1] * d1[1]
+        sp = math.sqrt(sp2)
+        dot = d1[0] * d2[0] + d1[1] * d2[1]
+        return (p[0], p[1], d1[0] / sp, d1[1] / sp,
+                d2[0] / sp2 - d1[0] * dot / (sp2 * sp2), d2[1] / sp2 - d1[1] * dot / (sp2 * sp2))
+
+
+def oracle_segment_eval(seg):
+    """The former eval_scalar of a segment: s -> (px, py, tx, ty, cx, cy)."""
+    if isinstance(seg, LineSegment):
+        sx, sy = float(seg.start[0]), float(seg.start[1])
+        chord = seg.end - seg.start
+        ux, uy = (float(v) for v in chord / seg.length)
+        return lambda s: (sx + s * ux, sy + s * uy, ux, uy, 0.0, 0.0)
+    if isinstance(seg, ArcSegment):
+        cx, cy, rad, sign = float(seg.center[0]), float(seg.center[1]), seg.radius, seg.sign
+
+        def arc(s):
+            th = seg.start_angle + sign * s / rad
+            c, sn = math.cos(th), math.sin(th)
+            return (cx + rad * c, cy + rad * sn, -sign * sn, sign * c, -c / rad, -sn / rad)
+        return arc
+    return OracleSpline(seg.points).eval_scalar
+
+
+class OracleCurve:
+    """The former scalar GeneratingCurve queries: eval_scalar per arc
+    length and the per-point Newton projection seeded by a scan of the
+    whole sample table, with one change: on a closed curve a step across
+    the seam counts by its wrapped length (before, a point on the seam
+    could flip between l = 0 and l = L until the step limit)."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.evals = [oracle_segment_eval(seg) for seg in curve.segments]
+        self.cum = [0.0]
+        for seg in curve.segments:
+            self.cum.append(self.cum[-1] + seg.length)
+        self.L = self.cum[-1]
+
+    def eval_scalar(self, l):
+        i = min(max(bisect.bisect_right(self.cum, l) - 1, 0), len(self.evals) - 1)
+        return self.evals[i](l - self.cum[i])
+
+    def seed_index(self, p):
+        d2 = (self.curve.sample_points[:, 0] - p[0]) ** 2 + (self.curve.sample_points[:, 1] - p[1]) ** 2
+        return int(np.argmin(d2))
+
+    def project(self, p, seed_l=None, max_newton=20):
+        """(l, r, tx, ty, kappa, residual, beyond_start, beyond_end, steps)."""
+        px, py = float(p[0]), float(p[1])
+        L, closed = self.L, self.curve.closed
+        if seed_l is None:
+            l = float(self.curve.sample_ls[self.seed_index(p)])
+        else:
+            l = float(seed_l) % L if closed else min(max(float(seed_l), 0.0), L)
+        for n in range(1, max_newton + 1):
+            x, y, tx, ty, cx, cy = self.eval_scalar(l)
+            dx, dy = px - x, py - y
+            g = dx * tx + dy * ty
+            gp = dx * cx + dy * cy - 1.0
+            if abs(gp) < 1e-9:
+                gp = -1.0
+            ln = l - g / gp
+            ln = ln % L if closed else min(max(ln, 0.0), L)
+            moved = abs(ln - l)
+            if closed:
+                moved = min(moved, L - moved)
+            moved = moved >= 1e-13 * (1.0 + L)
+            l = ln
+            if not moved:
+                break
+        else:
+            raise TubeDomainError("oracle projection did not converge")
+        x, y, tx, ty, cx, cy = self.eval_scalar(l)
+        dx, dy = px - x, py - y
+        g = dx * tx + dy * ty
+        return (l, -dx * ty + dy * tx, tx, ty, ty * -cx + tx * cy, g,
+                (not closed) and l <= 0.0 and g < -1e-9, (not closed) and l >= L and g > 1e-9, n)
+
+
+def projection_rows(pr):
+    return np.column_stack([pr.l, pr.r, pr.tangent, pr.curvature, pr.residual,
+                            pr.beyond_start, pr.beyond_end])
 
 
 class TestSegmentFrames:
-    def test_spline_frames_equal_the_two_call_result(self):
+    def test_spline_eval_matches_the_scalar_oracle(self):
         seg = s_spline_tube().curve.segments[0]
-        s = np.concatenate([[0.0, seg.length], np.linspace(0.0, seg.length, 121)[1:-1]])
-        pts, tans = seg.frames_many(s)
-        want_pts, want_tans = two_call_frames(seg, s)
-        assert np.array_equal(pts, want_pts)
-        assert np.array_equal(tans, want_tans)
+        oracle = OracleSpline(seg.points)
+        assert abs(seg.length - oracle.length) <= 1e-14 * oracle.length
+        s = np.concatenate([[0.0, seg.length, -0.1, seg.length + 0.1],
+                            np.linspace(0.0, seg.length, 121)[1:-1]])
+        got = np.concatenate(seg.eval_many(s), axis=1)
+        want = np.array([oracle.eval_scalar(float(sk)) for sk in s])
+        assert np.max(np.abs(got[:, :4] - want[:, :4])) < 1e-12
+        assert np.max(np.abs(got[:, 4:] - want[:, 4:])) < 1e-9
 
-    def test_spline_frames_invert_once_per_arc_length(self, monkeypatch):
+    def test_spline_frames_invert_in_one_call(self, monkeypatch):
         tube = s_spline_tube()
-        seg = tube.curve.segments[0]
         calls = []
-        invert = seg._invert
-        monkeypatch.setattr(seg, "_invert", lambda sk: calls.append(sk) or invert(sk))
-        ls = np.linspace(0.0, tube.length, 120)
-        tube.curve.frames(ls)
-        assert len(calls) == len(ls)
+        invert = CatmullRomSegment._invert
+        monkeypatch.setattr(CatmullRomSegment, "_invert",
+                            lambda seg, s, k: calls.append(len(s)) or invert(seg, s, k))
+        tube.curve.frames(np.linspace(0.0, tube.length, 120))
+        assert calls == [120]
 
     def test_projection_carries_the_frame_tangent(self):
         for tube in (straight_tube(), arc_tube(), s_spline_tube()):
@@ -150,25 +312,18 @@ class TestSegmentFrames:
         assert straight_tube().curve.project((3.0, 0.2)).curvature == 0.0
 
 
-def scalar_gauss_len(seg, i, ua, ub):
-    """The spline's former length sum: 16 scalar speed evaluations."""
-    mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-    total = 0.0
-    for xk, wk in zip(*np.polynomial.legendre.leggauss(16)):
-        total += wk * seg._speed(i, mid + half * xk)
-    return total * half
-
-
 class TestSplineLength:
     def test_array_gauss_sum_matches_the_scalar_sum(self):
         seg = s_spline_tube().curve.segments[0]
+        oracle = OracleSpline(seg.points)
         us = np.linspace(0.0, 1.0, 33)
         for i in range(seg._n_pieces):
-            for ua, ub in [(0.0, 1.0), (0.0, 0.37), (0.5, 0.53), *zip(us[:-1], us[1:])]:
-                want = scalar_gauss_len(seg, i, ua, ub)
-                assert abs(seg._gauss_len(i, ua, ub) - want) <= 1e-15 * want
-        assert seg._gauss_len(0, 0.4, 0.4) == 0.0
-        total = sum(scalar_gauss_len(seg, i, a, b) for i in range(seg._n_pieces)
+            bounds = np.array([(0.0, 1.0), (0.0, 0.37), (0.5, 0.53), *zip(us[:-1], us[1:])])
+            got = seg._gauss_len(np.full(len(bounds), i), bounds[:, 0], bounds[:, 1])
+            want = np.array([oracle.gauss_len(i, a, b) for a, b in bounds])
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert seg._gauss_len(np.array([0]), np.array([0.4]), np.array([0.4]))[0] == 0.0
+        total = sum(oracle.gauss_len(i, a, b) for i in range(seg._n_pieces)
                     for a, b in zip(us[:-1], us[1:]))
         assert abs(seg.length - total) <= 1e-14 * total
 
@@ -184,15 +339,218 @@ class TestProjectionConvergence:
         step = float(str(exc.value).split("last step ")[1].split(",")[0])
         assert step != 0.0 and abs(1.0 + step - ok.l) < 0.1  # the first Newton step
         with pytest.raises(TubeDomainError, match="did not converge"):
-            tube.locate((4.0, 2.0), seed_l=1.0)
+            tube.locate([(4.0, 2.0)], seeds=[1.0])
         with pytest.raises(TubeDomainError, match="did not converge"):
             tube.curve.project_many([(4.0, 2.0)], seeds=[1.0])
+
+    def test_seeded_row_recovers_from_its_table_seed(self, monkeypatch):
+        # from l = 8 the oracle needs 5 Newton steps, from the table seed 3
+        tube = arc_tube()
+        oracle = OracleCurve(tube.curve)
+        pts = [(4.0, 2.0), (5.2, 1.0)]
+        assert oracle.project(pts[0], seed_l=8.0)[-1] == 5
+        assert oracle.project(pts[0])[-1] == 3
+        unseeded = projection_rows(tube.curve.project_many(pts))
+        monkeypatch.setattr(geometry, "_PROJ_MAX_NEWTON", 3)
+        got = projection_rows(tube.curve.project_many(pts, seeds=[8.0, 0.2]))
+        assert np.array_equal(got, unseeded)
+
+    def test_row_that_fails_from_both_seeds_raises_naming_both(self, monkeypatch):
+        tube = arc_tube()
+        monkeypatch.setattr(geometry, "_PROJ_MAX_NEWTON", 2)
+        with pytest.raises(TubeDomainError) as exc:
+            tube.curve.project_many([(5.2, 1.0), (4.0, 2.0)], seeds=[0.2, 8.0])
+        msg = str(exc.value)
+        assert msg.startswith("projection of (4.0, 2.0) did not converge in 2 Newton steps"
+                              " from seed l=8.0: last step ")
+        table = float(tube.curve.table_seeds([(4.0, 2.0)])[0])
+        assert f"; retried from the table seed l={table!r}: last step " in msg
+        assert msg.count("now at l=") == 2
+
+    def test_point_on_the_seam_of_a_closed_curve_converges(self):
+        # at the seam l + step rounds to L and wraps to 0, then back: the
+        # move counts by its wrapped length, not as a jump of L
+        curve = GeneratingCurve(_stadium(1.0, 1.0, 0.0, 0.0), closed=True)
+        L = curve.total_length
+        p = curve.frames([L])[0]
+        assert p[0, 0] != 0.0 and abs(p[0, 0]) < 1e-15  # just short of gamma(0)
+        for seeds in (None, [0.0], [L]):
+            l = curve.project_many(p, seeds).l[0]
+            assert min(l, L - l) < 1e-12
 
     def test_converged_at_the_seed_needs_one_step(self, monkeypatch):
         # a step below the tolerance on the first iteration is convergence
         tube = straight_tube()
         monkeypatch.setattr(geometry, "_PROJ_MAX_NEWTON", 1)
         assert tube.curve.project((3.0, 0.2), seed_l=3.0).l == 3.0
+
+
+def _heading(h):
+    return np.array([math.cos(h), math.sin(h)])
+
+
+def _chain(pieces, start=(0.0, 0.0), heading=0.0):
+    """Tangent-continuous segments from (kind, a, b, ...) piece specs: a line
+    of length a, an arc of radius a and sweep b, or a spline whose inner
+    waypoints sit at (along, across) offsets from its start heading."""
+    p, h = np.asarray(start, dtype=float), heading
+    segs = []
+    for kind, a, b, *inner in pieces:
+        if kind == "line":
+            seg = LineSegment(p, p + a * _heading(h))
+        elif kind == "arc":
+            sign = 1.0 if b > 0 else -1.0
+            center = p + a * _heading(h + sign * math.pi / 2)
+            seg = ArcSegment(center, a, h - sign * math.pi / 2, b)
+        else:
+            t, n = _heading(h), _heading(h + math.pi / 2)
+            way = [p, p + a * t] + [p + along * t + across * n for along, across in inner]
+            end_dir = _heading(h + b)
+            way += [way[-1] + 0.5 * a * end_dir]
+            seg = CatmullRomSegment(way)
+        pts, tans, _ = seg.eval_many([seg.length])
+        p, h = pts[0], math.atan2(tans[0][1], tans[0][0])
+        segs.append(seg)
+    return segs
+
+
+def _stadium(straight, radius, spline_bump, heading):
+    """Closed chain: two straights (the first optionally a spline with a
+    lateral bump and straight ends) joined by two half circles."""
+    t, n = _heading(heading), _heading(heading + math.pi / 2)
+    p0 = np.zeros(2)
+    if spline_bump:
+        way = [p0, p0 + 0.25 * straight * t, p0 + 0.5 * straight * t + spline_bump * n,
+               p0 + 0.75 * straight * t, p0 + straight * t]
+        first = CatmullRomSegment(way)
+    else:
+        first = LineSegment(p0, p0 + straight * t)
+    segs = [first,
+            ArcSegment(p0 + straight * t + radius * n, radius, heading - math.pi / 2, math.pi),
+            LineSegment(p0 + straight * t + 2 * radius * n, p0 + 2 * radius * n),
+            ArcSegment(p0 + radius * n, radius, heading + math.pi / 2, math.pi)]
+    return segs
+
+
+piece_st = st.one_of(
+    st.tuples(st.just("line"), st.floats(0.3, 5.0), st.just(0.0)),
+    st.tuples(st.just("arc"), st.floats(0.8, 8.0),
+              st.sampled_from([-1.0, 1.0]).flatmap(lambda s: st.floats(0.1, 2.0).map(lambda v: s * v))),
+    st.tuples(st.just("spline"), st.floats(0.5, 2.0), st.floats(-0.6, 0.6),
+              st.tuples(st.floats(1.5, 2.5), st.floats(-0.4, 0.4)),
+              st.tuples(st.floats(3.0, 4.0), st.floats(-0.4, 0.4))),
+)
+
+curve_st = st.one_of(
+    st.tuples(st.just("open"), st.lists(piece_st, min_size=1, max_size=4),
+              st.floats(-math.pi, math.pi)),
+    st.tuples(st.just("closed"), st.floats(1.0, 6.0), st.floats(1.0, 4.0),
+              st.sampled_from([0.0, 0.0, 0.3, -0.4]), st.floats(-math.pi, math.pi)),
+)
+
+
+def _build_curve(spec):
+    if spec[0] == "open":
+        _, pieces, heading = spec
+        return GeneratingCurve(_chain(pieces, heading=heading))
+    _, straight, radius, bump, heading = spec
+    return GeneratingCurve(_stadium(straight, radius, bump, heading), closed=True)
+
+
+def _query_points(curve, fracs):
+    """Points near the curve (within a fifth of its tightest radius of the
+    spine) and a few past its ends."""
+    ls = np.array([f for f, _ in fracs]) * curve.total_length
+    kappa = max(max(seg.max_curvature() for seg in curve.segments), 1e-3)
+    rs = np.array([r for _, r in fracs]) * min(0.2 / kappa, 1.0)
+    pts, _, normals = curve.frames(ls)
+    return pts + rs[:, None] * normals, ls
+
+
+class TestProjectionAgainstOracle:
+    """project_many against the former scalar projection on random chains
+    of lines, arcs and splines, open and closed."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(spec=curve_st,
+           fracs=st.lists(st.tuples(st.floats(-0.05, 1.05), st.floats(-1.0, 1.0)),
+                          min_size=1, max_size=12),
+           shift=st.floats(-0.3, 0.3))
+    def test_property_matches_the_scalar_projection(self, spec, fracs, shift):
+        curve = _build_curve(spec)
+        oracle = OracleCurve(curve)
+        pts, ls = _query_points(curve, fracs)
+        spline = any(isinstance(seg, CatmullRomSegment) for seg in curve.segments)
+        for seeds in (None, ls + shift):
+            got = projection_rows(curve.project_many(pts, seeds))
+            want = np.array([oracle.project(p, None if seeds is None else s)[:8]
+                             for p, s in zip(pts, ls + shift)], dtype=float)
+            if not spline:
+                assert np.array_equal(got, want)
+            else:
+                dl = got[:, 0] - want[:, 0]
+                if curve.closed:  # l and l +- L are the same spine point
+                    dl = np.remainder(dl + 0.5 * curve.total_length, curve.total_length) \
+                        - 0.5 * curve.total_length
+                assert np.max(np.abs(dl)) < 1e-12
+                assert np.max(np.abs(got[:, 1] - want[:, 1])) < 1e-12
+                assert np.array_equal(got[:, 6:], want[:, 6:])
+
+    def test_strategy_reaches_every_kind(self):
+        kinds = {"open": set(), "closed": set()}
+        stacked = set()  # kinds seen twice in one curve, so evaluated as a stack
+
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        @given(spec=curve_st)
+        def collect(spec):
+            names = [seg.kind for seg in _build_curve(spec).segments]
+            kinds[spec[0]].update(names)
+            stacked.update(name for name in names if names.count(name) > 1)
+
+        collect()
+        assert kinds == {"open": {"line", "arc", "spline"}, "closed": {"line", "arc", "spline"}}
+        assert stacked == {"line", "arc", "spline"}
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(spec=curve_st,
+           pts=st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+                        min_size=1, max_size=10))
+    def test_property_culled_seed_is_the_full_scan_argmin(self, spec, pts):
+        curve = _build_curve(spec)
+        oracle = OracleCurve(curve)
+        pts = np.array(pts)
+        # points equidistant from two neighbouring samples, and the samples
+        mid = 0.5 * (curve.sample_points[:-1] + curve.sample_points[1:])
+        pts = np.concatenate([pts, mid[::7], curve.sample_points[::11]])
+        want = curve.sample_ls[[oracle.seed_index(p) for p in pts]]
+        assert np.array_equal(curve.table_seeds(pts), want)
+
+    def test_ties_go_to_the_lowest_sample(self):
+        curve = straight_tube().curve
+        xs = curve.sample_points[:, 0]
+        mid = np.stack([0.5 * (xs[:-1] + xs[1:]), np.full(len(xs) - 1, 0.7)], axis=1)
+        d2 = (xs[None, :] - mid[:, :1]) ** 2 + 0.7 ** 2
+        tied = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1
+        assert tied.sum() > 50  # exact ties exist and are exercised
+        want = curve.sample_ls[np.argmin(d2, axis=1)]
+        assert np.array_equal(curve.table_seeds(mid), want)
+        assert np.array_equal(curve.table_seeds(mid[tied]), curve.sample_ls[:-1][tied])
+
+    @pytest.mark.parametrize("n", [1, 25, 400])
+    def test_one_evaluation_per_newton_step(self, monkeypatch, n):
+        tube = arc_tube(radius=5.0, sweep=2.0)
+        rng = np.random.default_rng(n)
+        pts = tube.section_points(rng.uniform(0.0, tube.length, n), rng.uniform(-0.4, 0.4, n))
+        calls = []
+        evaluate = GeneratingCurve.eval_many
+        monkeypatch.setattr(GeneratingCurve, "eval_many",
+                            lambda curve, ls, clip=False: calls.append(len(ls)) or
+                            evaluate(curve, ls, clip))
+        prs = tube.curve.project_many(pts)
+        assert 2 <= len(calls) <= geometry._PROJ_MAX_NEWTON + 1
+        calls.clear()
+        tube.curve.project_many(pts + 0.01, seeds=prs.l)
+        assert 2 <= len(calls) <= geometry._PROJ_MAX_NEWTON + 1
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +560,14 @@ class TestProjectionConvergence:
 class TestCrossSection:
     def test_straight_symmetric(self):
         tube = straight_tube()
-        p_d, p_u = tube.cross_section_endpoints(3.0)
+        p_d, p_u = cross_section_endpoints(tube, 3.0)
         assert np.allclose(p_d, [3.0, -1.0])
         assert np.allclose(p_u, [3.0, 1.0])
 
     def test_asymmetric_widths(self):
         curve = GeneratingCurve([LineSegment((0.0, 0.0), (10.0, 0.0))])
         tube = VirtualTube(curve, WidthProfile([(0.0, 0.5, 2.0), (10.0, 0.5, 2.0)]))
-        p_d, p_u = tube.cross_section_endpoints(0.0)
+        p_d, p_u = cross_section_endpoints(tube, 0.0)
         assert np.allclose(p_d, [0.0, -0.5])
         assert np.allclose(p_u, [0.0, 2.0])
 
@@ -217,8 +575,8 @@ class TestCrossSection:
         tube = arc_tube(r_d=0.3, r_u=0.7)
         rng = np.random.default_rng(7)
         for l in rng.uniform(0.0, tube.length, 100):
-            p, _, _ = tube.curve_frame(l)
-            p_d, p_u = tube.cross_section_endpoints(l)
+            p, _, _ = curve_frame(tube, l)
+            p_d, p_u = cross_section_endpoints(tube, l)
             assert abs(np.linalg.norm(p_u - p) - 0.7) < 1e-12
             assert abs(np.linalg.norm(p_d - p) - 0.3) < 1e-12
 
@@ -230,12 +588,12 @@ class TestCrossSection:
 class TestCurvilinearMap:
     def test_straight_positive_offset(self):
         tube = straight_tube()
-        c = tube.to_curvilinear((3.0, 0.4))
+        c = to_curvilinear(tube, (3.0, 0.4))
         assert abs(c.l - 3.0) < 1e-12 and abs(c.r - 0.4) < 1e-12
 
     def test_straight_negative_offset(self):
         tube = straight_tube()
-        c = tube.to_curvilinear((3.0, -0.4))
+        c = to_curvilinear(tube, (3.0, -0.4))
         assert abs(c.l - 3.0) < 1e-12 and abs(c.r + 0.4) < 1e-12
 
     def test_arc_projection_against_dense_search(self):
@@ -245,7 +603,7 @@ class TestCurvilinearMap:
         pts_dense, _, _ = tube.curve.frames(ls_dense)
         for theta in (0.05, 0.13, 0.25, 0.37):
             p = np.array([5.5 * math.cos(theta), 5.5 * math.sin(theta)])
-            c = tube.to_curvilinear(p)
+            c = to_curvilinear(tube, p)
             d2 = np.sum((pts_dense - p) ** 2, axis=1)
             l_brute = ls_dense[int(np.argmin(d2))]
             assert abs(c.l - 5.0 * theta) < 1e-9
@@ -254,11 +612,11 @@ class TestCurvilinearMap:
 
     def test_to_cartesian_trivials(self):
         tube = straight_tube()
-        p = tube.to_cartesian(CurvilinearCoord(3.0, 0.4))
+        p = to_cartesian(tube, CurvilinearCoord(3.0, 0.4))
         assert np.allclose(p, [3.0, 0.4])
         for l in (0.0, 2.5, 10.0):
-            p0 = tube.to_cartesian(CurvilinearCoord(l, 0.0))
-            g, _, _ = tube.curve_frame(l)
+            p0 = to_cartesian(tube, CurvilinearCoord(l, 0.0))
+            g, _, _ = curve_frame(tube, l)
             assert np.allclose(p0, g)
 
     def test_round_trip_random_points(self):
@@ -267,15 +625,15 @@ class TestCurvilinearMap:
         ls = rng.uniform(0.0, tube.length, 1000)
         rs = rng.uniform(-0.4, 0.6, 1000)
         for l, r in zip(ls, rs):
-            p = tube.to_cartesian(CurvilinearCoord(float(l), float(r)))
-            c = tube.to_curvilinear(p)
-            p2 = tube.to_cartesian(c)
+            p = to_cartesian(tube, CurvilinearCoord(float(l), float(r)))
+            c = to_curvilinear(tube, p)
+            p2 = to_cartesian(tube, c)
             assert np.linalg.norm(p2 - p) < 1e-6
 
     def test_outside_point_raises_with_best_coord(self):
         tube = straight_tube()
         with pytest.raises(OutsideTubeError) as exc:
-            tube.to_curvilinear((3.0, 1.5))
+            to_curvilinear(tube, (3.0, 1.5))
         best = exc.value.best_coord
         assert abs(best.l - 3.0) < 1e-9
         assert abs(best.r - 1.5) < 1e-9
@@ -283,16 +641,16 @@ class TestCurvilinearMap:
     def test_beyond_terminal_is_outside(self):
         tube = straight_tube()
         with pytest.raises(OutsideTubeError):
-            tube.to_curvilinear((10.5, 0.0))
+            to_curvilinear(tube, (10.5, 0.0))
         with pytest.raises(OutsideTubeError):
-            tube.to_curvilinear((-0.5, 0.0))
+            to_curvilinear(tube, (-0.5, 0.0))
 
     def test_to_cartesian_bounds(self):
         tube = straight_tube()
         with pytest.raises(TubeDomainError):
-            tube.to_cartesian(CurvilinearCoord(3.0, 1.2))
+            to_cartesian(tube, CurvilinearCoord(3.0, 1.2))
         with pytest.raises(TubeDomainError):
-            tube.to_cartesian(CurvilinearCoord(12.0, 0.0))
+            to_cartesian(tube, CurvilinearCoord(12.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +707,7 @@ class TestFlowCapacity:
         tube = arc_tube(r_d=0.3, r_u=0.7)
         rng = np.random.default_rng(3)
         for l in rng.uniform(0.0, tube.length, 50):
-            p_d, p_u = tube.cross_section_endpoints(l)
+            p_d, p_u = cross_section_endpoints(tube, l)
             assert abs(tube.flow_capacity(l) - 0.5 * np.linalg.norm(p_u - p_d)) < 1e-12
 
 
@@ -404,12 +762,12 @@ class TestRegularity:
 class TestBoundaryDistance:
     def test_centerline(self):
         tube = straight_tube()
-        d, _ = tube.boundary_distance((3.0, 0.0))
+        d, _ = boundary_distance(tube, (3.0, 0.0))
         assert abs(d - 1.0) < 1e-9
 
     def test_near_upper_wall(self):
         tube = straight_tube()
-        d, direction = tube.boundary_distance((3.0, 0.6))
+        d, direction = boundary_distance(tube, (3.0, 0.6))
         assert abs(d - 0.4) < 1e-9
         assert np.allclose(direction, [0.0, -1.0], atol=1e-9)
 
@@ -424,8 +782,8 @@ class TestBoundaryDistance:
         for _ in range(20):
             l = float(rng.uniform(0.3, tube.length - 0.3))
             r = float(rng.uniform(-0.35, 0.55))
-            p = tube.to_cartesian(CurvilinearCoord(l, r))
-            d, _ = tube.boundary_distance(p)
+            p = to_cartesian(tube, CurvilinearCoord(l, r))
+            d, _ = boundary_distance(tube, p)
             brute = min(
                 float(np.min(np.linalg.norm(lower - p, axis=1))),
                 float(np.min(np.linalg.norm(upper - p, axis=1))),
@@ -435,7 +793,7 @@ class TestBoundaryDistance:
     def test_outside_raises(self):
         tube = straight_tube()
         with pytest.raises(OutsideTubeError):
-            tube.boundary_distance((3.0, 2.0))
+            boundary_distance(tube, (3.0, 2.0))
 
 
 def brute_force_boundary(tube, pts):
@@ -539,6 +897,54 @@ class TestBoundaryDistanceCulling:
         _assert_matches_oracle(tube, pts)
 
 
+def probed_spacing(tube):
+    """The former boundary spacing: the curvature probed at 257 arc lengths."""
+    kappa = max(math.hypot(*tube.curve.eval_scalar(float(l))[4:])
+                for l in np.linspace(0.0, tube.length, 257))
+    if kappa <= 0:
+        return 0.05
+    w_max = float(max(np.max(tube.widths.knot_rd), np.max(tube.widths.knot_ru)))
+    kappa_b = kappa / (1.0 - min(kappa * w_max, 0.9))
+    return min(max(math.sqrt(8.0 * 2e-4 / kappa_b), 0.005), 0.05)
+
+
+class TestBoundarySpacing:
+    @pytest.mark.parametrize("name", ["narrow_s_tube", "annular"])
+    def test_bundled_tubes_keep_their_polylines(self, name):
+        # their largest curvature is on arcs the former probes hit
+        tube = load_scenario(bundled_scenario_path(name)).tube
+        assert tube._boundary_spacing() == probed_spacing(tube)
+
+    def test_straight_tube_takes_the_coarsest_spacing(self):
+        assert straight_tube()._boundary_spacing() == 0.05 == probed_spacing(straight_tube())
+
+    def test_tight_arc_between_the_probes_sets_the_spacing(self):
+        # a 0.15 m bend of radius 0.5 m in a 100 m tube: no probe lands on it
+        segs = _chain([("line", 50.2, 0.0), ("arc", 0.5, 0.3), ("line", 50.0, 0.0)])
+        tube = VirtualTube(GeneratingCurve(segs), WidthProfile([(0.0, 0.2, 0.2)]))
+        a, b = 50.2, 50.2 + segs[1].length
+        probes = np.linspace(0.0, tube.length, 257)
+        assert segs[1].length < tube.length / 256
+        assert not np.any((probes >= a) & (probes <= b))
+        assert probed_spacing(tube) == 0.05
+        kappa_b = 2.0 / (1.0 - 2.0 * 0.2)
+        assert tube._boundary_spacing() == pytest.approx(math.sqrt(8.0 * 2e-4 / kappa_b),
+                                                         rel=1e-15)
+        # the polyline follows the bend: from the spine on the arc, both walls
+        # stay within the 2e-4 m chord sagitta of their true distance 0.2 m
+        # (0.05 m chords would cut up to 8.8e-4 m into the outer wall)
+        spine, _, _ = tube.curve.frames(np.linspace(a, b, 200))
+        d, _ = tube.boundary_distance_many(spine)
+        assert np.max(np.abs(d - 0.2)) <= 2e-4
+
+    def test_spline_curvature_bound_covers_its_samples(self):
+        seg = s_spline_tube().curve.segments[0]
+        _, _, curv = seg.eval_many(np.linspace(0.0, seg.length, 4001))
+        sampled = float(np.max(np.hypot(curv[:, 0], curv[:, 1])))
+        assert sampled <= seg.max_curvature() * (1.0 + 1e-6)
+        assert seg.max_curvature() <= sampled * 1.01
+
+
 # ---------------------------------------------------------------------------
 # module invariants
 # ---------------------------------------------------------------------------
@@ -567,10 +973,10 @@ class TestInvariants:
         for _ in range(50):
             l = float(rng.uniform(0.5, tube.length - 0.5))
             r = float(rng.uniform(-0.5, 0.5))
-            p = tube.to_cartesian(CurvilinearCoord(l, r))
-            _, t, _ = tube.curve_frame(l)
-            c0 = tube.to_curvilinear(p)
-            c1 = tube.to_curvilinear(p + 1e-3 * t)
+            p = to_cartesian(tube, CurvilinearCoord(l, r))
+            _, t, _ = curve_frame(tube, l)
+            c0 = to_curvilinear(tube, p)
+            c1 = to_curvilinear(tube, p + 1e-3 * t)
             assert c1.l > c0.l
 
     def test_area_additivity_under_split(self):
@@ -594,15 +1000,15 @@ class TestInvariants:
             LineSegment((0.0, 0.0), (4.0, 0.0)),
             ArcSegment((4.0, 3.0), 3.0, -math.pi / 2, 1.0),
         ]
-        ends, tans = segs[1].frames_many(np.array([segs[1].length]))
+        ends, tans, _ = segs[1].eval_many([segs[1].length])
         end, tan = ends[0], tans[0]
         segs.append(LineSegment(end, end + 5.0 * tan))
         curve = GeneratingCurve(segs)
         tube = VirtualTube(curve, WidthProfile([(0.0, 1.0, 1.0)]))
         # frame is continuous across joints
         for l_joint in (4.0, 4.0 + segs[1].length):
-            p0, t0, _ = tube.curve_frame(l_joint - 1e-9)
-            p1, t1, _ = tube.curve_frame(l_joint + 1e-9)
+            p0, t0, _ = curve_frame(tube, l_joint - 1e-9)
+            p1, t1, _ = curve_frame(tube, l_joint + 1e-9)
             assert np.linalg.norm(p1 - p0) < 1e-7
             assert np.linalg.norm(t1 - t0) < 1e-6
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubenav.cli import main
+from tubenav.cli import build_parser, main
 from tubenav.errors import ScenarioError
 from tubenav.reports import (
     METRICS_COLUMNS,
@@ -180,6 +180,48 @@ class TestLoadScenario:
         assert exc.value.rule == "param-bound"
         assert str(exc.value).startswith(path)
 
+    @pytest.mark.parametrize("key, value, path", [
+        ("origin_xy_m", "ab", "placement.origin_xy_m"),
+        ("origin_xy_m", [0.7], "placement.origin_xy_m"),
+        ("origin_xy_m", [0.7, "y"], "placement.origin_xy_m[1]"),
+        ("origin_xy_m", [0.7, math.inf], "placement.origin_xy_m[1]"),
+        ("positions_xy_m", [["a", "b"]], "placement.positions_xy_m[0][0]"),
+        ("positions_xy_m", [[3.0, 0.0], [4.0]], "placement.positions_xy_m[1]"),
+        ("positions_xy_m", [[3.0, 0.0], 4.0], "placement.positions_xy_m[1]"),
+        ("positions_xy_m", "ab", "placement.positions_xy_m"),
+        ("positions_xy_m", [], "placement.positions_xy_m"),
+    ])
+    def test_placement_arrays_name_their_path(self, key, value, path):
+        raw = short_scenario_dict()
+        if key == "positions_xy_m":
+            raw["placement"] = {"kind": "explicit", "positions_xy_m": [[3.0, 0.0]]}
+        raw["placement"][key] = value
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert exc.value.rule == "param-bound"
+        assert str(exc.value).startswith(path + " must be")
+
+    @pytest.mark.parametrize("placement, path", [
+        ({"kind": "explicit"}, "placement.positions_xy_m"),
+        ({"kind": "grid", "rows": 2, "cols": 2, "spacing_m": 1.2}, "placement.origin_xy_m"),
+        ({"kind": "grid", "cols": 2, "spacing_m": 1.2, "origin_xy_m": [3.0, 0.0]},
+         "placement.rows"),
+    ])
+    def test_missing_placement_key_names_its_path(self, placement, path):
+        raw = short_scenario_dict()
+        raw["placement"] = placement
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert exc.value.rule == "param-bound"
+        assert str(exc.value).startswith(path + " is required")
+
+    def test_wrong_placement_array_exits_with_code_2(self, tmp_path, capsys):
+        raw = short_scenario_dict()
+        raw["placement"]["origin_xy_m"] = "ab"
+        assert main(["simulate", str(write_scenario(tmp_path, raw))]) == 2
+        assert ("scenario error [param-bound]: placement.origin_xy_m must be a pair [x, y] of"
+                " finite numbers, got 'ab'") in capsys.readouterr().err
+
     def test_wrong_value_type_exits_with_code_2(self, tmp_path, capsys):
         raw = short_scenario_dict()
         raw["dt_s"] = "x"
@@ -281,6 +323,21 @@ class TestCompareCommand:
         assert (out / "throughput.svg").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["condition23_violations"] == 0
+
+    def test_t_end_option_parses(self):
+        args = build_parser().parse_args(["compare", "sc.json", "--t-end", "0.25"])
+        assert args.t_end == 0.25
+        assert build_parser().parse_args(["compare", "sc.json"]).t_end is None
+
+    def test_t_end_overrides_both_arms(self, tmp_path):
+        raw = short_scenario_dict(t_end=5.0)
+        out = tmp_path / "cmp_t"
+        assert main(["compare", str(write_scenario(tmp_path, raw)), "--out", str(out),
+                     "--t-end", "0.05"]) == 0
+        for arm in ("full", "baseline"):
+            assert len(read_trace_csv(out / arm / "trace.csv")) == 6
+            resolved = json.loads((out / arm / "scenario_resolved.json").read_text())
+            assert resolved["t_end_s"] == 0.05 and resolved["mode"] == arm
 
     def test_arms_share_initial_state(self, tmp_path):
         raw = short_scenario_dict(t_end=0.1)
