@@ -12,7 +12,7 @@ import numpy as np
 from . import engine, svgplot
 from .errors import ScenarioError
 from .geometry import narrow_intervals
-from .metrics import audit_condition23, throughput
+from .metrics import audit_condition23, evacuation_time, throughput
 from .reports import (
     read_metrics_csv,
     read_trace_csv,
@@ -71,6 +71,10 @@ def cmd_simulate(args):
     return 0
 
 
+def _evacuated(t):
+    return "not by the end" if t is None else f"{t:g} s"
+
+
 def cmd_compare(args):
     raw = _load_raw(args.scenario)
     outdir = Path(args.out or f"runs/{raw.get('name', 'scenario')}_compare")
@@ -97,12 +101,18 @@ def cmd_compare(args):
         "condition23_violations": len(audit.violations),
         "termination_full": full.termination,
         "termination_baseline": base.termination,
+        "evacuated_s_full": evacuation_time(full),
+        "evacuated_s_baseline": evacuation_time(base),
     }
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"{scen.name}: compare complete")
     print(
         f"  throughput at t={t_last:g}: full={summary['throughput_full']}"
         f" baseline={summary['throughput_baseline']}"
+    )
+    print(
+        f"  all exited at: full={_evacuated(summary['evacuated_s_full'])}"
+        f" baseline={_evacuated(summary['evacuated_s_baseline'])}"
     )
     print(f"  artifacts in {outdir}")
     if full.termination == "fault" or base.termination == "fault":

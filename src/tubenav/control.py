@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import SafetyViolation
 from .geometry import VirtualTube
+from .metrics import Neighbours, neighbours
 
 
 @dataclass
@@ -94,46 +95,44 @@ def _barrier_slope(d, inner, outer):
     return band, np.where(band, -2.0 * (outer - d) * (outer - inner) / gap**3, 0.0)
 
 
+def _avoidance(params: ControllerParams, pairs: Neighbours, ids=None, time=None):
+    """Repulsion terms (M, 2) from a snapshot's pair structure; raises on
+    the closest pair when it is at or below the forbidden distance."""
+    m = len(pairs.nearest)
+    if m >= 2:
+        a, b, dmin = pairs.closest_pair()
+        if dmin <= 2.0 * params.r_s:
+            ia = int(ids[a]) if ids is not None else a
+            ib = int(ids[b]) if ids is not None else b
+            raise SafetyViolation(
+                f"robots {ia} and {ib} at distance {dmin:.6f} <= 2 r_s = {2 * params.r_s}",
+                kind="robot-robot",
+                details={"i": ia, "j": ib, "distance": dmin, "time": time},
+            )
+    # every listed pair is within the reach, the barrier's outer edge
+    _, slope = _barrier_slope(pairs.d, 2.0 * params.r_s, params.avoidance_reach)
+    w = -params.k2 * slope / pairs.d
+    return np.stack([np.bincount(pairs.i, w * pairs.dx, minlength=m),
+                     np.bincount(pairs.i, w * pairs.dy, minlength=m)], axis=1)
+
+
 def avoidance_batch(params: ControllerParams, positions, ids=None, time=None):
-    """Repulsion terms for a whole snapshot at once, shape (M, 2).
-
-    One pairwise-distance pass shared by every robot; raises on the first
-    pair at or below the forbidden distance.
-    """
-    pts = np.asarray(positions, dtype=float)
-    m = len(pts)
-    if m <= 1:
-        return np.zeros((m, 2))
-    dx = pts[:, 0][:, None] - pts[:, 0][None, :]
-    dy = pts[:, 1][:, None] - pts[:, 1][None, :]
-    d = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(d, np.inf)
-    dmin = float(np.min(d))
-    if dmin <= 2.0 * params.r_s:
-        a, b = np.unravel_index(int(np.argmin(d)), d.shape)
-        ia = int(ids[a]) if ids is not None else int(a)
-        ib = int(ids[b]) if ids is not None else int(b)
-        raise SafetyViolation(
-            f"robots {ia} and {ib} at distance {dmin:.6f} <= 2 r_s = {2 * params.r_s}",
-            kind="robot-robot",
-            details={"i": ia, "j": ib, "distance": dmin, "time": time},
-        )
-    band, slope = _barrier_slope(d, 2.0 * params.r_s, params.avoidance_reach)
-    w = np.where(band, -params.k2 * slope / d, 0.0)
-    return np.stack([(w * dx).sum(axis=1), (w * dy).sum(axis=1)], axis=1)
+    """Repulsion terms for the robots at ``positions``, shape (M, 2)."""
+    return _avoidance(params, neighbours(positions, params.avoidance_reach), ids, time)
 
 
-def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, positions,
+def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, pairs,
                      ls, tangents, boundary_d, boundary_dir, rho_hat, grad_hat,
                      grad_d, ids, time):
     """Commands of all M active robots from one snapshot.
 
-    Inputs are arrays with one row per active robot: positions (M, 2);
-    arc length ls (M,) and the unit spine tangent there (M, 2); lateral
-    boundary distance (M,) and the unit direction away from the nearest
-    boundary point (M, 2); the density estimate rho_hat (M,), its gradient
-    and the target gradient (M, 2) each.  ``ids`` names the robots in fault reports
-    and ``time`` is the snapshot time.  The density inputs are ignored in
+    ``pairs`` is the snapshot's Neighbours for the reach
+    ``params.avoidance_reach``.  The other inputs are arrays with one row
+    per active robot: arc length ls (M,) and the unit spine tangent there
+    (M, 2); lateral boundary distance (M,) and the unit direction away from
+    the nearest boundary point (M, 2); the density estimate rho_hat (M,),
+    its gradient and the target gradient (M, 2) each.  ``ids`` names the
+    robots in fault reports and ``time`` is the snapshot time.  The density inputs are ignored in
     baseline mode.
 
     Returns (u1, u2, u3, u4, v, kappa): five (M, 2) arrays, u4 after the
@@ -152,7 +151,7 @@ def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, position
         speed = np.maximum(l_end - ls, 0.0) * params.eta_min
         u1 = np.minimum(speed, params.k1)[:, None] * tangents
 
-    u2 = avoidance_batch(params, positions, ids, time)
+    u2 = _avoidance(params, pairs, ids, time)
 
     if np.any(boundary_d <= params.r_s):
         k = int(np.argmax(boundary_d <= params.r_s))

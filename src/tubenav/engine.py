@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# avoidance_batch is not called here; it stays importable from this module
-# because bench/tracing.py looks the controller's layers up by name here
+# avoidance_batch, min_pairwise_from_positions and amd_from_positions are
+# not called here; they stay importable from this module because
+# bench/tracing.py looks the layers up by name here
 from .control import ControllerParams, avoidance_batch, compose_velocity  # noqa: F401
 from .density import (
     DensityView,
@@ -32,7 +33,8 @@ from .density import (
 )
 from .errors import SafetyViolation
 from .geometry import VirtualTube
-from .metrics import COND23_TOL, MetricsRecord, amd_from_positions, min_pairwise_from_positions
+from .metrics import COND23_TOL, MetricsRecord, neighbours
+from .metrics import amd_from_positions, min_pairwise_from_positions  # noqa: F401
 from .state import SwarmState
 
 _EXIT_TOL = 1e-12
@@ -89,11 +91,11 @@ def validate_initial(swarm: SwarmState, tube: VirtualTube, params: ControllerPar
     Returns a list of violation descriptions; empty means ok."""
     problems = []
     pts = swarm.active_positions()
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    for i, j in zip(*np.nonzero(np.triu(d <= 2.0 * params.r_s, k=1))):
-        problems.append(
-            f"robots {i} and {j} at distance {d[i, j]:.4f} <= 2 r_s = {2 * params.r_s}"
-        )
+    pairs = neighbours(pts, params.avoidance_reach)
+    close = np.flatnonzero((pairs.i < pairs.j) & (pairs.d <= 2.0 * params.r_s))
+    close = close[np.lexsort((pairs.j[close], pairs.i[close]))]
+    for i, j, d in zip(pairs.i[close], pairs.j[close], pairs.d[close]):
+        problems.append(f"robots {i} and {j} at distance {d:.4f} <= 2 r_s = {2 * params.r_s}")
     _, inside = tube.locate(pts)
     for i in np.flatnonzero(~inside):
         problems.append(f"robot {i} at {tuple(pts[i].tolist())} is outside the tube")
@@ -157,8 +159,10 @@ class _Snapshot:
         self.positions = swarm.positions[self.ids]
         self.boundary_d, self.boundary_dir = tube.boundary_distance_many(self.positions)
         m = len(self.ids)
-        # shared by the safety check and the record's metrics
-        self.min_pair = min_pairwise_from_positions(self.positions) if m >= 2 else math.nan
+        # the one pair structure of the snapshot: the safety check, the
+        # record's metrics and the avoidance term all read it
+        self.pairs = neighbours(self.positions, params.avoidance_reach)
+        self.min_pair = float(np.min(self.pairs.nearest)) if m >= 2 else math.nan
 
         self.view = None
         self.region = None
@@ -193,12 +197,13 @@ class _Snapshot:
             )
 
     def safety_check(self, params):
-        d = self.min_pair
-        if d <= 2.0 * params.r_s:
+        if self.min_pair <= 2.0 * params.r_s:
+            a, b, d = self.pairs.closest_pair()
+            i, j = int(self.ids[a]), int(self.ids[b])
             raise SafetyViolation(
-                f"min pairwise distance {d:.6f} <= 2 r_s = {2 * params.r_s}",
+                f"robots {i} and {j} at min pairwise distance {d:.6f} <= 2 r_s = {2 * params.r_s}",
                 kind="robot-robot",
-                details={"distance": d, "time": self.time},
+                details={"i": i, "j": j, "distance": d, "time": self.time},
             )
         if len(self.ids):
             b = float(np.min(self.boundary_d))
@@ -213,7 +218,7 @@ class _Snapshot:
 def _metrics(snapshot, swarm, tube, commands, density_grid):
     pts = snapshot.positions
     n_active = len(pts)
-    amd_val = amd_from_positions(pts) if n_active >= 2 else math.nan
+    amd_val = float(np.mean(snapshot.pairs.nearest)) if n_active >= 2 else math.nan
     min_bound = float(np.min(snapshot.boundary_d)) if n_active >= 1 else math.nan
     if snapshot.view is not None:
         err = density_error_l2_from_view(
@@ -290,7 +295,7 @@ def run(scenario) -> SimulationLog:
             snap.containment_check(tube)
             snap.safety_check(params)
             commands = compose_velocity(
-                tube, params, scenario.mode, snap.positions, snap.l, snap.tangent,
+                tube, params, scenario.mode, snap.pairs, snap.l, snap.tangent,
                 snap.boundary_d, snap.boundary_dir, snap.rho_hat, snap.grad_hat,
                 snap.grad_d, snap.ids, snap.time,
             )

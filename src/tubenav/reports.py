@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .metrics import evacuation_time
+
 TRACE_COLUMNS = [
     "t", "robot_id", "x", "y", "vx", "vy",
     "u1x", "u1y", "u2x", "u2y", "u3x", "u3y", "u4x", "u4y",
@@ -111,6 +113,7 @@ def write_summary_json(log, path, extra=None):
         "records": len(log.records),
         "exited": len(log.exit_times),
         "exit_times": {str(k): v for k, v in sorted(log.exit_times.items())},
+        "evacuated_s": evacuation_time(log),
         "final_metrics": _metrics_dict(log.final_metrics()),
         "violations": {
             "safety_faults": 1 if log.fault else 0,

@@ -11,8 +11,10 @@ from tubenav.control import ControllerParams, avoidance_batch, compose_velocity
 from tubenav.density import DensityView, DesiredDensity, occupied_region_from_arclengths
 from tubenav.errors import OutsideTubeError, SafetyViolation
 from tubenav.geometry import ArcSegment, GeneratingCurve, LineSegment, VirtualTube, WidthProfile
+from tubenav.metrics import neighbours
 from tubenav.state import make_swarm
 
+from clouds import clouds, dense_distances
 from scalar_tube import boundary_distance, curve_frame, to_curvilinear
 
 
@@ -114,6 +116,35 @@ def _avoidance_from_neighbors(params, p, others, i=None, ids=None, time=None):
     return u2
 
 
+def dense_avoidance(params, positions, ids=None, time=None):
+    """The former all-pairs avoidance term: the (M, 2) repulsion and, per
+    robot and component, the sum of the magnitudes of its pair terms.
+    Raises on the first pair, in row-major order, at the minimum distance
+    when that is at or below 2 r_s."""
+    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
+    m = len(pts)
+    if m <= 1:
+        return np.zeros((m, 2)), np.zeros((m, 2))
+    dx, dy, d = dense_distances(pts)
+    dmin = float(np.min(d))
+    if dmin <= 2.0 * params.r_s:
+        a, b = np.unravel_index(int(np.argmin(d)), d.shape)
+        ia = int(ids[a]) if ids is not None else int(a)
+        ib = int(ids[b]) if ids is not None else int(b)
+        raise SafetyViolation(
+            f"robots {ia} and {ib} at distance {dmin:.6f} <= 2 r_s = {2 * params.r_s}",
+            kind="robot-robot",
+            details={"i": ia, "j": ib, "distance": dmin, "time": time},
+        )
+    outer, inner = params.avoidance_reach, 2.0 * params.r_s
+    band = d < outer
+    gap = np.where(band, d - inner, 1.0)
+    slope = np.where(band, -2.0 * (outer - d) * (outer - inner) / gap**3, 0.0)
+    w = np.where(band, -params.k2 * slope / d, 0.0)
+    terms = np.stack([w * dx, w * dy], axis=-1)
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
 def tube_keeping(tube, params, p, boundary=None):
     if boundary is None:
         b, direction = boundary_distance(tube, p)
@@ -203,8 +234,9 @@ def batch(tube, params, positions, view, dd, mode="full", ids=None):
     rho, grad = view.estimate_and_gradient_many(pts)
     ids = np.arange(len(pts)) if ids is None else np.asarray(ids)
     return Batch(*compose_velocity(
-        tube, params, mode, pts, prs.l, prs.tangent, bd, bdir, rho, grad,
-        dd.gradient_many(prs.l, prs.r, prs.tangent, prs.curvature), ids, 0.0,
+        tube, params, mode, neighbours(pts, params.avoidance_reach), prs.l, prs.tangent,
+        bd, bdir, rho, grad, dd.gradient_many(prs.l, prs.r, prs.tangent, prs.curvature),
+        ids, 0.0,
     ))
 
 
@@ -217,7 +249,7 @@ def direct(params, tangents, mode="baseline", ls=None, rho_hat=None, grad_hat=No
     zeros = np.zeros((m, 2))
     return Batch(*compose_velocity(
         tube if tube is not None else straight_tube(), params, mode,
-        np.stack([10.0 * np.arange(m), np.zeros(m)], axis=1),
+        neighbours(np.stack([10.0 * np.arange(m), np.zeros(m)], axis=1), params.avoidance_reach),
         np.zeros(m) if ls is None else np.asarray(ls, dtype=float), t,
         np.full(m, 10.0), np.tile([0.0, 1.0], (m, 1)),
         np.ones(m) if rho_hat is None else np.asarray(rho_hat, dtype=float),
@@ -309,6 +341,30 @@ class TestRobotAvoidance:
         params = default_params()
         u2 = avoidance_batch(params, [(0.0, 0.0), (1.15, 0.1), (0.4, 1.05)])
         assert np.allclose(u2.sum(axis=0), 0.0, atol=1e-12)  # pairwise action-reaction
+
+
+class TestAvoidanceAgainstDenseOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=clouds())
+    def test_matches_the_dense_oracle(self, case):
+        # r_s = 0.4 reach puts the band (2 r_s, reach) at (0.8, 1) reach;
+        # ids far from the row indices check that faults name robots
+        pts, reach, family = case
+        params = default_params(r_s=0.4 * reach, r_a=0.6 * reach)
+        ids = 100 + 3 * np.arange(len(pts))
+        try:
+            want, magnitude = dense_avoidance(params, pts, ids, 1.5)
+        except SafetyViolation as exc:
+            event(f"{family}: raises")
+            with pytest.raises(SafetyViolation) as got:
+                avoidance_batch(params, pts, ids, 1.5)
+            assert got.value.kind == exc.kind and got.value.details == exc.details
+            assert str(got.value) == str(exc)
+            return
+        event(f"{family}: {'repels' if want.any() else 'zero'}")
+        got = avoidance_batch(params, pts, ids, 1.5)
+        # only the summation order of each robot's pair terms differs
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(magnitude, 1.0))
 
 
 class TestTubeKeeping:

@@ -16,6 +16,7 @@ from tubenav.geometry import (
     VirtualTube,
     WidthProfile,
 )
+from tubenav.metrics import neighbours
 from tubenav.scenario import bundled_scenario_path, load_scenario
 from tubenav.state import make_swarm
 
@@ -259,11 +260,13 @@ class TestRun:
         bd, bdir = tube.boundary_distance_many(pts)
         rho, grad = view.estimate_and_gradient_many(pts)
         grad_d = dd.gradient_many(prs.l, prs.r, prs.tangent, prs.curvature)
-        inputs = [pts, prs.l, prs.tangent, bd, bdir, rho, grad, grad_d, np.arange(3)]
+        inputs = [prs.l, prs.tangent, bd, bdir, rho, grad, grad_d, np.arange(3)]
+        reach = prm.avoidance_reach
         for mode in ("full", "baseline"):
-            forward = compose_velocity(tube, prm, mode, *inputs, 0.0)
+            forward = compose_velocity(tube, prm, mode, neighbours(pts, reach), *inputs, 0.0)
             for perm in ([2, 1, 0], [1, 2, 0], [0, 2, 1]):
-                permuted = compose_velocity(tube, prm, mode, *(a[perm] for a in inputs), 0.0)
+                permuted = compose_velocity(tube, prm, mode, neighbours(pts[perm], reach),
+                                            *(a[perm] for a in inputs), 0.0)
                 for want, got in zip(forward, permuted):
                     assert np.array_equal(got, want[perm])
 
@@ -316,6 +319,36 @@ class TestRun:
             assert log.fault["kind"] == "robot-robot"
             assert len(log.records) == 1 and log.records[0].time == 0.0  # partial log retained
             assert not log.records[0].velocities.any()
+
+    def test_fault_names_the_pair_it_was_driven_into(self):
+        # side by side in the tube-keeping band of a 2.2 m tube: a strong
+        # u3 and a weak u2 push the pair together, and one 0.1 s step
+        # carries them inside 2 r_s
+        tube = straight_tube(half_width=1.1)
+        prm = params(k2=1e-6, k3=10.0)
+        log = run(scenario_stub(tube, prm, [(5.0, 0.55), (5.0, -0.55)], dt=0.1, t_end=1.0))
+        assert log.termination == "fault" and len(log.records) == 2
+        assert log.fault["kind"] == "robot-robot"
+        assert (log.fault["i"], log.fault["j"]) == (0, 1)
+        assert log.fault["message"].startswith("robots 0 and 1 at min pairwise distance")
+        assert log.fault["distance"] == log.records[1].metrics.min_pairwise_distance < 1.0
+
+    @pytest.mark.parametrize("n", [1, 25, 400])
+    def test_one_neighbour_pass_per_record(self, n, monkeypatch):
+        calls = []
+
+        def counted(positions, reach):
+            calls.append(len(positions))
+            return neighbours(positions, reach)
+
+        monkeypatch.setattr(engine, "neighbours", counted)
+        rows = min(10, math.isqrt(n))
+        cols = n // rows
+        pts = [(0.8 + 1.2 * c, 1.2 * r - 0.6 * (rows - 1)) for c in range(cols) for r in range(rows)]
+        tube = straight_tube(length=10.0 + 1.2 * cols, half_width=7.0)
+        log = run(scenario_stub(tube, params(), pts, dt=0.01, t_end=0.03))
+        assert log.termination == "time-limit"
+        assert calls == [n] * len(log.records)
 
 
 @pytest.mark.parametrize("mode", ["full", "baseline"])

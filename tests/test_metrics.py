@@ -1,20 +1,29 @@
+import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
 
 from tubenav.control import ControllerParams
 from tubenav.engine import run
 from tubenav.geometry import GeneratingCurve, LineSegment, VirtualTube, WidthProfile
 from tubenav.metrics import (
     amd,
+    amd_from_positions,
     audit_condition23,
+    evacuation_time,
     min_boundary_distance,
     min_pairwise_distance,
+    min_pairwise_from_positions,
+    neighbours,
     throughput,
 )
+from tubenav.reports import write_summary_json
 from tubenav.state import make_swarm
+
+from clouds import clouds, dense_distances
 
 
 def straight_tube(length=20.0, half_width=2.0):
@@ -96,6 +105,36 @@ class TestAmd:
             assert amd(swarm) >= min_pairwise_distance(swarm) - 1e-15
 
 
+class TestNeighbours:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=clouds())
+    def test_matches_the_dense_pass(self, case):
+        pts, reach, family = case
+        event(family)
+        m = len(pts)
+        got = neighbours(pts, reach)
+        dx, dy, d = dense_distances(pts)
+        pairs = list(zip(got.i.tolist(), got.j.tolist()))
+        assert set(pairs) == set(zip(*np.nonzero(d < reach)))
+        assert len(pairs) == len(set(pairs)) and np.all(np.diff(got.i) >= 0)
+        assert np.array_equal(got.dx, dx[got.i, got.j])
+        assert np.array_equal(got.dy, dy[got.i, got.j])
+        assert np.array_equal(got.d, d[got.i, got.j])
+        if m < 2:
+            assert np.all(got.nearest == np.inf) and np.all(got.partner == -1)
+            return
+        assert np.array_equal(got.nearest, d.min(axis=1))
+        assert np.array_equal(got.partner, d.argmin(axis=1))
+        assert got.closest_pair() == (*np.unravel_index(int(np.argmin(d)), d.shape), np.min(d))
+        assert min_pairwise_from_positions(pts) == float(np.min(d))
+        assert amd_from_positions(pts) == float(np.mean(d.min(axis=1)))
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (2e6, 0.0)])
+    def test_out_of_range_positions_are_refused(self, bad):
+        with pytest.raises(ValueError, match="finite positions"):
+            neighbours([(0.0, 0.0), bad], 1.3)
+
+
 class TestMinDistances:
     def test_pairwise_values(self):
         assert abs(min_pairwise_distance(make_swarm([(0, 0), (1.3, 0.0)])) - 1.3) < 1e-15
@@ -151,6 +190,17 @@ class TestThroughput:
         first_exit = min(log.exit_times.values())
         assert throughput(log, first_exit - 0.02) == 0
         assert throughput(log, first_exit) == 1
+
+    def test_evacuation_time(self, tmp_path):
+        log = self._log()
+        assert log.termination == "all-exited"
+        assert evacuation_time(log) == max(log.exit_times.values()) > 0.0
+        write_summary_json(log, tmp_path / "summary.json")
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["evacuated_s"] == evacuation_time(log)
+        # one robot is still in the tube at 0.5 s
+        log.records = [r for r in log.records if r.time <= 0.5]
+        assert log.exit_times and evacuation_time(log) is None
 
     def test_out_of_range(self):
         log = self._log()

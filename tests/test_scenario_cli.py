@@ -309,7 +309,7 @@ class TestSimulateCommand:
 
 
 class TestCompareCommand:
-    def test_zero_alpha_arms_identical(self, tmp_path):
+    def test_zero_alpha_arms_identical(self, tmp_path, capsys):
         # with no regulation strength the full controller degenerates to the
         # baseline, so both arms produce identical traces
         raw = short_scenario_dict(t_end=0.3, alpha0_m2ps=0.0)
@@ -323,6 +323,11 @@ class TestCompareCommand:
         assert (out / "throughput.svg").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["condition23_violations"] == 0
+        # robots remain at 0.3 s, so neither arm has evacuated
+        assert summary["evacuated_s_full"] is None and summary["evacuated_s_baseline"] is None
+        assert "all exited at: full=not by the end baseline=not by the end" in capsys.readouterr().out
+        for arm in ("full", "baseline"):
+            assert json.loads((out / arm / "summary.json").read_text())["evacuated_s"] is None
 
     def test_t_end_option_parses(self):
         args = build_parser().parse_args(["compare", "sc.json", "--t-end", "0.25"])
