@@ -1,0 +1,22 @@
+"""Row blocks for the dense array passes: the grid and KDE kernel sums, the
+boundary search's box pass and the regularity check's section pairs.
+
+A pass over (n, k) arrays runs a block of whole rows at a time, so that
+the arrays of one block stay in a core's L2 cache through the passes over
+them instead of streaming multi-megabyte temporaries through memory.
+Every element goes through the same operations whatever the block size,
+so results do not depend on it.
+"""
+
+# Float64 elements that the live arrays of one block hold together: 1 MiB,
+# half of a 2 MiB L2.  Chosen by a block-size sweep (see CHANGES.md).
+BLOCK_ELEMENTS = 1 << 17
+
+
+def row_blocks(n, row_elements):
+    """Rows per block, and the slices that cover range(n) in order with
+    blocks of as many rows of ``row_elements`` live elements as fit in
+    BLOCK_ELEMENTS, and at least one.  There is always a block: with n = 0
+    it is empty, so a pass over no rows still returns empty results."""
+    size = max(min(BLOCK_ELEMENTS // row_elements, n), 1)
+    return size, [slice(a, min(a + size, n)) for a in range(0, max(n, 1), size)]

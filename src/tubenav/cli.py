@@ -16,6 +16,7 @@ from .metrics import audit_condition23, evacuation_time, throughput
 from .reports import (
     read_metrics_csv,
     read_trace_csv,
+    stalled_summary,
     write_metrics_csv,
     write_scenario_json,
     write_summary_json,
@@ -104,6 +105,8 @@ def cmd_compare(args):
         "evacuated_s_full": evacuation_time(full),
         "evacuated_s_baseline": evacuation_time(base),
     }
+    for arm, log in logs.items():
+        summary[f"stalled_final_{arm}"], summary[f"stalled_max_{arm}"] = stalled_summary(log)
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"{scen.name}: compare complete")
     print(
@@ -113,6 +116,11 @@ def cmd_compare(args):
     print(
         f"  all exited at: full={_evacuated(summary['evacuated_s_full'])}"
         f" baseline={_evacuated(summary['evacuated_s_baseline'])}"
+    )
+    print(
+        f"  stalled robots (final / max over records): full={summary['stalled_final_full']}"
+        f" / {summary['stalled_max_full']} baseline={summary['stalled_final_baseline']}"
+        f" / {summary['stalled_max_baseline']}"
     )
     print(f"  artifacts in {outdir}")
     if full.termination == "fault" or base.termination == "fault":

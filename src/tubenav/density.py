@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import row_blocks
 from .errors import TubeDomainError
 from .geometry import VirtualTube
 
@@ -54,19 +55,36 @@ class DensityView:
     def n(self):
         return len(self.positions)
 
-    def _kernel_matrix(self, pts):
+    def _kernel_rows(self, pts):
+        """(rows, dx, dy, k) for blocks of query rows: the scaled offsets
+        (p - x_j) / h and the kernel exp(-(dx^2 + dy^2) / 2) / (2 pi), each
+        (rows, N).  One buffer, reused by every block, holds a block's four
+        arrays (dy^2 the fourth); callers may overwrite dx and dy."""
         h = self.bandwidth
-        dx = (pts[:, 0][:, None] - self.positions[:, 0][None, :]) / h
-        dy = (pts[:, 1][:, None] - self.positions[:, 1][None, :]) / h
-        k = np.exp(-0.5 * (dx * dx + dy * dy)) / _TWO_PI
-        return dx, dy, k
+        xs, ys = self.positions.T
+        size, blocks = row_blocks(len(pts), 4 * self.n)
+        buf = np.empty((4, size, self.n))
+        for rows in blocks:
+            dx, dy, k, dy2 = buf[:, : rows.stop - rows.start]
+            np.subtract(pts[rows, 0, None], xs, out=dx)
+            dx /= h
+            np.subtract(pts[rows, 1, None], ys, out=dy)
+            dy /= h
+            np.multiply(dx, dx, out=k)
+            k += np.multiply(dy, dy, out=dy2)
+            k *= -0.5
+            np.exp(k, out=k)
+            k /= _TWO_PI
+            yield rows, dx, dy, k
 
     def estimate_many(self, pts):
         """Kernel density at each query point, shape (M,)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         h = self.bandwidth
-        _, _, k = self._kernel_matrix(pts)
-        return k.sum(axis=1) / (self.n * h * h)
+        rho = np.empty(len(pts))
+        for rows, _, _, k in self._kernel_rows(pts):
+            rho[rows] = k.sum(axis=1) / (self.n * h * h)
+        return rho
 
     def estimate_sections(self, origins, tangents, normals, offsets):
         """Kernel density at origins[c] + offsets[c, k] * normals[c], shape
@@ -76,29 +94,50 @@ class DensityView:
         s = (dx, dy) . n, the scaled squared distance is tau^2 + (s + r / h)^2
         exactly, so the kernel factors into exp(-tau^2 / 2), one (n_l, N)
         array, times a per-offset factor that depends on s alone.  The
-        distance along the tube never enters the large (n_l, n_r, N) array."""
+        distance along the tube never enters the large (n_l, n_r, N) array.
+        Both are built a block of whole columns at a time, in buffers that
+        every block reuses."""
         h = self.bandwidth
-        dx = (origins[:, 0, None] - self.positions[:, 0]) / h
-        dy = (origins[:, 1, None] - self.positions[:, 1]) / h
-        tau = dx * tangents[:, 0, None] + dy * tangents[:, 1, None]
-        s = dx * normals[:, 0, None] + dy * normals[:, 1, None]
-        z = s[:, None, :] + (offsets / h)[:, :, None]
-        np.square(z, out=z)
-        z *= -0.5
-        np.exp(z, out=z)
-        along = np.exp(-0.5 * tau * tau)
-        return np.matmul(z, along[:, :, None])[..., 0] / (_TWO_PI * self.n * h * h)
+        xs, ys = self.positions.T
+        n_l, n_r = offsets.shape
+        scaled = offsets / h
+        sums = np.empty((n_l, n_r, 1))
+        size, blocks = row_blocks(n_l, (n_r + 5) * self.n)
+        buf = np.empty((size, n_r, self.n))
+        col_buf = np.empty((5, size, self.n))
+        for cols in blocks:
+            m = cols.stop - cols.start
+            z = buf[:m]
+            dx, dy, tau, s, tmp = col_buf[:, :m]
+            np.subtract(origins[cols, 0, None], xs, out=dx)
+            dx /= h
+            np.subtract(origins[cols, 1, None], ys, out=dy)
+            dy /= h
+            np.multiply(dx, tangents[cols, 0, None], out=tau)
+            tau += np.multiply(dy, tangents[cols, 1, None], out=tmp)
+            np.multiply(dx, normals[cols, 0, None], out=s)
+            s += np.multiply(dy, normals[cols, 1, None], out=tmp)
+            np.add(s[:, None, :], scaled[cols, :, None], out=z)
+            np.square(z, out=z)
+            z *= -0.5
+            np.exp(z, out=z)
+            along = np.multiply(tau, -0.5, out=tmp)
+            along *= tau
+            np.exp(along, out=along)
+            np.matmul(z, along[:, :, None], out=sums[cols])
+        return sums[..., 0] / (_TWO_PI * self.n * h * h)
 
     def estimate_and_gradient_many(self, pts):
         """Density and gradient at each query point in one kernel pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         h = self.bandwidth
-        dx, dy, k = self._kernel_matrix(pts)
-        rho = k.sum(axis=1) / (self.n * h * h)
         scale = -1.0 / (self.n * h ** 3)
-        grad = np.stack(
-            [(k * dx).sum(axis=1) * scale, (k * dy).sum(axis=1) * scale], axis=1
-        )
+        rho = np.empty(len(pts))
+        grad = np.empty((len(pts), 2))
+        for rows, dx, dy, k in self._kernel_rows(pts):
+            rho[rows] = k.sum(axis=1) / (self.n * h * h)
+            grad[rows, 0] = np.multiply(k, dx, out=dx).sum(axis=1) * scale
+            grad[rows, 1] = np.multiply(k, dy, out=dy).sum(axis=1) * scale
         return rho, grad
 
 

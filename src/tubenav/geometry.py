@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import row_blocks
 from .errors import TubeDomainError
 
 # construction-time validation tolerances
@@ -327,25 +328,39 @@ class _NearestSegment:
         ey = apy - t * dy
         return ex, ey, ex * ex + ey * ey
 
+    def _candidates(self, pts):
+        """Every (point, chunk) pair whose box is within the nearest box's
+        chunk distance of the point, row-major: grouped by point, chunks
+        (hence segments) ascending.  The box pass runs a row block of
+        points at a time; its two live (2, rows, chunks) arrays fit one
+        block."""
+        lo, hi = self._box_lo[:, None, :], self._box_hi[:, None, :]
+        _, blocks = row_blocks(len(pts), 4 * lo.shape[2])
+        who, chunks = [], []
+        for block in blocks:
+            p = pts[block].T[:, :, None]
+            gap = lo - p
+            np.maximum(gap, p - hi, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            lower2 = gap[0] + gap[1]                     # (rows, chunks)
+            rows = np.arange(block.start, block.stop)
+            nearest = np.argmin(lower2, axis=1)
+            upper2 = self._offsets(pts, rows, nearest)[2].min(axis=1)
+            keep = lower2 <= upper2[:, None] * (1.0 + _CULL_SLACK)
+            keep[rows - block.start, nearest] = True  # at least one chunk per point
+            w, c = np.nonzero(keep)
+            who.append(w + block.start)
+            chunks.append(c)
+        return np.concatenate(who), np.concatenate(chunks)
+
     def nearest(self, pts):
         """Index of the nearest segment to each point, with the offset
         (ex, ey) from that segment's nearest point and its square d2."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        m = len(pts)
-        p = pts.T[:, :, None]
-        gap = np.maximum(self._box_lo[:, None, :] - p, p - self._box_hi[:, None, :])
-        np.maximum(gap, 0.0, out=gap)
-        gap *= gap
-        lower2 = gap[0] + gap[1]                     # (M, chunks)
-        rows = np.arange(m)
-        nearest = np.argmin(lower2, axis=1)
-        upper2 = self._offsets(pts, rows, nearest)[2].min(axis=1)
-        keep = lower2 <= upper2[:, None] * (1.0 + _CULL_SLACK)
-        keep[rows, nearest] = True  # at least one chunk per point, for reduceat
-        # row-major: grouped by point, chunks (hence segments) ascending
-        who, chunks = np.nonzero(keep)
+        who, chunks = self._candidates(pts)
         ex, ey, d2 = self._offsets(pts, who, chunks)
-        counts = np.count_nonzero(keep, axis=1)
+        counts = np.bincount(who, minlength=len(pts))
         starts = np.cumsum(counts) - counts
         chunk_min = d2.min(axis=1)
         tied = chunk_min == np.minimum.reduceat(chunk_min, starts)[who]
@@ -636,37 +651,32 @@ def _orient(ax, ay, bx, by, cx, cy):
 
 
 def _on_segment(ax, ay, bx, by, px, py, eps):
-    return (
-        min(ax, bx) - eps <= px <= max(ax, bx) + eps
-        and min(ay, by) - eps <= py <= max(ay, by) + eps
-    )
+    return ((np.minimum(ax, bx) - eps <= px) & (px <= np.maximum(ax, bx) + eps)
+            & (np.minimum(ay, by) - eps <= py) & (py <= np.maximum(ay, by) + eps))
 
 
-def _segments_intersect(p1, p2, p3, p4, eps=1e-12):
-    """Closed-segment intersection test, including touching and collinear overlap."""
-    ax, ay = p1
-    bx, by = p2
-    cx, cy = p3
-    dx, dy = p4
-    scale = max(abs(bx - ax), abs(by - ay), abs(dx - cx), abs(dy - cy), 1.0)
+def _segments_intersect_many(p1, p2, p3, p4, eps=1e-12):
+    """Closed-segment intersection of p1[k]-p2[k] with p3[k]-p4[k], (K, 2)
+    each, touching and collinear overlap included: a strict crossing, or an
+    end point on the other segment within a tolerance scaled by the longest
+    coordinate extent (at least 1)."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = (np.asarray(q, dtype=float).T
+                                              for q in (p1, p2, p3, p4))
+    scale = np.maximum(np.maximum(np.maximum(abs(bx - ax), abs(by - ay)),
+                                  np.maximum(abs(dx - cx), abs(dy - cy))), 1.0)
     tol = eps * scale * scale
+    margin = eps * scale
     o1 = _orient(ax, ay, bx, by, cx, cy)
     o2 = _orient(ax, ay, bx, by, dx, dy)
     o3 = _orient(cx, cy, dx, dy, ax, ay)
     o4 = _orient(cx, cy, dx, dy, bx, by)
-    if ((o1 > tol and o2 < -tol) or (o1 < -tol and o2 > tol)) and (
-        (o3 > tol and o4 < -tol) or (o3 < -tol and o4 > tol)
-    ):
-        return True
-    if abs(o1) <= tol and _on_segment(ax, ay, bx, by, cx, cy, eps * scale):
-        return True
-    if abs(o2) <= tol and _on_segment(ax, ay, bx, by, dx, dy, eps * scale):
-        return True
-    if abs(o3) <= tol and _on_segment(cx, cy, dx, dy, ax, ay, eps * scale):
-        return True
-    if abs(o4) <= tol and _on_segment(cx, cy, dx, dy, bx, by, eps * scale):
-        return True
-    return False
+    crossing = ((((o1 > tol) & (o2 < -tol)) | ((o1 < -tol) & (o2 > tol)))
+                & (((o3 > tol) & (o4 < -tol)) | ((o3 < -tol) & (o4 > tol))))
+    return (crossing
+            | ((abs(o1) <= tol) & _on_segment(ax, ay, bx, by, cx, cy, margin))
+            | ((abs(o2) <= tol) & _on_segment(ax, ay, bx, by, dx, dy, margin))
+            | ((abs(o3) <= tol) & _on_segment(cx, cy, dx, dy, ax, ay, margin))
+            | ((abs(o4) <= tol) & _on_segment(cx, cy, dx, dy, bx, by, margin)))
 
 
 class VirtualTube:
@@ -678,8 +688,6 @@ class VirtualTube:
     conceptually continues for the constant-speed approach term; it is
     validated against controller parameters at scenario load.
     """
-
-    BOUNDARY_RESOLUTION = 0.01  # m, lateral boundary polyline spacing
 
     def __init__(self, curve, widths, topology="open", extension_length=None):
         if topology not in ("open", "closed"):
@@ -829,27 +837,41 @@ class VirtualTube:
     # -- regularity --------------------------------------------------------------
 
     def check_regularity(self, spacing=None) -> RegularityReport:
-        """Sample cross-sections and test all non-adjacent pairs for
-        intersection.  Pairs closer than the sampling spacing (arc distance,
-        cyclic for closed tubes) are skipped to avoid discretization false
-        positives."""
+        """Sample cross-sections ``spacing`` apart (default 2% of the length)
+        and test all non-adjacent pairs for intersection, in array passes
+        over the pairs (i, j > i) in row-major order.  Pairs closer than the
+        spacing (arc distance, cyclic for closed tubes) are skipped to avoid
+        discretization false positives.  Raises ValueError for a spacing
+        that is not positive or that leaves no pair to test."""
         ds = spacing if spacing is not None else 0.02 * self.length
+        if not ds > 0:
+            raise ValueError(f"regularity spacing must be positive, got {ds!r}")
         n = max(int(math.ceil(self.length / ds)), 2)
         ls = np.linspace(0.0, self.length, n + 1)
         if self.closed:
             ls = ls[:-1]
         lower, upper = self.section_ends(ls)
-        skip = ds * (1.0 + 1e-9)
-        hits = []
-        for i in range(len(ls)):
-            for j in range(i + 1, len(ls)):
-                gap = ls[j] - ls[i]
-                if self.closed:
-                    gap = min(gap, self.length - gap)
-                if gap <= skip:
-                    continue
-                if _segments_intersect(lower[i], upper[i], lower[j], upper[j]):
-                    hits.append((float(ls[i]), float(ls[j])))
+        m = len(ls)
+        hits, tested = [], 0
+        # a block of rows i of pairs (i, j > i) per pass, about twenty live
+        # values per pair, so that a fine spacing does not hold every
+        # pair's arrays at once
+        for block in row_blocks(m, 20 * m)[1]:
+            i, j = np.nonzero(np.arange(block.start, block.stop)[:, None] < np.arange(m))
+            i += block.start
+            gap = ls[j] - ls[i]
+            if self.closed:
+                gap = np.minimum(gap, self.length - gap)
+            far = np.flatnonzero(gap > ds * (1.0 + 1e-9))
+            i, j = i[far], j[far]
+            tested += len(far)
+            hit = _segments_intersect_many(lower[i], upper[i], lower[j], upper[j])
+            hits += zip(ls[i[hit]].tolist(), ls[j[hit]].tolist())
+        if not tested:
+            raise ValueError(
+                f"regularity spacing {ds!r} leaves no pair of sections farther apart than"
+                f" the spacing on a tube of length {self.length!r}"
+            )
         return RegularityReport(ok=not hits, intersections=hits, spacing=ds)
 
 

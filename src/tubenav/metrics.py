@@ -12,6 +12,8 @@ from .geometry import VirtualTube
 from .state import SwarmState
 
 COND23_TOL = 1e-12
+# an active robot commanded slower than this fraction of k1 is stalled
+STALL_FRACTION = 1e-3
 
 
 @dataclass
@@ -170,6 +172,20 @@ def evacuation_time(log):
     if not log.records or log.records[-1].active.any() or not log.exit_times:
         return None
     return max(log.exit_times.values())
+
+
+def stalled_counts(log, k1):
+    """Per record, the number of active robots commanded slower than
+    STALL_FRACTION * k1, with k1 the approach speed.  A fault record carries
+    no commands, so it counts none."""
+    slow = STALL_FRACTION * k1
+    counts = np.array([
+        np.count_nonzero(rec.active & (np.hypot(rec.velocities[:, 0], rec.velocities[:, 1]) < slow))
+        for rec in log.records
+    ], dtype=np.int64)
+    if log.termination == "fault":
+        counts[-1] = 0
+    return counts
 
 
 @dataclass

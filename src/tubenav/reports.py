@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import evacuation_time
+from .metrics import evacuation_time, stalled_counts
 
 TRACE_COLUMNS = [
     "t", "robot_id", "x", "y", "vx", "vy",
@@ -103,8 +103,16 @@ def _metrics_dict(m):
     }
 
 
+def stalled_summary(log):
+    """(final, max) of the per-record stalled-robot counts, with the log's
+    own approach speed; (None, None) for a log without records."""
+    counts = stalled_counts(log, log.scenario["params"]["k1_mps"])
+    return (int(counts[-1]), int(counts.max())) if len(counts) else (None, None)
+
+
 def write_summary_json(log, path, extra=None):
     path = Path(path)
+    stalled_final, stalled_max = stalled_summary(log)
     payload = {
         "fingerprint": log.fingerprint,
         "scenario_name": log.scenario.get("name"),
@@ -114,6 +122,8 @@ def write_summary_json(log, path, extra=None):
         "exited": len(log.exit_times),
         "exit_times": {str(k): v for k, v in sorted(log.exit_times.items())},
         "evacuated_s": evacuation_time(log),
+        "stalled_final": stalled_final,
+        "stalled_max": stalled_max,
         "final_metrics": _metrics_dict(log.final_metrics()),
         "violations": {
             "safety_faults": 1 if log.fault else 0,

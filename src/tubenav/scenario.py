@@ -304,7 +304,10 @@ def scenario_from_dict(raw: dict, source="<dict>") -> Scenario:
                 rule="param-bound",
             )
 
-    report = tube.check_regularity(spacing=resolved["regularity_spacing_m"])
+    try:
+        report = tube.check_regularity(spacing=resolved["regularity_spacing_m"])
+    except ValueError as exc:
+        raise ScenarioError(f"regularity_spacing_m: {exc}", rule="param-bound") from exc
     if not report.ok:
         pairs = ", ".join(f"({a:.2f}, {b:.2f})" for a, b in report.intersections[:5])
         raise ScenarioError(

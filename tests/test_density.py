@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubenav import blocks
 from tubenav.density import (
     _GL20_NODES,
     _GL20_WEIGHTS,
@@ -794,6 +796,124 @@ class TestSectionKde:
         got = view.estimate_sections(origins, tangents, normals, offsets)
         pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
         _assert_matches_point_kde(view, got, pts)
+
+
+# ---------------------------------------------------------------------------
+# kernel sums in blocks
+# ---------------------------------------------------------------------------
+
+_ONE_BLOCK = 1 << 62
+
+
+def _crowd_snapshot():
+    """400 robots on a 10 x 40 lattice, 1.2 m apart with 0.02 m jitter, in
+    a straight tube of half-width 7 m: the view, target, tube and region of
+    one snapshot, the size at which the kernel sums run in several blocks."""
+    tube = straight_tube(length=60.0, r_d=7.0, r_u=7.0)
+    xs, ys = np.meshgrid(0.8 + 1.2 * np.arange(40), -5.4 + 1.2 * np.arange(10), indexing="ij")
+    jitter = np.random.default_rng(0).uniform(-0.02, 0.02, (400, 2))
+    positions = np.stack([xs.ravel(), ys.ravel()], axis=1) + jitter
+    view = DensityView(positions, 0.9)
+    region = occupied_region_from_arclengths(positions[:, 0], tube, min_halfwidth=0.9)
+    return view, DesiredDensity(tube, region, delta_l=0.9), tube, region
+
+
+def _results_per_block_size(sizes, fn):
+    """fn() with BLOCK_ELEMENTS at each size, and at one block."""
+    out = []
+    for size in (_ONE_BLOCK, *sizes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "BLOCK_ELEMENTS", size)
+            out.append(fn())
+    return out
+
+
+def _assert_bitwise_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+class TestBlockedKernelSums:
+    """The grid and KDE sums run a block of whole columns or query rows at
+    a time; every block size gives the one-block result bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        robots=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                        min_size=1, max_size=12),
+        queries=st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+                         min_size=1, max_size=9),
+        h=st.floats(0.05, 3.0),
+        columns=st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-math.pi, math.pi),
+                      st.floats(0.05, 3.0)),
+            min_size=1, max_size=7,
+        ),
+        n_r=st.integers(1, 5),
+        rows_per_block=st.integers(2, 4),
+    )
+    def test_property_any_block_size(self, robots, queries, h, columns, n_r, rows_per_block):
+        c = np.array(columns)
+        tangents = np.stack([np.cos(c[:, 2]), np.sin(c[:, 2])], axis=1)
+        normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
+        offsets = c[:, 3:4] * np.linspace(-1.0, 1.0, n_r)[None, :]
+        view = DensityView(np.array(robots), h)
+        pts = np.array(queries)
+        n = view.n
+
+        def grid():
+            return (view.estimate_sections(c[:, :2], tangents, normals, offsets),)
+
+        def kde():
+            return (*view.estimate_and_gradient_many(pts), view.estimate_many(pts))
+
+        # one element: one column or row per block; then a few per block,
+        # with a shorter last block where they do not divide evenly
+        want, *got = _results_per_block_size([1, rows_per_block * n_r * n], grid)
+        for g in got:
+            _assert_bitwise_equal(g, want)
+        want, *got = _results_per_block_size([1, rows_per_block * 4 * n], kde)
+        for g in got:
+            _assert_bitwise_equal(g, want)
+
+    def test_crowd_snapshot(self):
+        view, dd, tube, region = _crowd_snapshot()
+        resolution = (120, 24)
+        # the default constant splits both sums of this snapshot
+        assert len(blocks.row_blocks(resolution[0], resolution[1] * view.n)[1]) > 1
+        assert len(blocks.row_blocks(view.n, 4 * view.n)[1]) > 1
+
+        def sums():
+            field = error_grid(view, dd, tube, region, resolution)
+            return (field.rho_hat, *view.estimate_and_gradient_many(view.positions))
+
+        want, *got = _results_per_block_size(
+            [1, 7 * resolution[1] * view.n, 33 * 4 * view.n, blocks.BLOCK_ELEMENTS], sums)
+        for g in got:
+            _assert_bitwise_equal(g, want)
+
+    def test_traced_peak_stays_within_the_blocks(self):
+        """One block's arrays, plus the (M, ...) inputs and results, are all
+        that the grid and the KDE hold at once."""
+        view, dd, tube, region = _crowd_snapshot()
+        n_l, n_r = 120, 24
+        bound = 1.5 * 8 * blocks.BLOCK_ELEMENTS
+        # both fail without the blocks: an (n_l, n_r, N) array alone is
+        # 8.8 MiB and the KDE's four (N, N) arrays 4.9 MiB
+        assert min(8 * n_l * n_r * view.n, 4 * 8 * view.n ** 2) > 3 * bound
+
+        def peak(fn):
+            fn()  # warm: first-call allocations are not the kernel's
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: error_grid(view, dd, tube, region, (n_l, n_r))) < bound
+        assert peak(lambda: view.estimate_and_gradient_many(view.positions)) < bound
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubenav import geometry
+from tubenav import blocks, geometry
 from tubenav.errors import OutsideTubeError, TubeDomainError
 from tubenav.geometry import (
     ArcSegment,
@@ -24,6 +24,8 @@ from scalar_tube import (
     boundary_distance,
     cross_section_endpoints,
     curve_frame,
+    regularity_loop,
+    segments_intersect,
     to_cartesian,
     to_curvilinear,
 )
@@ -754,6 +756,75 @@ class TestRegularity:
         for l1, l2 in rep.intersections:
             assert l1 < l2  # canonical order; pair (l2, l1) is the same report
 
+    @pytest.mark.parametrize("spacing, cause", [
+        (0.0, "must be positive"), (-1.0, "must be positive"), (math.nan, "must be positive"),
+        (1e9, "leaves no pair"),
+    ])
+    def test_bad_spacing_raises(self, spacing, cause):
+        with pytest.raises(ValueError, match=cause):
+            arc_tube().check_regularity(spacing)
+
+    @pytest.mark.parametrize("spacing", [None, 0.05, 0.01])
+    def test_self_overlapping_tube_matches_the_loop(self, spacing):
+        tube = arc_tube(radius=2.0, sweep=2.5, r_d=0.2, r_u=2.5)
+        hits, _ = regularity_loop(tube, spacing)
+        rep = tube.check_regularity(spacing)
+        assert not rep.ok and len(hits) > 1000
+        assert rep.intersections == hits
+
+    def test_pairs_span_several_passes(self, monkeypatch):
+        # a block smaller than one row of sections: one row per pass
+        tube = arc_tube(radius=2.0, sweep=2.5, r_d=0.2, r_u=2.5)
+        monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", 7)
+        assert tube.check_regularity(0.05).intersections == regularity_loop(tube, 0.05)[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=curve_st, r_d=st.floats(0.05, 4.0), r_u=st.floats(0.05, 4.0),
+           spacing=st.one_of(st.none(), st.floats(0.004, 0.2)))
+    def test_property_matches_the_scalar_loop(self, spec, r_d, r_u, spacing):
+        curve = _build_curve(spec)
+        tube = VirtualTube(curve, WidthProfile([(0.0, r_d, r_u)]), topology=spec[0])
+        ds = None if spacing is None else spacing * tube.length
+        hits, tested = regularity_loop(tube, ds)
+        if not tested:
+            with pytest.raises(ValueError, match="leaves no pair"):
+                tube.check_regularity(ds)
+            return
+        rep = tube.check_regularity(ds)
+        assert rep.ok == (not hits)
+        assert rep.intersections == hits
+
+    def test_strategy_reaches_both_outcomes_on_both_topologies(self):
+        seen = set()
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(spec=curve_st, r_d=st.floats(0.05, 4.0), r_u=st.floats(0.05, 4.0))
+        def collect(spec, r_d, r_u):
+            tube = VirtualTube(_build_curve(spec), WidthProfile([(0.0, r_d, r_u)]),
+                               topology=spec[0])
+            seen.add((spec[0], tube.check_regularity().ok))
+
+        collect()
+        assert seen == {("open", True), ("open", False), ("closed", True), ("closed", False)}
+
+    @pytest.mark.parametrize("p1, p2, p3, p4", [
+        ((0, 0), (2, 0), (1, -1), (1, 1)),      # proper crossing
+        ((0, 0), (2, 0), (1, 0), (1, 1)),       # an end point on the other segment:
+        ((0, 0), (2, 0), (1, 1), (1, 0)),       # each of the four in turn
+        ((1, 0), (2, 0), (1, -1), (1, 1)),
+        ((0, 0), (1, 0), (1, -1), (1, 1)),
+        ((0, 0), (2, 0), (1, 0), (3, 0)),       # collinear overlap
+        ((0, 0), (2, 0), (3, 0), (4, 0)),       # collinear, apart
+        ((0, 0), (2, 0), (0, 1), (2, 1)),       # parallel
+        ((0, 0), (2, 0), (2 + 1e-13, 0), (3, 1)),  # within the tolerance
+        ((0, 0), (1, 1), (0, 1), (1, 0)),
+    ])
+    def test_segment_predicate_matches_the_scalar_one(self, p1, p2, p3, p4):
+        want = segments_intersect(p1, p2, p3, p4)
+        got = geometry._segments_intersect_many(*(np.array([p], dtype=float)
+                                                  for p in (p1, p2, p3, p4)))
+        assert got.tolist() == [want]
+
 
 # ---------------------------------------------------------------------------
 # boundary_distance
@@ -881,6 +952,17 @@ class TestBoundaryDistanceCulling:
             _assert_matches_oracle(tube, tube.section_points([0.37 * tube.length], [0.1]))
         d, dirs = straight_tube().boundary_distance_many(np.zeros((0, 2)))
         assert d.shape == (0,) and dirs.shape == (0, 2)
+
+    @pytest.mark.parametrize("size", [1, 6 * 80 * 3])
+    def test_any_block_of_points(self, monkeypatch, size):
+        # one point per box-pass block, then about three points per block
+        # of the line tube's 78 chunks and a shorter last block
+        monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", size)
+        rng = np.random.default_rng(8)
+        for tube in ORACLE_TUBES.values():
+            ls = rng.uniform(0.0, tube.length, 50)
+            rs = rng.uniform(-1.2, 1.2, 50) * tube.widths.r_c(ls)
+            _assert_matches_oracle(tube, tube.section_points(ls, rs))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(

@@ -18,6 +18,7 @@ from tubenav.metrics import (
     min_pairwise_distance,
     min_pairwise_from_positions,
     neighbours,
+    stalled_counts,
     throughput,
 )
 from tubenav.reports import write_summary_json
@@ -43,7 +44,8 @@ def scenario_stub(tube, prm, positions, dt=0.01, t_end=1.0, mode="full"):
     pts = np.asarray(positions, dtype=float)
     return SimpleNamespace(
         tube=tube, params=prm, dt=dt, t_end=t_end, mode=mode,
-        density_grid=(40, 8), fingerprint="test", resolved={"name": "stub"},
+        density_grid=(40, 8), fingerprint="test",
+        resolved={"name": "stub", "params": {"k1_mps": prm.k1}},
         initial_state=lambda: make_swarm(pts),
     )
 
@@ -202,12 +204,52 @@ class TestThroughput:
         log.records = [r for r in log.records if r.time <= 0.5]
         assert log.exit_times and evacuation_time(log) is None
 
+    def test_summary_counts_stalled_robots(self, tmp_path):
+        log = self._log()
+        write_summary_json(log, tmp_path / "summary.json")
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        counts = stalled_counts(log, 1.0)
+        assert len(counts) == len(log.records)
+        # the last record of an all-exited run has no active robot
+        assert summary["stalled_final"] == counts[-1] == 0
+        assert summary["stalled_max"] == counts.max()
+
     def test_out_of_range(self):
         log = self._log()
         with pytest.raises(ValueError):
             throughput(log, -1.0)
         with pytest.raises(ValueError):
             throughput(log, log.records[-1].time + 1.0)
+
+
+def _record(velocities, active):
+    return SimpleNamespace(velocities=np.asarray(velocities, dtype=float),
+                           active=np.asarray(active, dtype=bool))
+
+
+class TestStalledCounts:
+    def test_counts_active_robots_below_the_threshold(self):
+        k1 = 2.0
+        slow = 1e-3 * k1
+        log = SimpleNamespace(termination="time-limit", records=[
+            _record([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [True, True, False]),
+            # exactly at the threshold is not stalled; just below is
+            _record([[slow, 0.0], [0.0, np.nextafter(slow, 0.0)], [0.8 * slow, 0.8 * slow]],
+                    [True, True, True]),
+            _record([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [False, False, False]),
+        ])
+        assert stalled_counts(log, k1).tolist() == [1, 1, 0]
+
+    def test_fault_record_counts_none(self):
+        still = _record([[0.0, 0.0], [0.0, 0.0]], [True, True])
+        log = SimpleNamespace(termination="fault", records=[still, still])
+        assert stalled_counts(log, 1.0).tolist() == [2, 0]
+        log.termination = "time-limit"
+        assert stalled_counts(log, 1.0).tolist() == [2, 2]
+
+    def test_empty_log(self):
+        log = SimpleNamespace(termination="time-limit", records=[])
+        assert stalled_counts(log, 1.0).tolist() == []
 
 
 class TestAuditCondition23:

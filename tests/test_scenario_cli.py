@@ -94,6 +94,16 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, raw))
         assert exc.value.rule == "regularity"
 
+    @pytest.mark.parametrize("spacing", [0, -1, 1e9])
+    def test_bad_regularity_spacing_names_its_key(self, spacing):
+        raw = short_scenario_dict()
+        raw["regularity_spacing_m"] = spacing
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert exc.value.rule == "param-bound"
+        assert str(exc.value).startswith("regularity_spacing_m")
+        assert isinstance(exc.value.__cause__, ValueError)
+
     def test_fingerprint_stability_and_sensitivity(self, tmp_path):
         raw = short_scenario_dict()
         sc1 = load_scenario(write_scenario(tmp_path, raw, "a.json"))
@@ -325,9 +335,16 @@ class TestCompareCommand:
         assert summary["condition23_violations"] == 0
         # robots remain at 0.3 s, so neither arm has evacuated
         assert summary["evacuated_s_full"] is None and summary["evacuated_s_baseline"] is None
-        assert "all exited at: full=not by the end baseline=not by the end" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "all exited at: full=not by the end baseline=not by the end" in printed
         for arm in ("full", "baseline"):
-            assert json.loads((out / arm / "summary.json").read_text())["evacuated_s"] is None
+            arm_summary = json.loads((out / arm / "summary.json").read_text())
+            assert arm_summary["evacuated_s"] is None
+            for key in ("stalled_final", "stalled_max"):
+                assert summary[f"{key}_{arm}"] == arm_summary[key]
+        assert (f"stalled robots (final / max over records): full={summary['stalled_final_full']}"
+                f" / {summary['stalled_max_full']} baseline={summary['stalled_final_baseline']}"
+                f" / {summary['stalled_max_baseline']}") in printed
 
     def test_t_end_option_parses(self):
         args = build_parser().parse_args(["compare", "sc.json", "--t-end", "0.25"])
