@@ -29,7 +29,7 @@ from .geometry import (
     WidthProfile,
     narrow_intervals,
 )
-from .metrics import amd, audit_condition23, min_boundary_distance, min_pairwise_distance, throughput
+from .metrics import audit_condition23, throughput
 from .scenario import Scenario, bundled_scenario_path, load_scenario, scenario_from_dict
 from .state import SwarmState, make_swarm
 

@@ -22,19 +22,13 @@ from .reports import (
     write_summary_json,
     write_trace_csv,
 )
-from .scenario import apply_overrides, build_tube, load_scenario, scenario_from_dict
-
-
-def _load_raw(path):
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}", rule="parse") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", rule="parse") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be an object", rule="parse")
-    return raw
+from .scenario import (
+    apply_overrides,
+    build_tube,
+    read_scenario_file,
+    resolve_scenario,
+    scenario_from_dict,
+)
 
 
 def _write_run_artifacts(log, scenario, outdir):
@@ -48,9 +42,9 @@ def _write_run_artifacts(log, scenario, outdir):
 
 
 def cmd_simulate(args):
-    raw = _load_raw(args.scenario)
-    raw = apply_overrides(raw, dt=args.dt, t_end=args.t_end, mode=args.mode)
-    scenario = scenario_from_dict(raw, source=str(args.scenario))
+    raw = read_scenario_file(args.scenario)
+    scenario = scenario_from_dict(
+        apply_overrides(raw, dt=args.dt, t_end=args.t_end, mode=args.mode))
     if scenario.mode == "compare":
         print("scenario requests compare mode; use the compare command", file=sys.stderr)
         return 2
@@ -77,13 +71,13 @@ def _evacuated(t):
 
 
 def cmd_compare(args):
-    raw = _load_raw(args.scenario)
+    raw = read_scenario_file(args.scenario)
     outdir = Path(args.out or f"runs/{raw.get('name', 'scenario')}_compare")
     logs = {}
     scen = None
     for arm in ("full", "baseline"):
         arm_raw = apply_overrides(raw, t_end=args.t_end, mode=arm)
-        scenario = scenario_from_dict(arm_raw, source=str(args.scenario))
+        scenario = scenario_from_dict(arm_raw)
         scen = scenario
         log = engine.run(scenario)
         logs[arm] = log
@@ -129,26 +123,20 @@ def cmd_compare(args):
 
 
 def cmd_check_tube(args):
-    raw = _load_raw(args.scenario)
-    scenario = None
+    raw = read_scenario_file(args.scenario)
     try:
-        scenario = scenario_from_dict(raw, source=str(args.scenario))
+        scenario = scenario_from_dict(raw)
         tube, r_s = scenario.tube, scenario.params.r_s
-        report = tube.check_regularity()
     except ScenarioError as exc:
-        if exc.rule in ("parse",):
-            raise
-        # tube-only inspection still works when the full scenario fails
-        from .control import ControllerParams
-
-        params_raw = raw.get("params", {})
-        r_s = params_raw.get("r_s_m", 0.5)
-        tube = build_tube(
-            {**raw["tube"]},
-            ControllerParams(r_s=r_s, r_a=2 * r_s),
-        )
-        report = tube.check_regularity()
+        # tube-only inspection still works when the full scenario fails; a
+        # malformed tube or r_s_m is reported like any scenario error
+        resolved = resolve_scenario(raw)
+        tube, r_s = build_tube(resolved["tube"]), resolved["params"]["r_s_m"]
+        if r_s <= 0:
+            raise ScenarioError(f"params.r_s_m must be positive, got {r_s!r}",
+                                rule="param-bound") from exc
         print(f"note: scenario validation failed ({exc.rule}): {exc}")
+    report = tube.check_regularity()
     print(f"tube length: {tube.length:.4f} m   topology: {tube.topology}")
     print(f"tube area:   {tube.tube_area():.4f} m^2")
     print(f"regularity:  {'ok' if report.ok else 'IRREGULAR'} "
@@ -182,36 +170,11 @@ def cmd_plot(args):
             f"no scenario description at {scen_path}; pass --scenario", file=sys.stderr
         )
         return 2
-    scenario = scenario_from_dict(_load_raw(scen_path), source=str(scen_path))
-    frames = read_trace_csv(trace_path)
-    outdir.mkdir(parents=True, exist_ok=True)
-    n = len(frames)
-    idxs = sorted({0, (n - 1) // 4, (n - 1) // 2, 3 * (n - 1) // 4, n - 1}) if n > 1 else [0]
-    for idx in idxs:
-        fr = frames[idx]
-        svgplot.render_snapshot(
-            fr.positions, fr.velocities, fr.active, scenario.tube,
-            scenario.params.r_s, outdir / f"snapshot_t{fr.time:g}.svg", time=fr.time,
-        )
+    scenario = scenario_from_dict(read_scenario_file(scen_path))
     metrics_path = run_dir / "metrics.csv"
-    if metrics_path.exists() and n > 1:
-        cols = read_metrics_csv(metrics_path)
-        svgplot.render_series(
-            {
-                "min pairwise distance": (cols["t"], cols["min_pair_dist"]),
-                "min boundary distance": (cols["t"], cols["min_bound_dist"]),
-            },
-            outdir / "distances.svg",
-            ylabel="distance (m)",
-            title="safety margins",
-            hlines=[(2 * scenario.params.r_s, "2 r_s"), (scenario.params.r_s, "r_s")],
-        )
-        svgplot.render_series(
-            {"tracking error": (cols["t"], cols["density_err_l2"])},
-            outdir / "density_error.svg",
-            ylabel="L2 density error (1/m)",
-            title="density tracking error",
-        )
+    columns = read_metrics_csv(metrics_path) if metrics_path.exists() else None
+    svgplot.render_frames(read_trace_csv(trace_path), columns, outdir, scenario.tube,
+                          scenario.params.r_s)
     print(f"plots written to {outdir}")
     return 0
 

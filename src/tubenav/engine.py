@@ -145,7 +145,7 @@ class _Snapshot:
         None at the first, whose projections start from the sample table."""
         self.time = swarm.time
         before = np.flatnonzero(swarm.active)
-        prs = tube.curve.project_many(
+        prs, inside = tube.locate(
             swarm.positions[before], seeds=None if seeds is None else seeds[before]
         )
         stay = apply_exit_rule(swarm, tube, prs)
@@ -155,7 +155,8 @@ class _Snapshot:
         self.r = prs.r[stay]
         self.tangent = prs.tangent[stay]
         self.curvature = prs.curvature[stay]
-        self.beyond_start = prs.beyond_start[stay]
+        # no kept row lies beyond the end, so this is the tube membership
+        self.inside = inside[stay]
         self.positions = swarm.positions[self.ids]
         self.boundary_d, self.boundary_dir = tube.boundary_distance_many(self.positions)
         m = len(self.ids)
@@ -183,12 +184,9 @@ class _Snapshot:
             self.rho_hat, self.grad_hat = self.view.estimate_and_gradient_many(self.positions)
             self.grad_d = self.dd.gradient_many(self.l, self.r, self.tangent, self.curvature)
 
-    def containment_check(self, tube):
-        r_d = tube.widths.r_d(self.l)
-        r_u = tube.widths.r_u(self.l)
-        inside = ~self.beyond_start & (-r_d - 1e-9 <= self.r) & (self.r <= r_u + 1e-9)
-        if not inside.all():
-            k = int(np.argmin(inside))
+    def containment_check(self):
+        if not self.inside.all():
+            k = int(np.argmin(self.inside))
             i, l, r = int(self.ids[k]), float(self.l[k]), float(self.r[k])
             raise SafetyViolation(
                 f"robot {i} left the tube (l={l:.4f}, r={r:.4f})",
@@ -206,12 +204,13 @@ class _Snapshot:
                 details={"i": i, "j": j, "distance": d, "time": self.time},
             )
         if len(self.ids):
-            b = float(np.min(self.boundary_d))
+            k = int(np.argmin(self.boundary_d))
+            i, b = int(self.ids[k]), float(self.boundary_d[k])
             if b <= params.r_s:
                 raise SafetyViolation(
-                    f"min boundary distance {b:.6f} <= r_s = {params.r_s}",
+                    f"robot {i} at min boundary distance {b:.6f} <= r_s = {params.r_s}",
                     kind="boundary",
-                    details={"distance": b, "time": self.time},
+                    details={"robot": i, "distance": b, "time": self.time},
                 )
 
 
@@ -292,7 +291,7 @@ def run(scenario) -> SimulationLog:
         snap = _Snapshot(state, tube, params, arc if k else None)
         log.exit_times.update(dict.fromkeys(snap.exited.tolist(), snap.time))
         try:
-            snap.containment_check(tube)
+            snap.containment_check()
             snap.safety_check(params)
             commands = compose_velocity(
                 tube, params, scenario.mode, snap.pairs, snap.l, snap.tangent,

@@ -3,13 +3,9 @@ regulation-term norm audit."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import VirtualTube
-from .state import SwarmState
 
 COND23_TOL = 1e-12
 # an active robot commanded slower than this fraction of k1 is stalled
@@ -129,31 +125,6 @@ def min_pairwise_from_positions(pts):
 
 def amd_from_positions(pts):
     return float(np.mean(neighbours(pts, 1.0).nearest))
-
-
-def amd(swarm: SwarmState):
-    """Average over active robots of the distance to their nearest active
-    neighbor; the swarm's dispersion measure."""
-    pts = swarm.active_positions()
-    if len(pts) < 2:
-        raise ValueError("average minimum distance needs at least two active robots")
-    return amd_from_positions(pts)
-
-
-def min_pairwise_distance(swarm: SwarmState):
-    pts = swarm.active_positions()
-    if len(pts) < 2:
-        raise ValueError("pairwise distance needs at least two active robots")
-    return min_pairwise_from_positions(pts)
-
-
-def min_boundary_distance(swarm: SwarmState, tube: VirtualTube):
-    """Smallest lateral boundary distance among active robots."""
-    pts = swarm.active_positions()
-    if len(pts) == 0:
-        raise ValueError("boundary distance needs at least one active robot")
-    d, _ = tube.boundary_distance_many(pts)
-    return float(np.min(d))
 
 
 def throughput(log, t):

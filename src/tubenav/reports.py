@@ -32,34 +32,24 @@ def _fmt(x):
     return repr(float(x))
 
 
+# one trace row: t, robot_id, the twelve vector components, kappa_m, active;
+# %r of a float is its repr and %d prints the integral id and flag columns
+_TRACE_ROW = "%r,%d," + "%r," * 13 + "%d\r\n"
+
+
 def write_trace_csv(log, path):
+    """One row per robot per record, with csv's "\r\n" line ends.  Each
+    record is one (N, 16) column stack formatted by one % operation."""
     path = Path(path)
     with path.open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRACE_COLUMNS)
+        f.write(",".join(TRACE_COLUMNS) + "\r\n")
         for rec in log.records:
             n = len(rec.positions)
-            for i in range(n):
-                w.writerow(
-                    [
-                        _fmt(rec.time),
-                        i,
-                        _fmt(rec.positions[i, 0]),
-                        _fmt(rec.positions[i, 1]),
-                        _fmt(rec.velocities[i, 0]),
-                        _fmt(rec.velocities[i, 1]),
-                        _fmt(rec.u1[i, 0]),
-                        _fmt(rec.u1[i, 1]),
-                        _fmt(rec.u2[i, 0]),
-                        _fmt(rec.u2[i, 1]),
-                        _fmt(rec.u3[i, 0]),
-                        _fmt(rec.u3[i, 1]),
-                        _fmt(rec.u4[i, 0]),
-                        _fmt(rec.u4[i, 1]),
-                        _fmt(rec.kappa[i]),
-                        int(rec.active[i]),
-                    ]
-                )
+            block = np.column_stack([
+                np.full(n, rec.time), np.arange(n), rec.positions, rec.velocities,
+                rec.u1, rec.u2, rec.u3, rec.u4, rec.kappa, rec.active,
+            ])
+            f.write(_TRACE_ROW * n % tuple(block.ravel().tolist()))
     return path
 
 
@@ -110,7 +100,7 @@ def stalled_summary(log):
     return (int(counts[-1]), int(counts.max())) if len(counts) else (None, None)
 
 
-def write_summary_json(log, path, extra=None):
+def write_summary_json(log, path):
     path = Path(path)
     stalled_final, stalled_max = stalled_summary(log)
     payload = {
@@ -129,8 +119,6 @@ def write_summary_json(log, path, extra=None):
             "safety_faults": 1 if log.fault else 0,
         },
     }
-    if extra:
-        payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -246,7 +246,9 @@ def _check_point(value, path):
         _check_value(v, f"{path}[{i}]")
 
 
-def _resolve(raw: dict) -> dict:
+def resolve_scenario(raw: dict) -> dict:
+    """The raw scenario with every default filled in, after the key and
+    value-type checks; nothing is built from it yet."""
     _check_all_keys(raw)
     resolved = {}
     for key, default in _TOP_DEFAULTS.items():
@@ -274,8 +276,8 @@ def _fingerprint(resolved: dict) -> str:
 # loading and validation
 # ---------------------------------------------------------------------------
 
-def scenario_from_dict(raw: dict, source="<dict>") -> Scenario:
-    resolved = _resolve(raw)
+def scenario_from_dict(raw: dict) -> Scenario:
+    resolved = resolve_scenario(raw)
     params = _build_params(resolved["params"])
     tube = build_tube(resolved["tube"], params)
     resolved["tube"]["extension_length_m"] = tube.extension_length
@@ -363,8 +365,9 @@ def scenario_from_dict(raw: dict, source="<dict>") -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and fully validate a scenario file."""
+def read_scenario_file(path) -> dict:
+    """The raw scenario object of a JSON file; a file that cannot be read,
+    is not JSON or is not one object raises ScenarioError (rule parse)."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -378,7 +381,12 @@ def load_scenario(path) -> Scenario:
         ) from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be an object", rule="parse")
-    return scenario_from_dict(raw, source=str(path))
+    return raw
+
+
+def load_scenario(path) -> Scenario:
+    """Parse and fully validate a scenario file."""
+    return scenario_from_dict(read_scenario_file(path))
 
 
 def apply_overrides(scenario_raw: dict, dt=None, t_end=None, mode=None) -> dict:

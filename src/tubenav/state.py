@@ -25,15 +25,6 @@ class SwarmState:
     active: np.ndarray      # (N,) bool
     exit_time: np.ndarray   # (N,) s, NaN while a robot has not exited
 
-    def copy(self) -> "SwarmState":
-        return SwarmState(
-            time=self.time,
-            positions=self.positions.copy(),
-            velocities=self.velocities.copy(),
-            active=self.active.copy(),
-            exit_time=self.exit_time.copy(),
-        )
-
     def active_positions(self) -> np.ndarray:
         """Positions of active robots, shape (M, 2)."""
         return self.positions[self.active]

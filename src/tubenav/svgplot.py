@@ -256,54 +256,61 @@ def render_series(series, path, ylabel="", title="", hlines=()):
 # top-level rendering
 # ---------------------------------------------------------------------------
 
-def _snapshot_indices(n_records):
-    if n_records <= 1:
-        return [0]
-    last = n_records - 1
-    return sorted({0, last // 4, last // 2, (3 * last) // 4, last})
+def render_frames(frames, columns, outdir, tube, r_s):
+    """Standard plot set of a run: snapshots of up to five frames, evenly
+    spread over the run, plus the distance and density-error series.
 
-
-def render_plots(log, outdir, tube, params):
-    """Standard plot set for a run: snapshots plus distance and density-error
-    series.  Returns the written paths."""
+    ``frames`` are the run's records in time order (StepRecords or read-back
+    TraceFrames: anything with time, positions, velocities and active);
+    ``columns`` maps metrics.csv column names to per-record arrays, or is
+    None for no series.  Returns the written paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    last = len(frames) - 1
     written = []
-    for idx in _snapshot_indices(len(log.records)):
-        rec = log.records[idx]
-        path = outdir / f"snapshot_t{rec.time:g}.svg"
+    for idx in sorted({0, last // 4, last // 2, (3 * last) // 4, last}):
+        fr = frames[idx]
         written.append(
             render_snapshot(
-                rec.positions, rec.velocities, rec.active, tube, params.r_s, path,
-                time=rec.time,
+                fr.positions, fr.velocities, fr.active, tube, r_s,
+                outdir / f"snapshot_t{fr.time:g}.svg", time=fr.time,
             )
         )
-    ts = np.array([r.time for r in log.records])
-    min_pair = np.array([r.metrics.min_pairwise_distance for r in log.records])
-    min_bound = np.array([r.metrics.min_boundary_distance for r in log.records])
-    if len(ts) > 1:
+    if columns is not None and len(columns["t"]) > 1:
+        ts = columns["t"]
         written.append(
             render_series(
                 {
-                    "min pairwise distance": (ts, min_pair),
-                    "min boundary distance": (ts, min_bound),
+                    "min pairwise distance": (ts, columns["min_pair_dist"]),
+                    "min boundary distance": (ts, columns["min_bound_dist"]),
                 },
                 outdir / "distances.svg",
                 ylabel="distance (m)",
                 title="safety margins",
-                hlines=[(2 * params.r_s, "2 r_s"), (params.r_s, "r_s")],
+                hlines=[(2 * r_s, "2 r_s"), (r_s, "r_s")],
             )
         )
-        err = np.array([r.metrics.density_error_l2 for r in log.records])
         written.append(
             render_series(
-                {"tracking error": (ts, err)},
+                {"tracking error": (ts, columns["density_err_l2"])},
                 outdir / "density_error.svg",
                 ylabel="L2 density error (1/m)",
                 title="density tracking error",
             )
         )
     return written
+
+
+def render_plots(log, outdir, tube, params):
+    """render_frames on a run's log, its series read from the records."""
+    metrics = [r.metrics for r in log.records]
+    columns = {
+        "t": np.array([r.time for r in log.records]),
+        "min_pair_dist": np.array([m.min_pairwise_distance for m in metrics]),
+        "min_bound_dist": np.array([m.min_boundary_distance for m in metrics]),
+        "density_err_l2": np.array([m.density_error_l2 for m in metrics]),
+    }
+    return render_frames(log.records, columns, outdir, tube, params.r_s)
 
 
 def render_amd_comparison(log_full, log_baseline, path):

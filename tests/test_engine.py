@@ -333,6 +333,21 @@ class TestRun:
         assert log.fault["message"].startswith("robots 0 and 1 at min pairwise distance")
         assert log.fault["distance"] == log.records[1].metrics.min_pairwise_distance < 1.0
 
+    def test_boundary_fault_names_the_robot_driven_into_the_wall(self):
+        # robot 1 runs straight on at k1 while the tube narrows ahead of it:
+        # one 1 s step carries it from 1.1 m to 0.42 m off the sloping wall,
+        # and robot 0 on the spine stays clear
+        curve = GeneratingCurve([LineSegment((0.0, 0.0), (20.0, 0.0))])
+        widths = WidthProfile([(0.0, 2.0, 2.0), (5.5, 2.0, 2.0), (6.5, 1.0, 1.0),
+                               (20.0, 1.0, 1.0)])
+        tube = VirtualTube(curve, widths)
+        log = run(scenario_stub(tube, params(), [(3.0, 0.0), (5.0, 0.9)], dt=1.0, t_end=2.0,
+                                mode="baseline"))
+        assert log.termination == "fault" and len(log.records) == 2
+        assert log.fault["kind"] == "boundary" and log.fault["robot"] == 1
+        assert log.fault["message"].startswith("robot 1 at min boundary distance")
+        assert log.fault["distance"] == log.records[1].metrics.min_boundary_distance < 0.5
+
     @pytest.mark.parametrize("n", [1, 25, 400])
     def test_one_neighbour_pass_per_record(self, n, monkeypatch):
         calls = []

@@ -10,12 +10,9 @@ from tubenav.control import ControllerParams
 from tubenav.engine import run
 from tubenav.geometry import GeneratingCurve, LineSegment, VirtualTube, WidthProfile
 from tubenav.metrics import (
-    amd,
     amd_from_positions,
     audit_condition23,
     evacuation_time,
-    min_boundary_distance,
-    min_pairwise_distance,
     min_pairwise_from_positions,
     neighbours,
     stalled_counts,
@@ -71,22 +68,37 @@ def brute_force_min_pair(pts):
     return best
 
 
+def amd(pts):
+    """The dispersion measure as the engine reads it: the mean of the
+    nearest-neighbour distances (any reach; 1 m only sizes the cells)."""
+    return float(np.mean(neighbours(pts, 1.0).nearest))
+
+
+def min_pair(pts):
+    return float(np.min(neighbours(pts, 1.0).nearest))
+
+
+def min_boundary(pts, tube):
+    d, _ = tube.boundary_distance_many(np.asarray(pts, dtype=float))
+    return float(np.min(d))
+
+
 class TestAmd:
     def test_two_robots(self):
-        assert abs(amd(make_swarm([(0.0, 0.0), (1.7, 0.0)])) - 1.7) < 1e-15
+        assert abs(amd([(0.0, 0.0), (1.7, 0.0)]) - 1.7) < 1e-15
 
     def test_three_collinear(self):
-        swarm = make_swarm([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)])
-        assert abs(amd(swarm) - 2.0) < 1e-15
+        assert abs(amd([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)]) - 2.0) < 1e-15
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(0, 10, size=(25, 2))
-        assert abs(amd(make_swarm(pts)) - brute_force_amd(pts)) < 1e-12
+        assert abs(amd(pts) - brute_force_amd(pts)) < 1e-12
 
     def test_needs_two_active(self):
-        with pytest.raises(ValueError):
-            amd(make_swarm([(0.0, 0.0)]))
+        # a lone robot has no nearest neighbour: its distance is inf, no partner
+        lone = neighbours([(0.0, 0.0)], 1.0)
+        assert lone.nearest.tolist() == [math.inf] and lone.partner.tolist() == [-1]
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(10)
@@ -95,16 +107,15 @@ class TestAmd:
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         moved = pts @ rot.T + np.array([3.0, -7.0])
-        assert abs(amd(make_swarm(pts)) - amd(make_swarm(moved))) < 1e-12
+        assert abs(amd(pts) - amd(moved)) < 1e-12
         perm = pts[rng.permutation(len(pts))]
-        assert abs(amd(make_swarm(pts)) - amd(make_swarm(perm))) < 1e-12
+        assert abs(amd(pts) - amd(perm)) < 1e-12
 
     def test_amd_at_least_min_pairwise(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             pts = rng.uniform(0, 8, size=(10, 2))
-            swarm = make_swarm(pts)
-            assert amd(swarm) >= min_pairwise_distance(swarm) - 1e-15
+            assert amd(pts) >= min_pair(pts) - 1e-15
 
 
 class TestNeighbours:
@@ -139,26 +150,24 @@ class TestNeighbours:
 
 class TestMinDistances:
     def test_pairwise_values(self):
-        assert abs(min_pairwise_distance(make_swarm([(0, 0), (1.3, 0.0)])) - 1.3) < 1e-15
-        tri = make_swarm([(0, 0), (2.0, 0), (1.0, math.sqrt(3))])
-        assert abs(min_pairwise_distance(tri) - 2.0) < 1e-12
+        assert abs(min_pair([(0, 0), (1.3, 0.0)]) - 1.3) < 1e-15
+        assert abs(min_pair([(0, 0), (2.0, 0), (1.0, math.sqrt(3))]) - 2.0) < 1e-12
 
     def test_pairwise_brute_force(self):
         rng = np.random.default_rng(12)
         pts = rng.uniform(0, 10, size=(25, 2))
-        assert abs(min_pairwise_distance(make_swarm(pts)) - brute_force_min_pair(pts)) < 1e-12
+        assert abs(min_pair(pts) - brute_force_min_pair(pts)) < 1e-12
 
     def test_boundary_distance_values(self):
         tube = straight_tube(half_width=1.0)
-        assert abs(min_boundary_distance(make_swarm([(5.0, 0.0)]), tube) - 1.0) < 1e-9
-        assert abs(min_boundary_distance(make_swarm([(5.0, 0.6)]), tube) - 0.4) < 1e-9
+        assert abs(min_boundary([(5.0, 0.0)], tube) - 1.0) < 1e-9
+        assert abs(min_boundary([(5.0, 0.6)], tube) - 0.4) < 1e-9
 
     def test_boundary_distance_dense_sampling_oracle(self):
         tube = straight_tube(half_width=2.0)
         rng = np.random.default_rng(14)
         pts = np.stack([rng.uniform(1, 19, 10), rng.uniform(-1.4, 1.4, 10)], axis=1)
-        swarm = make_swarm(pts)
-        got = min_boundary_distance(swarm, tube)
+        got = min_boundary(pts, tube)
         ls = np.linspace(0, tube.length, 100_000)
         boundary = np.concatenate([
             np.stack([ls, np.full_like(ls, 2.0)], axis=1),
@@ -173,7 +182,7 @@ class TestMinDistances:
         tube = straight_tube(half_width=2.0)
         swarm = make_swarm([(5.0, 1.9), (10.0, 0.0)])
         swarm.active[0] = False
-        assert abs(min_boundary_distance(swarm, tube) - 2.0) < 1e-9
+        assert abs(min_boundary(swarm.active_positions(), tube) - 2.0) < 1e-9
 
 
 class TestThroughput:

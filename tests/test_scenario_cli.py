@@ -401,6 +401,39 @@ class TestCheckTubeCommand:
         assert "sections intersect" in outtext
 
 
+def _without_tube():
+    raw = short_scenario_dict()
+    del raw["tube"]
+    return json.dumps(raw)
+
+
+MALFORMED = {
+    "no-tube": (_without_tube, "param-bound"),
+    "r_s-text": (lambda: json.dumps(short_scenario_dict(r_s_m="big")), "param-bound"),
+    "r_s-negative": (lambda: json.dumps(short_scenario_dict(r_s_m=-1.0)), "param-bound"),
+    "bad-json": (lambda: '{"name": "x",', "parse"),
+    "top-level-list": (lambda: "[1, 2]", "parse"),
+}
+
+
+class TestMalformedScenarioExitCode:
+    @pytest.mark.parametrize("command", ["simulate", "compare", "check-tube", "plot"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_with_one_scenario_error_line(self, command, case, tmp_path, capsys):
+        text, rule = MALFORMED[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text())
+        argv = {
+            "simulate": ["simulate", str(path), "--out", str(tmp_path / "out")],
+            "compare": ["compare", str(path), "--out", str(tmp_path / "out")],
+            "check-tube": ["check-tube", str(path)],
+            "plot": ["plot", str(tmp_path / "trace.csv"), "--scenario", str(path)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"scenario error [{rule}]: "), err
+
+
 class TestPlotsAndRoundTrip:
     def test_snapshot_disc_count_and_round_trip(self, tmp_path):
         raw = short_scenario_dict(t_end=0.2)
