@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, svgplot
-from .errors import ScenarioError
+from .errors import RunFileError, ScenarioError
 from .geometry import narrow_intervals
 from .metrics import audit_condition23, evacuation_time, throughput
 from .reports import (
@@ -219,6 +219,9 @@ def main(argv=None):
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error [{exc.rule}]: {exc}", file=sys.stderr)
+        return 2
+    except RunFileError as exc:
+        print(f"run file error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

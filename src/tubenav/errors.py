@@ -34,6 +34,12 @@ class SafetyViolation(TubeNavError):
         self.details = details or {}
 
 
+class RunFileError(TubeNavError, ValueError):
+    """A trace or metrics CSV file cannot be read back: it has an unexpected
+    header, a row that is not numeric, or no records.  The message names the
+    file and the problem."""
+
+
 class ScenarioError(TubeNavError):
     """Scenario file failed to parse or validate.
 

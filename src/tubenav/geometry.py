@@ -286,11 +286,11 @@ class _NearestSegment:
     polyline per run; a point set is a run of zero-length segments).
 
     Segments are grouped into chunks of _BOUNDARY_CHUNK consecutive segments
-    of one run, each with a bounding box.  The box of a chunk bounds its
-    segments' distances from below, the nearest box's chunk bounds the
-    answer from above, and only chunks whose box is within that bound are
-    scanned.  Ties go to the lowest segment index, so a query equals a scan
-    of every segment bit for bit."""
+    of one run (the whole run if it is shorter), each with a bounding box.
+    The box of a chunk bounds its segments' distances from below, the
+    nearest box's chunk bounds the answer from above, and only chunks whose
+    box is within that bound are scanned.  Ties go to the lowest segment
+    index, so a query equals a scan of every segment bit for bit."""
 
     def __init__(self, a, b, runs=1):
         d = b - a
@@ -301,10 +301,10 @@ class _NearestSegment:
         # a run's last chunk repeats that run's last segment, so no chunk
         # straddles two runs
         n_run = len(a) // runs
-        n_chunks = -(-n_run // _BOUNDARY_CHUNK)
-        run = np.minimum(np.arange(n_chunks * _BOUNDARY_CHUNK), n_run - 1)
-        self._seg = np.concatenate([run + q * n_run for q in range(runs)]).reshape(
-            -1, _BOUNDARY_CHUNK)
+        width = min(_BOUNDARY_CHUNK, n_run)
+        n_chunks = -(-n_run // width)
+        run = np.minimum(np.arange(n_chunks * width), n_run - 1)
+        self._seg = np.concatenate([run + q * n_run for q in range(runs)]).reshape(-1, width)
         self._chunks = np.take(self.rows, self._seg, axis=1)
         # A box spans its chunk's real segments (the padding repeats one of
         # them).  Its margin covers the rounding of d = b - a and of the
@@ -316,7 +316,7 @@ class _NearestSegment:
 
     def _offsets(self, pts, rows, chunks):
         """Offsets from pts[rows] to the nearest point of every segment of
-        the paired chunks, (P, _BOUNDARY_CHUNK) each, plus their squares:
+        the paired chunks, (P, chunk width) each, plus their squares:
         the per-segment arithmetic of a full scan, on a subset."""
         ax, ay, dx, dy, len2 = self._chunks[:, chunks]
         q = pts[rows]
@@ -802,15 +802,18 @@ class VirtualTube:
     def _build_boundary(self):
         spacing = self._boundary_spacing()
         n = max(int(math.ceil(self.length / spacing)), 8)
-        ls = np.unique(
-            np.concatenate(
-                [
-                    np.linspace(0.0, self.length, n + 1),
-                    np.clip(self.widths.knot_ls, 0.0, self.length),
-                ]
-            )
-        )
-        lower, upper = self.section_ends(ls)
+        knots = np.clip(self.widths.knot_ls, 0.0, self.length)
+        ls = np.unique(np.concatenate([np.linspace(0.0, self.length, n + 1), knots]))
+        # A vertex that is no width knot and lies, with both its neighbours,
+        # on one line segment is on the chord that joins them: the spine is
+        # straight and both widths are linear there.  Dropping every such
+        # vertex leaves the same walls.
+        cum = self.curve._cum_arr
+        k = np.minimum(np.searchsorted(cum, ls[:-2], side="right") - 1, len(cum) - 2)
+        line = np.array([seg.kind == "line" for seg in self.curve.segments])[k]
+        keep = np.ones(len(ls), dtype=bool)
+        keep[1:-1] = ~line | (ls[2:] > cum[k + 1]) | np.isin(ls[1:-1], knots)
+        lower, upper = self.section_ends(ls[keep])
         # both lateral polylines in one segment list, lower side first: the
         # order in which distance ties are broken
         walls = _NearestSegment(np.concatenate([lower[:-1], upper[:-1]]),

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import RunFileError
 from .metrics import evacuation_time, stalled_counts
 
 TRACE_COLUMNS = [
@@ -140,36 +141,47 @@ class TraceFrame:
     active: np.ndarray
 
 
-def read_trace_csv(path):
-    """Trace rows regrouped into per-time frames (ordered)."""
+def _read_table(path, columns):
+    """The records of a run CSV file with the given header, as one float
+    array with a row per record.  Raises RunFileError naming the file for an
+    unexpected header, a row that is not numeric, or no records."""
     path = Path(path)
-    frames = {}
-    with path.open() as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header in {path}")
-        for row in reader:
-            t = float(row["t"])
-            frames.setdefault(t, []).append(row)
-    out = []
-    for t in sorted(frames):
-        rows = sorted(frames[t], key=lambda r: int(r["robot_id"]))
-        pos = np.array([[float(r["x"]), float(r["y"])] for r in rows])
-        vel = np.array([[float(r["vx"]), float(r["vy"])] for r in rows])
-        act = np.array([r["active"] == "1" for r in rows])
-        out.append(TraceFrame(time=t, positions=pos, velocities=vel, active=act))
-    return out
+    with path.open(newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != columns:
+            raise RunFileError(f"{path}: unexpected header {header!r}, expected {columns!r}")
+        rows = []
+        for k, row in enumerate(reader, 1):
+            if not row:  # a blank line, skipped as csv.DictReader does
+                continue
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                values = []
+            if len(values) != len(columns):
+                raise RunFileError(
+                    f"{path}: row {k} is not {len(columns)} numbers: {','.join(row)!r}")
+            rows.append(values)
+    if not rows:
+        raise RunFileError(f"{path}: no records")
+    return np.array(rows)
+
+
+def read_trace_csv(path):
+    """Trace rows regrouped into per-time frames (ordered by time, each
+    frame's robots by id)."""
+    table = _read_table(path, TRACE_COLUMNS)
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+    times, starts = np.unique(table[:, 0], return_index=True)
+    return [
+        TraceFrame(time=float(t), positions=rows[:, 2:4], velocities=rows[:, 4:6],
+                   active=rows[:, 15] == 1.0)
+        for t, rows in zip(times, np.split(table, starts[1:]))
+    ]
 
 
 def read_metrics_csv(path):
     """Metrics table as a dict of column arrays."""
-    path = Path(path)
-    cols = {c: [] for c in METRICS_COLUMNS}
-    with path.open() as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != METRICS_COLUMNS:
-            raise ValueError(f"unexpected metrics header in {path}")
-        for row in reader:
-            for c in METRICS_COLUMNS:
-                cols[c].append(float(row[c]))
-    return {c: np.array(v) for c, v in cols.items()}
+    table = _read_table(path, METRICS_COLUMNS)
+    return dict(zip(METRICS_COLUMNS, table.T))

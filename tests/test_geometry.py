@@ -867,20 +867,27 @@ class TestBoundaryDistance:
             boundary_distance(tube, (3.0, 2.0))
 
 
+def scan_segments(rows, pts):
+    """Offsets from every point to the nearest point of every segment
+    (ax, ay, dx, dy, len2), and their squares, (M, segments) each."""
+    ax, ay, dx, dy, len2 = (np.asarray(r)[None, :] for r in rows)
+    pts = np.asarray(pts, dtype=float)
+    apx = pts[:, 0][:, None] - ax
+    apy = pts[:, 1][:, None] - ay
+    t = (apx * dx + apy * dy) / len2
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = apx - t * dx
+    ey = apy - t * dy
+    return ex, ey, ex * ex + ey * ey
+
+
 def brute_force_boundary(tube, pts):
     """Scan of every boundary polyline segment for every point: the oracle
     for the chunk-culled query, with the same per-segment arithmetic."""
-    pts = np.asarray(pts, dtype=float)
-    m = len(pts)
-    apx = pts[:, 0][:, None] - tube._seg_ax[None, :]
-    apy = pts[:, 1][:, None] - tube._seg_ay[None, :]
-    t = (apx * tube._seg_dx[None, :] + apy * tube._seg_dy[None, :]) / tube._seg_len2[None, :]
-    np.clip(t, 0.0, 1.0, out=t)
-    ex = apx - t * tube._seg_dx[None, :]
-    ey = apy - t * tube._seg_dy[None, :]
-    d2 = ex * ex + ey * ey
+    ex, ey, d2 = scan_segments(
+        (tube._seg_ax, tube._seg_ay, tube._seg_dx, tube._seg_dy, tube._seg_len2), pts)
     idx = np.argmin(d2, axis=1)
-    rows = np.arange(m)
+    rows = np.arange(len(d2))
     dist = np.sqrt(d2[rows, idx])
     dirs = np.stack([ex[rows, idx], ey[rows, idx]], axis=1)
     norms = np.where(dist > 0, dist, 1.0)
@@ -892,14 +899,33 @@ def ring_tube(radius=2.0, r_d=0.4, r_u=0.3):
     return VirtualTube(curve, WidthProfile([(0.0, r_d, r_u)]), topology="closed")
 
 
+TAPER = [(0.0, 3.0, 2.0), (20.0, 3.0, 2.0), (25.0, 1.0, 1.5)]
+
+
 def long_tapered_tube():
-    # many chunks per side, a width change and an odd segment count
+    # a width change on a line: three segments per wall, one chunk each
     curve = GeneratingCurve([LineSegment((0.0, 0.0), (61.37, 0.0))])
-    return VirtualTube(curve, WidthProfile([(0.0, 3.0, 2.0), (20.0, 3.0, 2.0), (25.0, 1.0, 1.5)]))
+    return VirtualTube(curve, WidthProfile(TAPER))
+
+
+def long_tapered_arc():
+    # many chunks per side, a width change and a segment count that is no
+    # multiple of the chunk width: 1,230 segments per wall in 39 chunks
+    curve = GeneratingCurve([ArcSegment((0.0, 0.0), 20.0, 0.0, 61.37 / 20.0)])
+    return VirtualTube(curve, WidthProfile(TAPER))
+
+
+def knotted_straight_tube():
+    # a straight tube whose walls bend at an interior knot: a point across
+    # from a knot vertex is as far from both wall segments that share it
+    curve = GeneratingCurve([LineSegment((0.0, 0.0), (10.0, 0.0))])
+    return VirtualTube(curve, WidthProfile([(0.0, 1.0, 1.0), (5.0, 1.0, 1.0), (10.0, 1.4, 1.4)]))
 
 
 ORACLE_TUBES = {
     "line": long_tapered_tube(),
+    "knotted_line": knotted_straight_tube(),
+    "long_arc": long_tapered_arc(),
     "arc": arc_tube(r_d=0.4, r_u=0.6),
     "spline": s_spline_tube(),
     "closed": ring_tube(),
@@ -937,12 +963,16 @@ class TestBoundaryDistanceCulling:
     def test_equidistant_points_take_the_lowest_segment(self):
         # centreline of a symmetric straight tube: every point is as far
         # from the lower wall as from the upper one, and a point across from
-        # a polyline vertex is as far from both segments that share it
-        tube = straight_tube()
-        xs = np.concatenate([tube._seg_ax[:40], np.linspace(0.0, 10.0, 333)])
+        # the knot vertex is as far from both segments that share it
+        tube = knotted_straight_tube()
+        xs = np.concatenate([tube._seg_ax, np.linspace(0.0, 10.0, 333)])
         for y in (0.0, 0.3, -0.3):
             pts = np.stack([xs, np.full_like(xs, y)], axis=1)
             _assert_matches_oracle(tube, pts)
+        rows = (tube._seg_ax, tube._seg_ay, tube._seg_dx, tube._seg_dy, tube._seg_len2)
+        d2 = scan_segments(rows, [[5.0, 0.0], [5.0, 0.3], [2.0, 0.0]])[2]
+        ties = d2 == d2.min(axis=1, keepdims=True)
+        assert ties.sum(axis=1).tolist() == [4, 2, 2]  # both walls, both segments at x = 5
         d, dirs = tube.boundary_distance_many([[5.0, 0.0]])
         assert d[0] == 1.0
         assert np.array_equal(dirs[0], [0.0, 1.0])  # the lower wall comes first
@@ -956,7 +986,7 @@ class TestBoundaryDistanceCulling:
     @pytest.mark.parametrize("size", [1, 6 * 80 * 3])
     def test_any_block_of_points(self, monkeypatch, size):
         # one point per box-pass block, then about three points per block
-        # of the line tube's 78 chunks and a shorter last block
+        # of the long arc tube's 78 chunks and a shorter last block
         monkeypatch.setattr(blocks, "BLOCK_ELEMENTS", size)
         rng = np.random.default_rng(8)
         for tube in ORACLE_TUBES.values():
@@ -977,6 +1007,156 @@ class TestBoundaryDistanceCulling:
         ls = f[:, 0] * tube.length
         pts = tube.section_points(ls, f[:, 1] * tube.widths.r_c(ls))
         _assert_matches_oracle(tube, pts)
+
+
+def dense_walls(tube):
+    """Every wall vertex the boundary would have without dropping any: arc
+    lengths on the uniform grid plus the width knots, and the lower and
+    upper wall points there."""
+    n = max(math.ceil(tube.length / tube._boundary_spacing()), 8)
+    ls = np.unique(np.concatenate([np.linspace(0.0, tube.length, n + 1),
+                                   np.clip(tube.widths.knot_ls, 0.0, tube.length)]))
+    return (ls, *tube.section_ends(ls))
+
+
+def kept_vertices(tube, lower, upper):
+    """Indices into the dense walls of the tube's wall vertices, found by
+    matching its segments' start points; both walls keep the same ones."""
+    m = len(tube._seg_ax) // 2
+    where = {(x, y): i for i, (x, y) in enumerate(lower[:-1].tolist())}
+    kept = np.array([where[xy] for xy in zip(tube._seg_ax[:m].tolist(),
+                                             tube._seg_ay[:m].tolist())] + [len(lower) - 1])
+    assert np.array_equal(tube._seg_ax[m:], upper[kept][:-1, 0])
+    assert np.array_equal(tube._seg_ay[m:], upper[kept][:-1, 1])
+    return kept
+
+
+def interior_line_vertices(tube, ls, kept):
+    """Kept vertices on a line segment of the spine other than its width
+    knots and the line's first and last grid vertex: the ones that cannot
+    bend a wall."""
+    bad = []
+    knots = set(np.clip(tube.widths.knot_ls, 0.0, tube.length).tolist())
+    cum = tube.curve._cum_arr
+    for seg, c0, c1 in zip(tube.curve.segments, cum[:-1], cum[1:]):
+        if seg.kind == "line":
+            first, last = np.searchsorted(ls, c0), np.searchsorted(ls, c1, side="right") - 1
+            inner = ls[kept[(kept > first) & (kept < last)]].tolist()
+            bad += [l for l in inner if l not in knots]
+    return bad
+
+
+def chord_gaps(kept, walls):
+    """Largest distance of a dropped vertex of either wall from the chord
+    that joins the kept vertices on either side of it."""
+    dropped = np.setdiff1d(np.arange(len(walls[0])), kept)
+    j = np.searchsorted(kept, dropped)
+    gaps = [0.0]
+    for wall in walls:
+        p, d = wall[kept[j - 1]], wall[kept[j]] - wall[kept[j - 1]]
+        e = wall[dropped] - p
+        t = np.clip(np.sum(e * d, axis=1) / np.sum(d * d, axis=1), 0.0, 1.0)
+        gaps += np.hypot(*(e - t[:, None] * d).T).tolist()
+    return max(gaps)
+
+
+def _knotted_tube(spec, knots, default):
+    """A tube on the drawn curve with width knots (segment, fraction, r_d,
+    r_u): each at that fraction of a segment's length, on a line segment
+    where ``segment`` is odd and the curve has one.  A closed tube repeats
+    its first knot's widths at L."""
+    curve = _build_curve(spec)
+    cum = curve._cum_arr
+    lines = [k for k, seg in enumerate(curve.segments) if seg.kind == "line"]
+    rows = {}
+    for pick, frac, r_d, r_u in knots:
+        k = lines[pick % len(lines)] if pick % 2 and lines else pick % len(curve.segments)
+        rows.setdefault(float(cum[k] + frac * (cum[k + 1] - cum[k])), (r_d, r_u))
+    if spec[0] == "closed":
+        rows.pop(curve.total_length, None)
+    rows = sorted(rows.items()) or [(0.0, default)]
+    if spec[0] == "closed":
+        rows.append((curve.total_length, rows[0][1]))
+    widths = WidthProfile([(l, *r) for l, r in rows])
+    return VirtualTube(curve, widths, topology=spec[0])
+
+
+knots_st = st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 1.0),
+                              st.floats(0.1, 1.0), st.floats(0.1, 1.0)), max_size=5)
+
+
+class TestWallVertices:
+    """The walls keep only the vertices that can bend them: a wall vertex
+    strictly inside a line segment is a width knot, or the first or last
+    grid vertex on that line."""
+
+    def test_long_straight_tube_has_six_wall_segments(self):
+        curve = GeneratingCurve([LineSegment((0.0, 0.0), (200.0, 0.0))])
+        widths = WidthProfile([(0.0, 7.0, 7.0), (60.0, 7.0, 7.0), (70.0, 2.0, 2.0),
+                               (200.0, 2.0, 2.0)])
+        tube = VirtualTube(curve, widths)
+        assert len(tube._seg_ax) == 6
+        assert tube._walls._seg.tolist() == [[0, 1, 2], [3, 4, 5]]  # a chunk per wall
+        assert tube._seg_ax.tolist() == [0.0, 60.0, 70.0, 0.0, 60.0, 70.0]
+        assert tube._seg_ay.tolist() == [-7.0, -7.0, -2.0, 7.0, 7.0, 2.0]
+
+    def test_bundled_narrow_tube_has_no_interior_line_vertex(self):
+        tube = load_scenario(bundled_scenario_path("narrow_s_tube")).tube
+        ls, lower, upper = dense_walls(tube)
+        kept = kept_vertices(tube, lower, upper)
+        assert len(ls) - 1 == 1065 and len(kept) - 1 == 325  # segments per wall
+        assert interior_line_vertices(tube, ls, kept) == []
+        assert chord_gaps(kept, (lower, upper)) < 1e-12
+
+    def test_annular_walls_keep_every_vertex(self):
+        tube = load_scenario(bundled_scenario_path("annular")).tube
+        ls, lower, upper = dense_walls(tube)
+        assert len(tube._seg_ax) == 306
+        assert np.array_equal(kept_vertices(tube, lower, upper), np.arange(len(ls)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec=curve_st, knots=knots_st, default=st.tuples(st.floats(0.1, 1.0),
+                                                            st.floats(0.1, 1.0)),
+           fracs=st.lists(st.tuples(st.floats(-0.02, 1.02), st.floats(-1.5, 1.5)),
+                          min_size=1, max_size=12))
+    def test_property_walls_are_the_dense_polyline(self, spec, knots, default, fracs):
+        tube = _knotted_tube(spec, knots, default)
+        ls, lower, upper = dense_walls(tube)
+        kept = kept_vertices(tube, lower, upper)
+        assert interior_line_vertices(tube, ls, kept) == []
+        assert chord_gaps(kept, (lower, upper)) < 1e-12
+        f = np.array(fracs)
+        qls = np.clip(f[:, 0], 0.0, 1.0) * tube.length
+        pts = tube.section_points(qls, f[:, 1] * tube.widths.r_c(qls))
+        pts = np.concatenate([pts, lower[::17], upper[::19], 0.5 * (lower[1:] + upper[:-1])[::23]])
+        _assert_matches_oracle(tube, pts)
+        a = np.concatenate([lower[:-1], upper[:-1]])
+        d = np.concatenate([lower[1:], upper[1:]]) - a
+        len2 = np.maximum(d[:, 0] ** 2 + d[:, 1] ** 2, 1e-300)
+        dense = np.sqrt(scan_segments((a[:, 0], a[:, 1], d[:, 0], d[:, 1], len2), pts)[2]
+                        .min(axis=1))
+        assert np.max(np.abs(tube.boundary_distance_many(pts)[0] - dense)) <= 1e-12
+
+    def test_strategy_puts_knots_inside_lines_on_both_topologies(self):
+        seen = set()
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(spec=curve_st, knots=knots_st, default=st.tuples(st.floats(0.1, 1.0),
+                                                                st.floats(0.1, 1.0)))
+        def collect(spec, knots, default):
+            tube = _knotted_tube(spec, knots, default)
+            ls, lower, upper = dense_walls(tube)
+            cum = tube.curve._cum_arr
+            for seg, c0, c1 in zip(tube.curve.segments, cum[:-1], cum[1:]):
+                if seg.kind == "line":
+                    inside = (tube.widths.knot_ls > c0) & (tube.widths.knot_ls < c1)
+                    seen.add((spec[0], "knot inside a line" if inside.any() else "bare line"))
+            if len(kept_vertices(tube, lower, upper)) < len(ls):
+                seen.add((spec[0], "dropped"))
+
+        collect()
+        assert seen == {(top, what) for top in ("open", "closed")
+                        for what in ("knot inside a line", "bare line", "dropped")}
 
 
 def probed_spacing(tube):

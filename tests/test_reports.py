@@ -1,4 +1,5 @@
-"""Run files: the trace writer against a per-cell csv.writer loop, and
+"""Run files: the trace writer against a per-cell csv.writer loop, the
+readers against a per-row csv.DictReader loop and on malformed files, and
 `tubenav plot` against the plots `simulate` writes."""
 
 import csv
@@ -10,7 +11,15 @@ import pytest
 
 from tubenav.cli import main
 from tubenav.engine import run
-from tubenav.reports import TRACE_COLUMNS, write_trace_csv
+from tubenav.errors import RunFileError
+from tubenav.reports import (
+    METRICS_COLUMNS,
+    TRACE_COLUMNS,
+    read_metrics_csv,
+    read_trace_csv,
+    write_metrics_csv,
+    write_trace_csv,
+)
 from tubenav.scenario import apply_overrides, bundled_scenario_path, scenario_from_dict
 
 
@@ -134,3 +143,83 @@ class TestPlotCommand:
         assert sorted(p.name for p in replot.glob("*.svg")) == drawn
         for name in drawn:
             assert (replot / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def loop_read_trace_csv(path):
+    """Rows regrouped into frames by a dict keyed by time, each frame's rows
+    sorted by robot id: the oracle of the array reader."""
+    frames = {}
+    with open(path) as f:
+        for row in csv.DictReader(f):
+            frames.setdefault(float(row["t"]), []).append(row)
+    out = []
+    for t in sorted(frames):
+        rows = sorted(frames[t], key=lambda r: int(r["robot_id"]))
+        out.append((t, np.array([[float(r[c]) for c in ("x", "y", "vx", "vy")] for r in rows]),
+                    np.array([r["active"] == "1" for r in rows])))
+    return out
+
+
+def _same(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestReaders:
+    @pytest.mark.parametrize("case", ["synthetic", "exits"])
+    def test_trace_matches_the_row_loop(self, case, tmp_path):
+        log = synthetic_log() if case == "synthetic" else run(scenario_from_dict(RUNS[case]()))
+        path = write_trace_csv(log, tmp_path / "trace.csv")
+        got, want = read_trace_csv(path), loop_read_trace_csv(path)
+        assert [fr.time for fr in got] == [t for t, _, _ in want]
+        for fr, (_, table, active) in zip(got, want):
+            assert _same(np.concatenate([fr.positions, fr.velocities], axis=1), table)
+            assert np.array_equal(fr.active, active)
+
+    def test_metrics_round_trip(self, tmp_path):
+        log = run(scenario_from_dict(RUNS["exits"]()))
+        cols = read_metrics_csv(write_metrics_csv(log, tmp_path / "metrics.csv"))
+        assert sorted(cols) == sorted(METRICS_COLUMNS)
+        assert np.array_equal(cols["t"], [rec.time for rec in log.records])
+        assert np.array_equal(cols["exited"], [rec.metrics.exited_count for rec in log.records])
+
+
+def malformed_files(columns):
+    """name -> (file text, the problem the error names)."""
+    header = ",".join(columns)
+    row = ",".join(["1.0"] * len(columns))
+    return {
+        "header-only": (header + "\r\n", "no records"),
+        "empty": ("", "unexpected header None"),
+        "foreign-header": ("a,b\r\n1,2\r\n", "unexpected header ['a', 'b']"),
+        "text-cell": (f"{header}\r\n{row}\r\n\r\n{row[:-3]}x\r\n", "row 3 is not"),
+        "short-row": (f"{header}\r\n{row}\r\n1.0,2.0\r\n", "row 2 is not"),
+    }
+
+
+class TestMalformedRunFiles:
+    @pytest.mark.parametrize("reader, columns", [(read_trace_csv, TRACE_COLUMNS),
+                                                 (read_metrics_csv, METRICS_COLUMNS)])
+    @pytest.mark.parametrize("case", sorted(malformed_files(TRACE_COLUMNS)))
+    def test_reader_names_the_file_and_the_problem(self, reader, columns, case, tmp_path):
+        text, problem = malformed_files(columns)[case]
+        path = tmp_path / "run.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(RunFileError) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{path}: ") and problem in str(exc.value)
+
+    @pytest.mark.parametrize("name, columns", [("trace.csv", TRACE_COLUMNS),
+                                               ("metrics.csv", METRICS_COLUMNS)])
+    @pytest.mark.parametrize("case", sorted(malformed_files(TRACE_COLUMNS)))
+    def test_plot_exits_2_with_one_line(self, name, columns, case, tmp_path, capsys):
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(RUNS["ring"]()))
+        run_dir = tmp_path / "run"
+        assert main(["simulate", str(path), "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        text, problem = malformed_files(columns)[case]
+        (run_dir / name).write_text(text, newline="")
+        assert main(["plot", str(run_dir / "trace.csv"), "--out", str(tmp_path / "re")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"run file error: {run_dir / name}: ") and problem in err[0]
