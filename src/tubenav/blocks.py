@@ -4,8 +4,12 @@ boundary search's box pass and the regularity check's section pairs.
 A pass over (n, k) arrays runs a block of whole rows at a time, so that
 the arrays of one block stay in a core's L2 cache through the passes over
 them instead of streaming multi-megabyte temporaries through memory.
-Every element goes through the same operations whatever the block size,
-so results do not depend on it.
+In the KDE, the boundary search and the regularity check every element
+goes through the same operations whatever the block size, so results do
+not depend on it.  The grid drops, per block of columns, the robots
+farther than R h = sqrt(106 ln 2) h from the block's cells (see
+DensityView.estimate_sections), so its values depend on the block size,
+but by less than 2^-53 / (2 pi h^2) per cell.
 """
 
 # Float64 elements that the live arrays of one block hold together: 1 MiB,

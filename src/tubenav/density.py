@@ -25,6 +25,9 @@ from .geometry import VirtualTube
 
 _TWO_PI = 2.0 * math.pi
 _GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# Reach of the error grid's kernel sums, in bandwidths: sqrt(106 ln 2),
+# about 8.572, so that exp(-_CULL_RADIUS^2 / 2) = 2^-53.
+_CULL_RADIUS = math.sqrt(106.0 * math.log(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +91,8 @@ class DensityView:
 
     def estimate_sections(self, origins, tangents, normals, offsets):
         """Kernel density at origins[c] + offsets[c, k] * normals[c], shape
-        (n_l, n_r), for columns with orthonormal frames (tangents, normals).
+        (n_l, n_r), for columns with orthonormal frames (tangents, normals)
+        and offsets ordered along each column.
 
         With (dx, dy) = (origin - x_j) / h, tau = (dx, dy) . t and
         s = (dx, dy) . n, the scaled squared distance is tau^2 + (s + r / h)^2
@@ -96,19 +100,41 @@ class DensityView:
         array, times a per-offset factor that depends on s alone.  The
         distance along the tube never enters the large (n_l, n_r, N) array.
         Both are built a block of whole columns at a time, in buffers that
-        every block reuses."""
+        every block reuses.
+
+        A block sums only the robots inside the bounding box of its cells
+        grown by _CULL_RADIUS * h.  Any other robot is farther than that
+        from every cell of the block, so the robots it drops add less than
+        2^-53 / (2 pi h^2) to a cell: the unit roundoff times 1 / (2 pi h^2),
+        the largest value the estimate can take.  So the values depend on
+        the block size only below that bound.  A block that keeps every
+        robot sums them in order, with the arithmetic of a dense pass."""
         h = self.bandwidth
-        xs, ys = self.positions.T
         n_l, n_r = offsets.shape
+        if offsets.size == 0:
+            return np.zeros((n_l, n_r))
         scaled = offsets / h
-        sums = np.empty((n_l, n_r, 1))
         size, blocks = row_blocks(n_l, (n_r + 5) * self.n)
-        buf = np.empty((size, n_r, self.n))
-        col_buf = np.empty((5, size, self.n))
-        for cols in blocks:
-            m = cols.stop - cols.start
-            z = buf[:m]
-            dx, dy, tau, s, tmp = col_buf[:, :m]
+        # a column's cells lie between its first and last cell, so those
+        # two of each column bound the cells of a block
+        first = origins + offsets[:, :1] * normals
+        last = origins + offsets[:, -1:] * normals
+        starts = [cols.start for cols in blocks]
+        lo = np.minimum.reduceat(np.minimum(first, last), starts) - _CULL_RADIUS * h
+        hi = np.maximum.reduceat(np.maximum(first, last), starts) + _CULL_RADIUS * h
+        px, py = self.positions.T
+        sums = np.empty((n_l, n_r, 1))
+        buf = np.empty(size * n_r * self.n)
+        col_buf = np.empty(5 * size * self.n)
+        for cols, (lo_x, lo_y), (hi_x, hi_y) in zip(blocks, lo, hi):
+            near = (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
+            xs, ys = px[near], py[near]
+            m, k = cols.stop - cols.start, len(xs)
+            if k == 0:
+                sums[cols] = 0.0
+                continue
+            z = buf[: m * n_r * k].reshape(m, n_r, k)
+            dx, dy, tau, s, tmp = col_buf[: 5 * m * k].reshape(5, m, k)
             np.subtract(origins[cols, 0, None], xs, out=dx)
             dx /= h
             np.subtract(origins[cols, 1, None], ys, out=dy)
@@ -261,21 +287,34 @@ class DesiredDensity:
         mid = 0.5 * (cuts[:-1] + cuts[1:])
         half = 0.5 * (cuts[1:] - cuts[:-1])
         xs = mid[:, None] + half[:, None] * _GL20_NODES
-        mask, _ = self._mask_and_slope(xs)
+        mask = self._mask(xs)
         r_c = self.tube.widths.r_c(self._wrap(xs))
         return float((mask * 2.0 * r_c ** 2) @ _GL20_WEIGHTS @ half)
 
     # -- profile ------------------------------------------------------------
+
+    def _ramp_args(self, ls):
+        """(l - l_b, l_f - l) / delta, stacked, and where l is in the region."""
+        s = np.stack([ls - self.region.l_b, self.region.l_f - ls]) / self.delta
+        return s, (ls >= self.region.l_b) & (ls <= self.region.l_f)
+
+    def _mask(self, ls):
+        """The mask at unwrapped arc lengths."""
+        ls = np.asarray(ls, dtype=float)
+        if self.full_ring:
+            return np.ones_like(ls)
+        s, inside = self._ramp_args(ls)
+        ramp = _cos_ramp(s)
+        return np.where(inside, ramp[0] * ramp[1], 0.0)
 
     def _mask_and_slope(self, ls):
         """The mask and its derivative d/dl at unwrapped arc lengths."""
         ls = np.asarray(ls, dtype=float)
         if self.full_ring:
             return np.ones_like(ls), np.zeros_like(ls)
-        s = np.stack([ls - self.region.l_b, self.region.l_f - ls]) / self.delta
+        s, inside = self._ramp_args(ls)
         ramp = _cos_ramp(s)
         slope = _cos_ramp_slope(s) / self.delta
-        inside = (ls >= self.region.l_b) & (ls <= self.region.l_f)
         return (
             np.where(inside, ramp[0] * ramp[1], 0.0),
             np.where(inside, slope[0] * ramp[1] - ramp[0] * slope[1], 0.0),
@@ -296,8 +335,7 @@ class DesiredDensity:
     def profile_many(self, ls):
         """Target density as a function of arc length alone, shape (M,)."""
         ls_u = self._unwrap(ls)
-        mask, _ = self._mask_and_slope(ls_u)
-        return self.lam_moll * self.tube.widths.r_c(self._wrap(ls_u)) * mask
+        return self.lam_moll * self.tube.widths.r_c(self._wrap(ls_u)) * self._mask(ls_u)
 
     def profile_slope_many(self, ls):
         """d rho_d / dl: the piecewise-linear capacity's slope times the

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tubenav import blocks
 from tubenav.density import (
+    _CULL_RADIUS,
     _GL20_NODES,
     _GL20_WEIGHTS,
     OccupiedRegion,
@@ -162,7 +163,7 @@ def mask_one_mass(tube, region):
     """The target's mass integral with the mask held at 1: the integral of
     2 r_c^2 over the region, by the library's quadrature."""
     dd = DesiredDensity(tube, region, delta_l=0.5)
-    dd.full_ring = True  # _mask_and_slope returns ones
+    dd.full_ring = True  # _mask returns ones
     return dd._mass()
 
 
@@ -457,20 +458,47 @@ class TestNormalization:
         assert seen == {"open", "closed", "full ring", "wraps the seam", "knot in a ramp band"}
 
     def test_one_gauss_legendre_pass(self, monkeypatch):
-        # the bundled S tube: one _mask_and_slope call on an (n_pieces, 20) array
+        # the bundled S tube: one _mask call on an (n_pieces, 20) array
         tube = load_scenario(bundled_scenario_path("narrow_s_tube")).tube
         calls = []
-        original = DesiredDensity._mask_and_slope
+        original = DesiredDensity._mask
 
         def counted(self, ls):
             calls.append(np.shape(ls))
             return original(self, ls)
 
-        monkeypatch.setattr(DesiredDensity, "_mask_and_slope", counted)
+        monkeypatch.setattr(DesiredDensity, "_mask", counted)
         dd = DesiredDensity(tube, occupied_region_from_arclengths([2.0, 27.0], tube), 1.5)
         # cut at 2, 3.5, 6, 8, 19, 23, 25.5, 27
         assert calls == [(7, 20)]
         assert abs(1.0 / dd.lam_moll - two_path_mass(dd)) <= 1e-13 / dd.lam_moll
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=mass_cases(), fracs=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=20))
+    def test_property_mask_only_path(self, case, fracs):
+        """_mass and profile_many read the mask alone: bit for bit the mask
+        of _mask_and_slope, without building the ramps' slope."""
+        tube, region, delta_l = case
+        ls = region.l_b + np.array(fracs) * region.span
+        if not tube.closed:
+            ls = np.clip(ls, 0.0, tube.length)
+        slope_calls = []
+        original = DesiredDensity._mask_and_slope
+
+        def counted(self, ls):
+            slope_calls.append(np.shape(ls))
+            return original(self, ls)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DesiredDensity, "_mask_and_slope", counted)
+            dd = DesiredDensity(tube, region, delta_l)
+            profile = dd.profile_many(ls)
+        assert slope_calls == []
+        ls_u = dd._unwrap(ls)
+        mask = dd._mask_and_slope(ls_u)[0]
+        assert dd._mask(ls_u).tobytes() == mask.tobytes()
+        want = dd.lam_moll * tube.widths.r_c(dd._wrap(ls_u)) * mask
+        assert profile.tobytes() == want.tobytes()
 
 
 class TestDesiredDensityGradient:
@@ -700,11 +728,41 @@ _SECTION_RTOL = 1e-12
 _SECTION_ATOL = 1e-300
 
 
+def _point_kde(view, pts):
+    """The dense oracle: estimate_many at the (n_l, n_r, 2) points."""
+    return view.estimate_many(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+
+
 def _assert_matches_point_kde(view, got, pts):
     """got, (n_l, n_r), against estimate_many at the (n_l, n_r, 2) points."""
-    want = view.estimate_many(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    want = _point_kde(view, pts)
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=_SECTION_RTOL, atol=_SECTION_ATOL)
+
+
+def _cull_bound(view):
+    """What the grid's robot cull may drop from one cell: each robot beyond
+    _CULL_RADIUS h of it adds less than 2^-53 / (2 pi N h^2)."""
+    return 2.0 ** -53 / (2 * math.pi * view.bandwidth ** 2)
+
+
+def _assert_within_cull_bound(view, got, pts):
+    """|got - want| <= 2^-53 / (2 pi h^2) + 1e-12 want, cell by cell, with
+    want the dense oracle at the (n_l, n_r, 2) points."""
+    want = _point_kde(view, pts)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= _cull_bound(view) + _SECTION_RTOL * want)
+
+
+def _random_columns(c, n_r):
+    """Columns from (x, y, angle, half-width) rows: origins, tangents,
+    normals, n_r offsets evenly across the half-width, and the cell points."""
+    origins = c[:, :2]
+    tangents = np.stack([np.cos(c[:, 2]), np.sin(c[:, 2])], axis=1)
+    normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
+    offsets = c[:, 3:4] * np.linspace(-1.0, 1.0, n_r)[None, :]
+    pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
+    return origins, tangents, normals, offsets, pts
 
 
 class TestSectionKde:
@@ -787,15 +845,12 @@ class TestSectionKde:
         n_r=st.integers(1, 6),
     )
     def test_property_random_frames(self, robots, h, columns, n_r):
-        c = np.array(columns)
-        origins = c[:, :2]
-        tangents = np.stack([np.cos(c[:, 2]), np.sin(c[:, 2])], axis=1)
-        normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
-        offsets = c[:, 3:4] * np.linspace(-1.0, 1.0, n_r)[None, :]
+        *frames, pts = _random_columns(np.array(columns), n_r)
         view = DensityView(np.array(robots), h)
-        got = view.estimate_sections(origins, tangents, normals, offsets)
-        pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
-        _assert_matches_point_kde(view, got, pts)
+        # robots may lie beyond the cull radius of every cell: the dense
+        # oracle holds to the cull bound, at one block and one column a block
+        for got in _results_per_block_size([1], lambda: view.estimate_sections(*frames)):
+            _assert_within_cull_bound(view, got, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +891,8 @@ def _assert_bitwise_equal(got, want):
 
 class TestBlockedKernelSums:
     """The grid and KDE sums run a block of whole columns or query rows at
-    a time; every block size gives the one-block result bit for bit."""
+    a time.  Every block size gives the KDE's one-block result bit for bit,
+    and a grid within the cull bound of the dense oracle."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -854,25 +910,23 @@ class TestBlockedKernelSums:
         rows_per_block=st.integers(2, 4),
     )
     def test_property_any_block_size(self, robots, queries, h, columns, n_r, rows_per_block):
-        c = np.array(columns)
-        tangents = np.stack([np.cos(c[:, 2]), np.sin(c[:, 2])], axis=1)
-        normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
-        offsets = c[:, 3:4] * np.linspace(-1.0, 1.0, n_r)[None, :]
+        *frames, cells = _random_columns(np.array(columns), n_r)
         view = DensityView(np.array(robots), h)
         pts = np.array(queries)
         n = view.n
 
         def grid():
-            return (view.estimate_sections(c[:, :2], tangents, normals, offsets),)
+            return view.estimate_sections(*frames)
 
         def kde():
             return (*view.estimate_and_gradient_many(pts), view.estimate_many(pts))
 
         # one element: one column or row per block; then a few per block,
-        # with a shorter last block where they do not divide evenly
-        want, *got = _results_per_block_size([1, rows_per_block * n_r * n], grid)
-        for g in got:
-            _assert_bitwise_equal(g, want)
+        # with a shorter last block where they do not divide evenly.  The
+        # grid culls robots per block, so it holds to the dense oracle within
+        # the cull bound; the KDE is dense and bit-identical at every size
+        for got in _results_per_block_size([1, rows_per_block * (n_r + 5) * n], grid):
+            _assert_within_cull_bound(view, got, cells)
         want, *got = _results_per_block_size([1, rows_per_block * 4 * n], kde)
         for g in got:
             _assert_bitwise_equal(g, want)
@@ -881,17 +935,24 @@ class TestBlockedKernelSums:
         view, dd, tube, region = _crowd_snapshot()
         resolution = (120, 24)
         # the default constant splits both sums of this snapshot
-        assert len(blocks.row_blocks(resolution[0], resolution[1] * view.n)[1]) > 1
+        assert len(blocks.row_blocks(resolution[0], (resolution[1] + 5) * view.n)[1]) > 1
         assert len(blocks.row_blocks(view.n, 4 * view.n)[1]) > 1
 
         def sums():
             field = error_grid(view, dd, tube, region, resolution)
             return (field.rho_hat, *view.estimate_and_gradient_many(view.positions))
 
-        want, *got = _results_per_block_size(
-            [1, 7 * resolution[1] * view.n, 33 * 4 * view.n, blocks.BLOCK_ELEMENTS], sums)
-        for g in got:
-            _assert_bitwise_equal(g, want)
+        ls, *_, offsets = _region_grid(tube, region, resolution)
+        cells = tube.section_points(ls, offsets)
+        results = _results_per_block_size(
+            [1, 7 * (resolution[1] + 5) * view.n, 33 * 4 * view.n, blocks.BLOCK_ELEMENTS], sums)
+        _, *want = results[0]
+        for grid, *kde in results:
+            # every cell has robots within reach, so the culled grid also
+            # holds to _SECTION_RTOL of the dense oracle
+            _assert_within_cull_bound(view, grid, cells)
+            _assert_matches_point_kde(view, grid, cells)
+            _assert_bitwise_equal(kde, want)
 
     def test_traced_peak_stays_within_the_blocks(self):
         """One block's arrays, plus the (M, ...) inputs and results, are all
@@ -914,6 +975,72 @@ class TestBlockedKernelSums:
 
         assert peak(lambda: error_grid(view, dd, tube, region, (n_l, n_r))) < bound
         assert peak(lambda: view.estimate_and_gradient_many(view.positions)) < bound
+
+
+class TestGridCull:
+    """estimate_sections drops, per block of columns, the robots beyond
+    _CULL_RADIUS h of the bounding box of the block's cells."""
+
+    def test_far_block_reads_zero(self):
+        h = 0.5
+        reach = _CULL_RADIUS * h
+        # one robot at the origin; two columns across the x axis, one through
+        # the robot and one whose every cell lies 1.05 R h or more beyond it
+        view = DensityView(np.array([[0.0, 0.0]]), h)
+        origins = np.array([[0.0, 0.0], [1.05 * reach, 0.0]])
+        tangents = np.tile([1.0, 0.0], (2, 1))
+        normals = np.tile([0.0, 1.0], (2, 1))
+        offsets = np.tile(np.linspace(-1.0, 1.0, 5), (2, 1))
+        cells = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
+        want = _point_kde(view, cells)
+        assert np.all(want[1] > 0.0) and np.all(want[1] < _cull_bound(view))
+
+        one_block, per_column = _results_per_block_size(
+            [1], lambda: view.estimate_sections(origins, tangents, normals, offsets))
+        # one block spans both columns and keeps the robot: the dense sum
+        _assert_matches_point_kde(view, one_block, cells)
+        # one column a block: the far block culls it and reads exactly zero
+        assert np.all(per_column[1] == 0.0)
+        _assert_matches_point_kde(view, per_column[:1], cells[:1])
+        _assert_within_cull_bound(view, per_column, cells)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        columns=st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi),
+                      st.floats(0.05, 2.0)),
+            min_size=1, max_size=5,
+        ),
+        n_r=st.integers(1, 5),
+        h=st.floats(0.05, 2.0),
+        robots=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 3), st.floats(0.95, 1.05),
+                      st.floats(0.0, 1.0)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_property_robots_straddling_the_reach(self, columns, n_r, h, robots):
+        *frames, cells = _random_columns(np.array(columns), n_r)
+        lo, hi = cells.min(axis=1), cells.max(axis=1)
+        reach = _CULL_RADIUS * h
+        # each robot f R h beyond one side of one column's cell box, with
+        # f in [0.95, 1.05], at a fraction u along that side
+        positions = []
+        for c, side, f, u in robots:
+            c %= len(columns)
+            axis, high = divmod(side, 2)
+            p = lo[c] + u * (hi[c] - lo[c])
+            p[axis] = hi[c, axis] + f * reach if high else lo[c, axis] - f * reach
+            positions.append(p)
+        view = DensityView(np.array(positions), h)
+        one_block, per_column = _results_per_block_size(
+            [1], lambda: view.estimate_sections(*frames))
+        _assert_within_cull_bound(view, one_block, cells)
+        _assert_within_cull_bound(view, per_column, cells)
+        # one column a block: a column whose grown box holds no robot reads 0
+        x = view.positions[None]
+        held = np.all((x >= (lo - reach)[:, None]) & (x <= (hi + reach)[:, None]), axis=2)
+        assert np.all(per_column[~held.any(axis=1)] == 0.0)
 
 
 # ---------------------------------------------------------------------------
