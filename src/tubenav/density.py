@@ -51,8 +51,12 @@ class DensityView:
             raise ValueError("positions must be (N, 2)")
         if len(self.positions) == 0:
             raise ValueError("density is undefined with zero active robots")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+        finite = np.isfinite(self.positions)
+        if not finite.all():
+            k = int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"position row {k} is not finite: {self.positions[k].tolist()}")
 
     @property
     def n(self):
@@ -62,16 +66,28 @@ class DensityView:
         """(rows, dx, dy, k) for blocks of query rows: the scaled offsets
         (p - x_j) / h and the kernel exp(-(dx^2 + dy^2) / 2) / (2 pi), each
         (rows, N).  One buffer, reused by every block, holds a block's four
-        arrays (dy^2 the fourth); callers may overwrite dx and dy."""
+        arrays (dy^2 the fourth); callers may overwrite dx and dy.
+
+        p - x_j, for both coordinates at once, is the matrix product
+        [p, 1] @ [1; -x_j] with inner dimension two: both of its products
+        are by exactly 1.0, so the sum p + (-x_j) is rounded once and
+        equals the broadcast difference bit for bit (see blocks.py).  Its
+        operands are built once per call."""
         h = self.bandwidth
-        xs, ys = self.positions.T
-        size, blocks = row_blocks(len(pts), 4 * self.n)
-        buf = np.empty((4, size, self.n))
+        n = self.n
+        size, blocks = row_blocks(len(pts), 4 * n)
+        # [p, 1] per query row and [1; -x_j] per robot, x then y: (2, M, 2)
+        # and (2, 2, N)
+        left = np.ones((2, len(pts), 2))
+        left[:, :, 0] = pts.T
+        right = np.ones((2, 2, n))
+        np.negative(self.positions.T, out=right[:, 1])
+        buf = np.empty((4, size, n))
         for rows in blocks:
-            dx, dy, k, dy2 = buf[:, : rows.stop - rows.start]
-            np.subtract(pts[rows, 0, None], xs, out=dx)
+            m = rows.stop - rows.start
+            dx, dy, k, dy2 = buf[:, :m]
+            np.matmul(left[:, rows], right, out=buf[:2, :m])
             dx /= h
-            np.subtract(pts[rows, 1, None], ys, out=dy)
             dy /= h
             np.multiply(dx, dx, out=k)
             k += np.multiply(dy, dy, out=dy2)
@@ -91,8 +107,7 @@ class DensityView:
 
     def estimate_sections(self, origins, tangents, normals, offsets):
         """Kernel density at origins[c] + offsets[c, k] * normals[c], shape
-        (n_l, n_r), for columns with orthonormal frames (tangents, normals)
-        and offsets ordered along each column.
+        (n_l, n_r), for columns with orthonormal frames (tangents, normals).
 
         With (dx, dy) = (origin - x_j) / h, tau = (dx, dy) . t and
         s = (dx, dy) . n, the scaled squared distance is tau^2 + (s + r / h)^2
@@ -102,52 +117,75 @@ class DensityView:
         Both are built a block of whole columns at a time, in buffers that
         every block reuses.
 
+        The two outer sums, origin - x_j and s + r / h, are matrix products
+        with inner dimension two, [origin, 1] @ [1; -x_j] and, batched over
+        the block's columns, [r / h, 1] @ [1; s], with s written straight
+        into the second row of the right operand.  Both products of each sum
+        are by exactly 1.0, so the sum is rounded once and equals the
+        broadcast sum bit for bit (see blocks.py).
+
         A block sums only the robots inside the bounding box of its cells
-        grown by _CULL_RADIUS * h.  Any other robot is farther than that
-        from every cell of the block, so the robots it drops add less than
-        2^-53 / (2 pi h^2) to a cell: the unit roundoff times 1 / (2 pi h^2),
-        the largest value the estimate can take.  So the values depend on
-        the block size only below that bound.  A block that keeps every
-        robot sums them in order, with the arithmetic of a dense pass."""
+        grown by _CULL_RADIUS * h.  Each column's cells lie between the cells
+        at its smallest and largest offset, so those two bound the cells of
+        a block, in any order of the offsets.  Any other robot is farther
+        than _CULL_RADIUS * h from every cell of the block, so the robots it
+        drops add less than 2^-53 / (2 pi h^2) to a cell: the unit roundoff
+        times 1 / (2 pi h^2), the largest value the estimate can take.  So
+        the values depend on the block size only below that bound.  A block
+        that keeps every robot sums them in order, with the arithmetic of a
+        dense pass."""
         h = self.bandwidth
         n_l, n_r = offsets.shape
         if offsets.size == 0:
             return np.zeros((n_l, n_r))
-        scaled = offsets / h
         size, blocks = row_blocks(n_l, (n_r + 5) * self.n)
-        # a column's cells lie between its first and last cell, so those
-        # two of each column bound the cells of a block
-        first = origins + offsets[:, :1] * normals
-        last = origins + offsets[:, -1:] * normals
+        low_cell = origins + offsets.min(axis=1)[:, None] * normals
+        high_cell = origins + offsets.max(axis=1)[:, None] * normals
         starts = [cols.start for cols in blocks]
-        lo = np.minimum.reduceat(np.minimum(first, last), starts) - _CULL_RADIUS * h
-        hi = np.maximum.reduceat(np.maximum(first, last), starts) + _CULL_RADIUS * h
+        lo = np.minimum.reduceat(np.minimum(low_cell, high_cell), starts) - _CULL_RADIUS * h
+        hi = np.maximum.reduceat(np.maximum(low_cell, high_cell), starts) + _CULL_RADIUS * h
+        # [origin, 1] per column, x then y, (2, n_l, 2); [r / h, 1] per cell,
+        # (n_l, n_r, 2)
+        columns = np.ones((2, n_l, 2))
+        columns[:, :, 0] = origins.T
+        cells = np.ones((n_l, n_r, 2))
+        np.divide(offsets, h, out=cells[:, :, 0])
         px, py = self.positions.T
         sums = np.empty((n_l, n_r, 1))
         buf = np.empty(size * n_r * self.n)
         col_buf = np.empty(5 * size * self.n)
+        robots = np.ones((2, 2, self.n))
         for cols, (lo_x, lo_y), (hi_x, hi_y) in zip(blocks, lo, hi):
             near = (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
-            xs, ys = px[near], py[near]
-            m, k = cols.stop - cols.start, len(xs)
+            k = int(np.count_nonzero(near))
+            m = cols.stop - cols.start
             if k == 0:
                 sums[cols] = 0.0
                 continue
+            # [1; -x_j] for the kept robots, x then y, (2, 2, k)
+            neg = robots[:, :, :k]
+            np.negative(px[near], out=neg[0, 1])
+            np.negative(py[near], out=neg[1, 1])
             z = buf[: m * n_r * k].reshape(m, n_r, k)
-            dx, dy, tau, s, tmp = col_buf[: 5 * m * k].reshape(5, m, k)
-            np.subtract(origins[cols, 0, None], xs, out=dx)
-            dx /= h
-            np.subtract(origins[cols, 1, None], ys, out=dy)
-            dy /= h
+            dxy = col_buf[: 2 * m * k].reshape(2, m, k)
+            tau = col_buf[2 * m * k: 3 * m * k].reshape(m, k)
+            # [1; s] per column, (m, 2, k); its first row is scratch until
+            # the ones go in
+            ones_s = col_buf[3 * m * k: 5 * m * k].reshape(m, 2, k)
+            tmp, s = ones_s[:, 0], ones_s[:, 1]
+            np.matmul(columns[:, cols], neg, out=dxy)
+            dxy /= h
+            dx, dy = dxy
             np.multiply(dx, tangents[cols, 0, None], out=tau)
             tau += np.multiply(dy, tangents[cols, 1, None], out=tmp)
             np.multiply(dx, normals[cols, 0, None], out=s)
             s += np.multiply(dy, normals[cols, 1, None], out=tmp)
-            np.add(s[:, None, :], scaled[cols, :, None], out=z)
+            tmp.fill(1.0)
+            np.matmul(cells[cols], ones_s, out=z)
             np.square(z, out=z)
             z *= -0.5
             np.exp(z, out=z)
-            along = np.multiply(tau, -0.5, out=tmp)
+            along = np.multiply(tau, -0.5, out=dx)
             along *= tau
             np.exp(along, out=along)
             np.matmul(z, along[:, :, None], out=sums[cols])

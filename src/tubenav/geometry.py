@@ -305,7 +305,10 @@ class _NearestSegment:
         n_chunks = -(-n_run // width)
         run = np.minimum(np.arange(n_chunks * width), n_run - 1)
         self._seg = np.concatenate([run + q * n_run for q in range(runs)]).reshape(-1, width)
-        self._chunks = np.take(self.rows, self._seg, axis=1)
+        # (5, width, chunks): a query gathers whole chunks along the last
+        # axis, so the per-segment pass runs along its points, not along a
+        # chunk that may be only a few segments wide
+        self._chunks = np.take(self.rows, self._seg.T, axis=1)
         # A box spans its chunk's real segments (the padding repeats one of
         # them).  Its margin covers the rounding of d = b - a and of the
         # distance arithmetic, so a box is never farther than its segments.
@@ -316,12 +319,12 @@ class _NearestSegment:
 
     def _offsets(self, pts, rows, chunks):
         """Offsets from pts[rows] to the nearest point of every segment of
-        the paired chunks, (P, chunk width) each, plus their squares:
+        the paired chunks, (chunk width, P) each, plus their squares:
         the per-segment arithmetic of a full scan, on a subset."""
-        ax, ay, dx, dy, len2 = self._chunks[:, chunks]
-        q = pts[rows]
-        apx = q[:, :1] - ax
-        apy = q[:, 1:] - ay
+        ax, ay, dx, dy, len2 = self._chunks[:, :, chunks]
+        qx, qy = pts[rows].T
+        apx = qx - ax
+        apy = qy - ay
         t = (apx * dx + apy * dy) / len2
         np.clip(t, 0.0, 1.0, out=t)
         ex = apx - t * dx
@@ -346,7 +349,7 @@ class _NearestSegment:
             lower2 = gap[0] + gap[1]                     # (rows, chunks)
             rows = np.arange(block.start, block.stop)
             nearest = np.argmin(lower2, axis=1)
-            upper2 = self._offsets(pts, rows, nearest)[2].min(axis=1)
+            upper2 = self._offsets(pts, rows, nearest)[2].min(axis=0)
             keep = lower2 <= upper2[:, None] * (1.0 + _CULL_SLACK)
             keep[rows - block.start, nearest] = True  # at least one chunk per point
             w, c = np.nonzero(keep)
@@ -362,13 +365,13 @@ class _NearestSegment:
         ex, ey, d2 = self._offsets(pts, who, chunks)
         counts = np.bincount(who, minlength=len(pts))
         starts = np.cumsum(counts) - counts
-        chunk_min = d2.min(axis=1)
+        chunk_min = d2.min(axis=0)
         tied = chunk_min == np.minimum.reduceat(chunk_min, starts)[who]
         pairs = len(who)
         # each point's first pair at its minimum holds the lowest such segment
         first = np.minimum.reduceat(np.where(tied, np.arange(pairs), pairs), starts)
-        col = np.argmin(d2[first], axis=1)
-        return self._seg[chunks[first], col], ex[first, col], ey[first, col], d2[first, col]
+        col = np.argmin(d2[:, first], axis=0)
+        return self._seg[chunks[first], col], ex[col, first], ey[col, first], d2[col, first]
 
 
 # ---------------------------------------------------------------------------

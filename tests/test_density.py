@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,17 @@ class TestKdeEstimate:
     def test_zero_robots_rejected(self):
         with pytest.raises(ValueError):
             DensityView(np.zeros((0, 2)), bandwidth=1.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bandwidth_not_positive_and_finite_rejected(self, h):
+        with pytest.raises(ValueError, match=re.escape(f"positive and finite, got {h!r}")):
+            DensityView(np.zeros((2, 2)), bandwidth=h)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected_by_its_first_row(self, bad):
+        positions = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, bad], [bad, 4.0]])
+        with pytest.raises(ValueError, match=re.escape(f"position row 2 is not finite: [3.0, {bad!r}]")):
+            DensityView(positions, bandwidth=1.0)
 
     def test_positivity(self):
         # strictly positive wherever the kernel exponent is representable
@@ -977,6 +989,25 @@ class TestBlockedKernelSums:
         assert peak(lambda: view.estimate_and_gradient_many(view.positions)) < bound
 
 
+def _robots_straddling(lo, hi, reach, robots):
+    """Robots f * reach beyond one side of one column's cell box [lo, hi],
+    at a fraction u along that side, from (column, side, f, u) rows."""
+    positions = []
+    for c, side, f, u in robots:
+        c %= len(lo)
+        axis, high = divmod(side, 2)
+        p = lo[c] + u * (hi[c] - lo[c])
+        p[axis] = hi[c, axis] + f * reach if high else lo[c, axis] - f * reach
+        positions.append(p)
+    return np.array(positions)
+
+
+_straddling_robots = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 3), st.floats(0.95, 1.05), st.floats(0.0, 1.0)),
+    min_size=1, max_size=8,
+)
+
+
 class TestGridCull:
     """estimate_sections drops, per block of columns, the robots beyond
     _CULL_RADIUS h of the bounding box of the block's cells."""
@@ -1013,26 +1044,13 @@ class TestGridCull:
         ),
         n_r=st.integers(1, 5),
         h=st.floats(0.05, 2.0),
-        robots=st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 3), st.floats(0.95, 1.05),
-                      st.floats(0.0, 1.0)),
-            min_size=1, max_size=8,
-        ),
+        robots=_straddling_robots,
     )
     def test_property_robots_straddling_the_reach(self, columns, n_r, h, robots):
         *frames, cells = _random_columns(np.array(columns), n_r)
         lo, hi = cells.min(axis=1), cells.max(axis=1)
         reach = _CULL_RADIUS * h
-        # each robot f R h beyond one side of one column's cell box, with
-        # f in [0.95, 1.05], at a fraction u along that side
-        positions = []
-        for c, side, f, u in robots:
-            c %= len(columns)
-            axis, high = divmod(side, 2)
-            p = lo[c] + u * (hi[c] - lo[c])
-            p[axis] = hi[c, axis] + f * reach if high else lo[c, axis] - f * reach
-            positions.append(p)
-        view = DensityView(np.array(positions), h)
+        view = DensityView(_robots_straddling(lo, hi, reach, robots), h)
         one_block, per_column = _results_per_block_size(
             [1], lambda: view.estimate_sections(*frames))
         _assert_within_cull_bound(view, one_block, cells)
@@ -1041,6 +1059,32 @@ class TestGridCull:
         x = view.positions[None]
         held = np.all((x >= (lo - reach)[:, None]) & (x <= (hi + reach)[:, None]), axis=2)
         assert np.all(per_column[~held.any(axis=1)] == 0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        columns=st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi),
+                      st.floats(0.05, 2.0)),
+            min_size=1, max_size=5,
+        ),
+        n_r=st.integers(2, 6),
+        h=st.floats(0.05, 2.0),
+        robots=_straddling_robots,
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_property_shuffled_offsets_permute_the_grid(self, columns, n_r, h, robots, seed):
+        # the cull box spans each column's smallest and largest offset, so
+        # the order of the offsets along a column changes no robot kept; a
+        # box from the first and last offset would shrink when shuffled
+        *frames, offsets, cells = _random_columns(np.array(columns), n_r)
+        view = DensityView(
+            _robots_straddling(cells.min(axis=1), cells.max(axis=1), _CULL_RADIUS * h, robots), h)
+        perm = np.argsort(np.random.default_rng(seed).random(offsets.shape), axis=1)
+        shuffled = np.take_along_axis(offsets, perm, axis=1)
+        ordered = _results_per_block_size([1], lambda: view.estimate_sections(*frames, offsets))
+        mixed = _results_per_block_size([1], lambda: view.estimate_sections(*frames, shuffled))
+        for want, got in zip(ordered, mixed):
+            assert np.take_along_axis(want, perm, axis=1).tobytes() == got.tobytes()
 
 
 # ---------------------------------------------------------------------------

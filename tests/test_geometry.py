@@ -19,6 +19,7 @@ from tubenav.geometry import (
 )
 from tubenav.scenario import bundled_scenario_path, load_scenario
 
+from broadcast_kernels import scan_segments
 from scalar_tube import (
     CurvilinearCoord,
     boundary_distance,
@@ -865,20 +866,6 @@ class TestBoundaryDistance:
         tube = straight_tube()
         with pytest.raises(OutsideTubeError):
             boundary_distance(tube, (3.0, 2.0))
-
-
-def scan_segments(rows, pts):
-    """Offsets from every point to the nearest point of every segment
-    (ax, ay, dx, dy, len2), and their squares, (M, segments) each."""
-    ax, ay, dx, dy, len2 = (np.asarray(r)[None, :] for r in rows)
-    pts = np.asarray(pts, dtype=float)
-    apx = pts[:, 0][:, None] - ax
-    apy = pts[:, 1][:, None] - ay
-    t = (apx * dx + apy * dy) / len2
-    np.clip(t, 0.0, 1.0, out=t)
-    ex = apx - t * dx
-    ey = apy - t * dy
-    return ex, ey, ex * ex + ey * ey
 
 
 def brute_force_boundary(tube, pts):
