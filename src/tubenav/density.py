@@ -15,6 +15,7 @@ the area element is dl dr with no curvature correction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,17 @@ class DensityView:
             raise ValueError("density is undefined with zero active robots")
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+        # the estimate divides by n h^2 and its gradient by n h^3
+        h, n = float(self.bandwidth), self.n
+        try:
+            cube = n * h ** 3
+        except OverflowError:
+            cube = math.inf
+        if not all(sys.float_info.min <= v < math.inf for v in (n * h * h, cube)):
+            raise ValueError(
+                f"bandwidth {self.bandwidth!r} with {n} robots puts n h^2 = {n * h * h!r} or "
+                f"n h^3 = {cube!r} outside the positive finite normal floats"
+            )
         finite = np.isfinite(self.positions)
         if not finite.all():
             k = int(np.argmin(finite.all(axis=1)))
@@ -288,6 +300,45 @@ def _cos_ramp_slope(s):
     return np.where((s > 0.0) & (s < 1.0), 0.5 * math.pi * np.sin(math.pi * s), 0.0)
 
 
+def _unwrap(tube, ls, l_b):
+    """Query arc lengths shifted into [l_b, l_b + L) on closed tubes."""
+    ls = np.asarray(ls, dtype=float)
+    return l_b + np.mod(ls - l_b, tube.length) if tube.closed else ls
+
+
+def _wrap(tube, ls):
+    """Unwrapped arc lengths back onto the spine, [0, L) on closed tubes."""
+    return np.mod(ls, tube.length) if tube.closed else ls
+
+
+def _mask(ls, l_b, l_f, delta, full_ring, slope=False):
+    """The mask at unwrapped arc lengths ls and, with ``slope``, its
+    derivative d/dl too: cosine ramps of width delta inside the region
+    [l_b, l_f], zero outside it, and one on a full ring.
+
+    The region's l_b, l_f, delta and full_ring are scalars for one target,
+    or columns with one row per target for a batch whose arc lengths have
+    a row per target; either way they broadcast against ls, so every
+    target shares this one arithmetic."""
+    s = np.stack([ls - l_b, l_f - ls]) / delta
+    inside = (ls >= l_b) & (ls <= l_f)
+    ramp = _cos_ramp(s)
+    mask = np.where(full_ring, 1.0, np.where(inside, ramp[0] * ramp[1], 0.0))
+    if not slope:
+        return mask
+    ramp_slope = _cos_ramp_slope(s) / delta
+    return mask, np.where(
+        full_ring, 0.0, np.where(inside, ramp_slope[0] * ramp[1] - ramp[0] * ramp_slope[1], 0.0)
+    )
+
+
+def _profile(tube, ls, l_b, l_f, delta, lam_moll, full_ring):
+    """Target density lam_moll r_c(l) mask(l) at arc lengths ls, the
+    targets' parameters broadcasting against ls as in _mask."""
+    ls_u = _unwrap(tube, ls, l_b)
+    return lam_moll * tube.widths.r_c(_wrap(tube, ls_u)) * _mask(ls_u, l_b, l_f, delta, full_ring)
+
+
 class DesiredDensity:
     """Capacity-proportional target density on the occupied region.
 
@@ -305,6 +356,10 @@ class DesiredDensity:
         self.full_ring = tube.closed and region.span >= tube.length - 1e-12
         self.delta = min(float(delta_l), 0.5 * region.span)
         self.lam_moll = 1.0 / self._mass()
+
+    def _profile_args(self):
+        """(l_b, l_f, delta, lam_moll, full_ring): what _profile reads."""
+        return self.region.l_b, self.region.l_f, self.delta, self.lam_moll, self.full_ring
 
     def _mass(self):
         """Integral of mask(l) * 2 r_c(l)^2 over the region, in one
@@ -325,64 +380,25 @@ class DesiredDensity:
         mid = 0.5 * (cuts[:-1] + cuts[1:])
         half = 0.5 * (cuts[1:] - cuts[:-1])
         xs = mid[:, None] + half[:, None] * _GL20_NODES
-        mask = self._mask(xs)
-        r_c = self.tube.widths.r_c(self._wrap(xs))
+        mask = _mask(xs, l_b, l_f, d, self.full_ring)
+        r_c = self.tube.widths.r_c(_wrap(self.tube, xs))
         return float((mask * 2.0 * r_c ** 2) @ _GL20_WEIGHTS @ half)
 
     # -- profile ------------------------------------------------------------
 
-    def _ramp_args(self, ls):
-        """(l - l_b, l_f - l) / delta, stacked, and where l is in the region."""
-        s = np.stack([ls - self.region.l_b, self.region.l_f - ls]) / self.delta
-        return s, (ls >= self.region.l_b) & (ls <= self.region.l_f)
-
-    def _mask(self, ls):
-        """The mask at unwrapped arc lengths."""
-        ls = np.asarray(ls, dtype=float)
-        if self.full_ring:
-            return np.ones_like(ls)
-        s, inside = self._ramp_args(ls)
-        ramp = _cos_ramp(s)
-        return np.where(inside, ramp[0] * ramp[1], 0.0)
-
-    def _mask_and_slope(self, ls):
-        """The mask and its derivative d/dl at unwrapped arc lengths."""
-        ls = np.asarray(ls, dtype=float)
-        if self.full_ring:
-            return np.ones_like(ls), np.zeros_like(ls)
-        s, inside = self._ramp_args(ls)
-        ramp = _cos_ramp(s)
-        slope = _cos_ramp_slope(s) / self.delta
-        return (
-            np.where(inside, ramp[0] * ramp[1], 0.0),
-            np.where(inside, slope[0] * ramp[1] - ramp[0] * slope[1], 0.0),
-        )
-
-    def _unwrap(self, ls):
-        """Shift query arc lengths into the covering interval on closed tubes."""
-        ls = np.asarray(ls, dtype=float)
-        if not self.tube.closed:
-            return ls
-        L = self.tube.length
-        return self.region.l_b + np.mod(ls - self.region.l_b, L)
-
-    def _wrap(self, ls):
-        """Unwrapped arc lengths back onto the spine, [0, L) on closed tubes."""
-        return np.mod(ls, self.tube.length) if self.tube.closed else ls
-
     def profile_many(self, ls):
         """Target density as a function of arc length alone, shape (M,)."""
-        ls_u = self._unwrap(ls)
-        return self.lam_moll * self.tube.widths.r_c(self._wrap(ls_u)) * self._mask(ls_u)
+        return _profile(self.tube, ls, *self._profile_args())
 
     def profile_slope_many(self, ls):
         """d rho_d / dl: the piecewise-linear capacity's slope times the
         mask plus the capacity times the cosine ramps' slope, shape (M,)."""
-        ls_u = self._unwrap(ls)
-        ls_w = self._wrap(ls_u)
-        mask, mask_slope = self._mask_and_slope(ls_u)
+        l_b, l_f, delta, lam_moll, full_ring = self._profile_args()
+        ls_u = _unwrap(self.tube, ls, l_b)
+        ls_w = _wrap(self.tube, ls_u)
+        mask, mask_slope = _mask(ls_u, l_b, l_f, delta, full_ring, slope=True)
         widths = self.tube.widths
-        return self.lam_moll * (widths.r_c_slope(ls_w) * mask + widths.r_c(ls_w) * mask_slope)
+        return lam_moll * (widths.r_c_slope(ls_w) * mask + widths.r_c(ls_w) * mask_slope)
 
     # -- gradient -------------------------------------------------------------
 
@@ -416,28 +432,34 @@ class DesiredDensity:
 
 @dataclass
 class ErrorField:
-    """Density estimate and target on a curvilinear midpoint grid over the
-    occupied region."""
+    """Density estimate and target on the curvilinear midpoint grids over
+    the occupied regions of R records, each array with a leading axis of
+    R; error_grid gives one record's, without it."""
 
-    ls: np.ndarray          # (n_l,) cell-center arc lengths
-    cell_dl: float
-    cell_dr: np.ndarray     # (n_l,) radial cell heights per column
-    rho_hat: np.ndarray     # (n_l, n_r)
-    rho_d: np.ndarray       # (n_l, n_r), constant along each column
+    ls: np.ndarray          # (R, n_l) cell-center arc lengths
+    cell_dl: np.ndarray     # (R,)
+    cell_dr: np.ndarray     # (R, n_l) radial cell heights per column
+    rho_hat: np.ndarray     # (R, n_l, n_r)
+    rho_d: np.ndarray       # (R, n_l, n_r), constant along each column
 
     def cell_areas(self):
-        return np.broadcast_to(self.cell_dr[:, None] * self.cell_dl, self.rho_hat.shape)
+        areas = self.cell_dr * np.asarray(self.cell_dl)[..., None]
+        return np.broadcast_to(areas[..., None], self.rho_hat.shape)
 
 
-def _region_grid(tube: VirtualTube, region: OccupiedRegion, resolution):
-    """Column arc lengths, cell sizes, the columns' spine frames (origins,
-    tangents, normals) and the cell-centre offsets along each normal."""
+def _region_grids(tube: VirtualTube, regions, resolution):
+    """Column arc lengths (R, n_l), cell lengths (R,), radial cell heights
+    (R n_l,), the columns' spine frames (origins, tangents, normals),
+    (R n_l, 2) each, and the cell-centre offsets along each normal,
+    (R n_l, n_r), of R occupied regions, one array pass for all of them:
+    region i's columns are rows i n_l to (i + 1) n_l."""
     n_l, n_r = resolution
     if n_l < 1 or n_r < 1:
         raise ValueError("grid resolution must be positive")
-    dl = region.span / n_l
-    ls = region.l_b + (np.arange(n_l) + 0.5) * dl
-    ls_eval = np.mod(ls, tube.length) if tube.closed else ls
+    l_b = np.array([region.l_b for region in regions])
+    dl = np.array([region.span for region in regions]) / n_l
+    ls = l_b[:, None] + (np.arange(n_l) + 0.5) * dl[:, None]
+    ls_eval = _wrap(tube, ls).ravel()
     r_d = tube.widths.r_d(ls_eval)
     r_u = tube.widths.r_u(ls_eval)
     dr = (r_d + r_u) / n_r
@@ -445,23 +467,60 @@ def _region_grid(tube: VirtualTube, region: OccupiedRegion, resolution):
     return ls, dl, dr, tube.curve.frames(ls_eval), offsets
 
 
+def _region_grid(tube: VirtualTube, region: OccupiedRegion, resolution):
+    """The one-region case of _region_grids: ls (n_l,), dl, dr (n_l,),
+    frames and offsets."""
+    ls, dl, dr, frames, offsets = _region_grids(tube, [region], resolution)
+    return ls[0], dl[0], dr, frames, offsets
+
+
+def error_grids(views, targets, tube: VirtualTube, regions, resolution=(200, 40)) -> ErrorField:
+    """Estimate and target on the grids of R records, from each record's
+    view, target and occupied region.
+
+    The columns of all R grids, their frames and the targets' profiles are
+    built in one array pass.  The kernel sums run per record, on that
+    record's slice of the columns, with the cull and blocks of
+    DensityView.estimate_sections; every value equals that of a batch of
+    one bit for bit."""
+    n_l, n_r = resolution
+    ls, dl, dr, frames, offsets = _region_grids(tube, regions, resolution)
+    rho_hat = np.empty((len(ls), n_l, n_r))
+    for i, view in enumerate(views):
+        cols = slice(i * n_l, (i + 1) * n_l)
+        rho_hat[i] = view.estimate_sections(*(f[cols] for f in frames), offsets[cols])
+    args = (np.array(a)[:, None] for a in zip(*(dd._profile_args() for dd in targets)))
+    rho_d = np.broadcast_to(_profile(tube, ls, *args)[..., None], rho_hat.shape)
+    return ErrorField(ls=ls, cell_dl=dl, cell_dr=dr.reshape(ls.shape), rho_hat=rho_hat, rho_d=rho_d)
+
+
 def error_grid(view: DensityView, dd: DesiredDensity, tube: VirtualTube,
                region: OccupiedRegion, resolution=(200, 40)) -> ErrorField:
-    """Evaluate estimate and target on the region grid."""
-    ls, dl, dr, frames, offsets = _region_grid(tube, region, resolution)
-    rho_hat = view.estimate_sections(*frames, offsets)
-    rho_d = np.broadcast_to(dd.profile_many(ls)[:, None], offsets.shape)
-    return ErrorField(ls=ls, cell_dl=dl, cell_dr=dr, rho_hat=rho_hat, rho_d=rho_d)
+    """Evaluate estimate and target on the region grid: the one-record case
+    of error_grids."""
+    field = error_grids([view], [dd], tube, [region], resolution)
+    return ErrorField(ls=field.ls[0], cell_dl=field.cell_dl[0], cell_dr=field.cell_dr[0],
+                      rho_hat=field.rho_hat[0], rho_d=field.rho_d[0])
 
 
 def l2_norm_on_grid(values, field: ErrorField):
-    """Midpoint-quadrature L2 norm of a cell grid over the region."""
-    return float(np.sqrt(np.sum(values ** 2 * field.cell_areas())))
+    """Midpoint-quadrature L2 norm of cell grids over their regions, one
+    per leading index of values, whose last two axes are (n_l, n_r)."""
+    sq = np.square(values)
+    sq *= field.cell_areas()
+    return np.sqrt(sq.sum(axis=(-2, -1)))
+
+
+def density_errors_l2(views, targets, tube: VirtualTube, regions, resolution=(200, 40)):
+    """L2 norm of (estimate - target) over each record's occupied region,
+    (R,), from one error_grids pass over the R records."""
+    field = error_grids(views, targets, tube, regions, resolution)
+    return l2_norm_on_grid(np.subtract(field.rho_hat, field.rho_d, out=field.rho_hat), field)
 
 
 def density_error_l2_from_view(view: DensityView, dd: DesiredDensity,
                                tube: VirtualTube, region: OccupiedRegion,
                                resolution=(200, 40)):
-    """L2 norm of (estimate - target) over the occupied region."""
-    field = error_grid(view, dd, tube, region, resolution)
-    return l2_norm_on_grid(field.rho_hat - field.rho_d, field)
+    """L2 norm of (estimate - target) over the occupied region: the
+    one-record case of density_errors_l2."""
+    return float(density_errors_l2([view], [dd], tube, [region], resolution)[0])

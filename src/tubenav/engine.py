@@ -20,14 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# avoidance_batch, min_pairwise_from_positions and amd_from_positions are
-# not called here; they stay importable from this module because
-# bench/tracing.py looks the layers up by name here
+# avoidance_batch, density_error_l2_from_view, min_pairwise_from_positions
+# and amd_from_positions are not called here; they stay importable from this
+# module because bench/tracing.py looks the layers up by name here
+from .blocks import row_blocks
 from .control import ControllerParams, avoidance_batch, compose_velocity  # noqa: F401
-from .density import (
+from .density import (  # noqa: F401
     DensityView,
     DesiredDensity,
     density_error_l2_from_view,
+    density_errors_l2,
     occupied_region_from_arclengths,
     silverman_bandwidth,
 )
@@ -214,17 +216,13 @@ class _Snapshot:
                 )
 
 
-def _metrics(snapshot, swarm, tube, commands, density_grid):
+def _metrics(snapshot, swarm, commands):
+    """The record's metrics, with the density error NaN: run fills it in
+    later, with the rest of its chunk (see _fill_density_errors)."""
     pts = snapshot.positions
     n_active = len(pts)
     amd_val = float(np.mean(snapshot.pairs.nearest)) if n_active >= 2 else math.nan
     min_bound = float(np.min(snapshot.boundary_d)) if n_active >= 1 else math.nan
-    if snapshot.view is not None:
-        err = density_error_l2_from_view(
-            snapshot.view, snapshot.dd, tube, snapshot.region, density_grid
-        )
-    else:
-        err = math.nan
     cond_ok, max_norm = True, math.nan
     if commands is not None and n_active:
         u1, u2, u3, u4, v, _ = commands
@@ -237,13 +235,13 @@ def _metrics(snapshot, swarm, tube, commands, density_grid):
         min_boundary_distance=min_bound,
         amd=amd_val,
         exited_count=int(np.count_nonzero(~swarm.active)),
-        density_error_l2=err,
+        density_error_l2=math.nan,
         condition23_ok=cond_ok,
         max_command_norm=max_norm,
     )
 
 
-def _record(snapshot, swarm, tube, commands, density_grid):
+def _record(snapshot, swarm, commands):
     """The record of one snapshot; ``commands`` is compose_velocity's
     result over the snapshot's active robots, or None after a fault."""
     n = len(swarm.positions)
@@ -263,8 +261,20 @@ def _record(snapshot, swarm, tube, commands, density_grid):
         u4=u4,
         kappa=kappa,
         active=swarm.active.copy(),
-        metrics=_metrics(snapshot, swarm, tube, commands, density_grid),
+        metrics=_metrics(snapshot, swarm, commands),
     )
+
+
+def _fill_density_errors(pending, tube, density_grid):
+    """Write the density-error metric of every pending record, a (metrics,
+    view, target, region) row each, from one density_errors_l2 pass over
+    their grids, and empty the list."""
+    if pending:
+        metrics, views, targets, regions = zip(*pending)
+        errors = density_errors_l2(views, targets, tube, regions, density_grid)
+        for m, err in zip(metrics, errors.tolist()):
+            m.density_error_l2 = err
+        pending.clear()
 
 
 def run(scenario) -> SimulationLog:
@@ -274,6 +284,12 @@ def run(scenario) -> SimulationLog:
     the initial state; see tubenav.scenario.  Every record's snapshot passes
     the containment and safety checks before its commands are composed; a
     violation ends the log with a fault record that carries no commands.
+
+    No command reads the density-error metric, so it is left out of the
+    step: the records with a density wait in a list, and one array pass
+    fills in their errors when the list holds a chunk of them and when the
+    run ends.  A chunk holds as many records as row_blocks fits of one
+    grid each, so the pass's arrays stay within one block.
     """
     tube = scenario.tube
     params = scenario.params
@@ -284,6 +300,8 @@ def run(scenario) -> SimulationLog:
     state = scenario.initial_state()
     n_steps = 0 if scenario.t_end <= 0 else int(math.ceil(scenario.t_end / dt - 1e-9))
     arc = np.full(len(state.positions), np.nan)  # previous snapshot's arc lengths
+    chunk, _ = row_blocks(n_steps + 1, grid[0] * grid[1])
+    pending = []
 
     k = 0
     while True:
@@ -299,19 +317,23 @@ def run(scenario) -> SimulationLog:
                 snap.grad_d, snap.ids, snap.time,
             )
         except SafetyViolation as exc:
-            log.records.append(_record(snap, state, tube, None, grid))
+            commands = None
             log.termination = "fault"
             log.fault = {"kind": exc.kind, "message": str(exc), **exc.details}
-            return log
-        log.records.append(_record(snap, state, tube, commands, grid))
-        if not len(snap.ids):
-            log.termination = "all-exited"
-            return log
-        if k >= n_steps:
-            log.termination = "time-limit"
-            return log
+        rec = _record(snap, state, commands)
+        log.records.append(rec)
+        if snap.view is not None:
+            pending.append((rec.metrics, snap.view, snap.dd, snap.region))
+        if commands is None or not len(snap.ids) or k >= n_steps:
+            break
+        if len(pending) == chunk:
+            _fill_density_errors(pending, tube, grid)
         v = commands[4]
         state.velocities[snap.ids] = v
         state.positions[snap.ids] = state.positions[snap.ids] + dt * v
         arc[snap.ids] = snap.l
         k += 1
+    if commands is not None:
+        log.termination = "time-limit" if len(snap.ids) else "all-exited"
+    _fill_density_errors(pending, tube, grid)
+    return log

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubenav import blocks
+from tubenav import blocks, density
 from tubenav.density import (
     _CULL_RADIUS,
     _GL20_NODES,
@@ -98,6 +98,23 @@ class TestKdeEstimate:
     def test_bandwidth_not_positive_and_finite_rejected(self, h):
         with pytest.raises(ValueError, match=re.escape(f"positive and finite, got {h!r}")):
             DensityView(np.zeros((2, 2)), bandwidth=h)
+
+    @pytest.mark.parametrize("n, h", [
+        (1, 1e-300),   # n h^2 underflows to zero: was a ZeroDivisionError
+        (1, 1e-103),   # n h^2 normal, n h^3 subnormal
+        (1, 1e120),    # h^3 overflows: was an OverflowError
+        (200, 1e102),  # h^3 finite, n h^3 overflows
+    ])
+    def test_bandwidth_without_normal_scales_rejected(self, n, h):
+        with pytest.raises(ValueError, match=re.escape(f"bandwidth {h!r} with {n} robots")):
+            DensityView(np.zeros((n, 2)), bandwidth=h)
+
+    @pytest.mark.parametrize("n, h", [(1, 1e-102), (1, 1e102), (100, 1e102)])
+    def test_bandwidth_with_normal_scales_accepted(self, n, h):
+        view = DensityView(np.zeros((n, 2)), bandwidth=h)
+        rho, grad = view.estimate_and_gradient_many(np.zeros((1, 2)))
+        assert math.isclose(rho[0], 1.0 / (2 * math.pi * h * h), rel_tol=1e-12)
+        assert not grad.any()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_position_rejected_by_its_first_row(self, bad):
@@ -376,7 +393,8 @@ def two_path_mass(dd):
             half = 0.5 * (hi - lo)
             xs = mid + half * _GL20_NODES
             r_c = tube.widths.r_c(np.mod(xs, tube.length) if tube.closed else xs)
-            total += float(np.dot(dd._mask_and_slope(xs)[0] * 2.0 * r_c ** 2, _GL20_WEIGHTS)) * half
+            mask = density._mask(xs, l_b, l_f, d, dd.full_ring, slope=True)[0]
+            total += float(np.dot(mask * 2.0 * r_c ** 2, _GL20_WEIGHTS)) * half
         return total
 
     return interior + ramp_integral(l_b, min(l_b + d, l_f)) + ramp_integral(
@@ -473,13 +491,13 @@ class TestNormalization:
         # the bundled S tube: one _mask call on an (n_pieces, 20) array
         tube = load_scenario(bundled_scenario_path("narrow_s_tube")).tube
         calls = []
-        original = DesiredDensity._mask
+        original = density._mask
 
-        def counted(self, ls):
+        def counted(ls, *args, **kwargs):
             calls.append(np.shape(ls))
-            return original(self, ls)
+            return original(ls, *args, **kwargs)
 
-        monkeypatch.setattr(DesiredDensity, "_mask", counted)
+        monkeypatch.setattr(density, "_mask", counted)
         dd = DesiredDensity(tube, occupied_region_from_arclengths([2.0, 27.0], tube), 1.5)
         # cut at 2, 3.5, 6, 8, 19, 23, 25.5, 27
         assert calls == [(7, 20)]
@@ -489,27 +507,29 @@ class TestNormalization:
     @given(case=mass_cases(), fracs=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=20))
     def test_property_mask_only_path(self, case, fracs):
         """_mass and profile_many read the mask alone: bit for bit the mask
-        of _mask_and_slope, without building the ramps' slope."""
+        that _mask returns with its slope, without building the ramps'
+        slope."""
         tube, region, delta_l = case
         ls = region.l_b + np.array(fracs) * region.span
         if not tube.closed:
             ls = np.clip(ls, 0.0, tube.length)
         slope_calls = []
-        original = DesiredDensity._mask_and_slope
+        original = density._mask
 
-        def counted(self, ls):
-            slope_calls.append(np.shape(ls))
-            return original(self, ls)
+        def counted(ls, *args, slope=False):
+            slope_calls.append(slope)
+            return original(ls, *args, slope=slope)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(DesiredDensity, "_mask_and_slope", counted)
+            mp.setattr(density, "_mask", counted)
             dd = DesiredDensity(tube, region, delta_l)
             profile = dd.profile_many(ls)
-        assert slope_calls == []
-        ls_u = dd._unwrap(ls)
-        mask = dd._mask_and_slope(ls_u)[0]
-        assert dd._mask(ls_u).tobytes() == mask.tobytes()
-        want = dd.lam_moll * tube.widths.r_c(dd._wrap(ls_u)) * mask
+        assert slope_calls == [False, False]
+        args = (region.l_b, region.l_f, dd.delta, dd.full_ring)
+        ls_u = density._unwrap(tube, ls, region.l_b)
+        mask = density._mask(ls_u, *args, slope=True)[0]
+        assert density._mask(ls_u, *args).tobytes() == mask.tobytes()
+        want = dd.lam_moll * tube.widths.r_c(density._wrap(tube, ls_u)) * mask
         assert profile.tobytes() == want.tobytes()
 
 

@@ -4,10 +4,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tubenav import engine
+from tubenav import blocks, engine
 from tubenav.control import ControllerParams, compose_velocity
-from tubenav.density import DensityView, DesiredDensity, occupied_region_from_arclengths
+from tubenav.density import (
+    DensityView,
+    DesiredDensity,
+    density_error_l2_from_view,
+    occupied_region_from_arclengths,
+)
 from tubenav.engine import apply_exit_rule, run, validate_initial
 from tubenav.geometry import (
     ArcSegment,
@@ -17,6 +24,7 @@ from tubenav.geometry import (
     WidthProfile,
 )
 from tubenav.metrics import neighbours
+from tubenav.reports import write_metrics_csv, write_trace_csv
 from tubenav.scenario import bundled_scenario_path, load_scenario
 from tubenav.state import make_swarm
 
@@ -449,14 +457,37 @@ def point_grid_error_l2(view, dd, tube, region, resolution):
     return float(np.sqrt(np.sum((rho_hat - rho_d) ** 2 * (dr[:, None] * dl))))
 
 
+def point_grid_errors_l2(views, targets, tube, regions, resolution):
+    """The density-error pass with the point-grid oracle per record."""
+    return np.array([point_grid_error_l2(view, dd, tube, region, resolution)
+                     for view, dd, region in zip(views, targets, regions)])
+
+
+def per_record_errors_l2(views, targets, tube, regions, resolution):
+    """The density-error pass as one density_error_l2_from_view per record."""
+    return np.array([density_error_l2_from_view(view, dd, tube, region, resolution)
+                     for view, dd, region in zip(views, targets, regions)])
+
+
+def with_density_records(log):
+    return [rec for rec in log.records if rec.active.any()]
+
+
 class TestDensityErrorMetric:
     def test_bundled_narrow_run_matches_the_point_grid(self, monkeypatch):
         sc = replace(load_scenario(bundled_scenario_path("narrow_s_tube")), t_end=1.0)
         log = run(sc)
+        oracle_records = []
+
+        def oracle(views, *args):
+            oracle_records.append(len(views))
+            return point_grid_errors_l2(views, *args)
+
         with monkeypatch.context() as m:
-            m.setattr(engine, "density_error_l2_from_view", point_grid_error_l2)
+            m.setattr(engine, "density_errors_l2", oracle)
             ref = run(sc)
         assert len(log.records) == len(ref.records) == 101
+        assert sum(oracle_records) == len(with_density_records(ref)) == 101
         got = np.array([r.metrics.density_error_l2 for r in log.records])
         want = np.array([r.metrics.density_error_l2 for r in ref.records])
         assert np.all(want > 0.0)
@@ -464,3 +495,130 @@ class TestDensityErrorMetric:
         for a, b in zip(log.records, ref.records):
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.velocities, b.velocities)
+
+
+GRID = (12, 4)
+
+
+def exit_case(records=None):
+    """Two robots that exit a 20 m tube one after the other, at 0.8 s and
+    2.4 s: an all-exited run of 25 records, or its first ``records``."""
+    t_end = 5.0 if records is None else 0.1 * (records - 1)
+    return scenario_stub(straight_tube(length=20.0), params(alpha0=0.1),
+                         [(18.0, 0.0), (19.4, 0.3)], dt=0.1, t_end=t_end, grid=GRID)
+
+
+def ring_case():
+    """Two robots across a ring of circumference 1.57 m, under the 1.6 m
+    that the 0.8 m mollification width widens their region to: every
+    record's region is the full ring."""
+    prm = params(k1=0.2, v_max=0.4, r_s=0.03, r_a=0.05, r_t=0.02)
+    return scenario_stub(ring_tube(radius=0.25, half_width=0.12), prm,
+                         [(0.25, 0.0), (-0.25, 0.0)], dt=0.01, t_end=0.2, grid=GRID)
+
+
+def fault_case():
+    """Two robots pushed together: the second record faults."""
+    return scenario_stub(straight_tube(half_width=1.1), params(k2=1e-6, k3=10.0),
+                         [(5.0, 0.55), (5.0, -0.55)], dt=0.1, t_end=1.0, grid=GRID)
+
+
+CASES = {"exit": exit_case, "ring": ring_case, "fault": fault_case}
+
+
+def run_against_per_record(sc, chunk):
+    """Run sc with chunks of ``chunk`` records; return the log, the pass's
+    batch sizes, and each record's error by density_error_l2_from_view,
+    computed on the views the pass received."""
+    batches, want, targets = [], [], []
+    library = engine.density_errors_l2
+
+    def checked(views, dds, tube, regions, resolution):
+        batches.append(len(views))
+        targets.extend(dds)
+        want.extend(per_record_errors_l2(views, dds, tube, regions, resolution).tolist())
+        return library(views, dds, tube, regions, resolution)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocks, "BLOCK_ELEMENTS", chunk * sc.density_grid[0] * sc.density_grid[1])
+        mp.setattr(engine, "density_errors_l2", checked)
+        log = run(sc)
+    return log, batches, want, targets
+
+
+def assert_errors_equal(log, want):
+    got = [rec.metrics.density_error_l2 for rec in with_density_records(log)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    for rec in log.records:
+        if not rec.active.any():
+            assert math.isnan(rec.metrics.density_error_l2)
+
+
+class TestDensityErrorPass:
+    """run fills the density-error metric in one pass per chunk of records:
+    bit for bit the per-record density_error_l2_from_view, and never more
+    than one chunk of views held."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(chunk=st.integers(1, 6), records=st.sampled_from(["one", "c-1", "c", "c+1"]))
+    def test_property_chunk_edges(self, chunk, records):
+        n = {"one": 1, "c-1": max(chunk - 1, 1), "c": chunk, "c+1": chunk + 1}[records]
+        log, batches, want, _ = run_against_per_record(exit_case(n), chunk)
+        assert log.termination == "time-limit" and len(log.records) == n
+        assert_errors_equal(log, want)
+        held = min(chunk, n)
+        assert batches == [held] * (n // held) + ([n % held] if n % held else [])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(sorted(CASES)), chunk=st.integers(1, 30))
+    def test_property_cases(self, case, chunk):
+        log, batches, want, targets = run_against_per_record(CASES[case](), chunk)
+        assert_errors_equal(log, want)
+        # the memory bound: no batch holds more than one chunk of views,
+        # and every record with a density is in exactly one batch
+        held = min(chunk, len(log.records))
+        assert all(0 < b <= held for b in batches)
+        assert all(b == held for b in batches[:-1])
+        assert sum(batches) == len(with_density_records(log)) == len(want)
+        if case == "exit":
+            counts = [int(rec.active.sum()) for rec in log.records]
+            assert log.termination == "all-exited" and counts[-1] == 0
+            assert math.isnan(log.records[-1].metrics.density_error_l2)
+            assert {2, 1, 0} <= set(counts)
+        elif case == "ring":
+            assert log.termination == "time-limit"
+            assert all(dd.full_ring for dd in targets) and len(targets) == len(log.records)
+        else:
+            assert log.termination == "fault" and len(log.records) == 2
+            assert math.isfinite(log.records[-1].metrics.density_error_l2)
+
+    def test_robots_exit_mid_chunk(self):
+        log, batches, want, _ = run_against_per_record(exit_case(), 5)
+        assert_errors_equal(log, want)
+        changes = [k for k, (a, b) in enumerate(zip(log.records, log.records[1:]), 1)
+                   if a.active.sum() != b.active.sum()]
+        assert changes == [8, 24]  # the first exit is mid-chunk
+        assert batches == [5] * 4 + [4]
+
+    @pytest.mark.parametrize("name, t_end", [("narrow_s_tube", 1.0), ("annular", 2.0)])
+    def test_run_files_equal_the_per_record_path(self, name, t_end, tmp_path, monkeypatch):
+        sc = replace(load_scenario(bundled_scenario_path(name)), t_end=t_end)
+
+        def run_files(tag):
+            log = run(sc)
+            trace = write_trace_csv(log, tmp_path / f"{tag}_trace.csv")
+            metrics = write_metrics_csv(log, tmp_path / f"{tag}_metrics.csv")
+            return trace.read_bytes(), metrics.read_bytes()
+
+        chunked = run_files("chunked")
+        calls = []
+
+        def per_record(views, *args):
+            calls.append(len(views))
+            return per_record_errors_l2(views, *args)
+
+        monkeypatch.setattr(engine, "density_errors_l2", per_record)
+        assert run_files("per_record") == chunked
+        records = int(round(t_end / sc.dt)) + 1
+        chunk, _ = blocks.row_blocks(records, sc.density_grid[0] * sc.density_grid[1])
+        assert sum(calls) == records and max(calls) == chunk < records
