@@ -144,7 +144,7 @@ class _Snapshot:
 
     def __init__(self, swarm, tube, params, seeds):
         """``seeds``: every robot's arc length at the previous snapshot, or
-        None at the first, whose projections start from the sample table."""
+        None at the first, whose projections start from the seed polyline."""
         self.time = swarm.time
         before = np.flatnonzero(swarm.active)
         prs, inside = tube.locate(

@@ -10,7 +10,8 @@ map bijective inside the tube.
 The generating curve is assembled from analytic pieces (straight lines,
 circular arcs, Catmull-Rom cubics reparameterized to arc length) joined with
 tangent continuity.  All queries run against this exact representation; a
-dense sample table is kept only to seed nearest-point projections.
+chord polyline through the vertices that bend it is kept only to seed
+nearest-point projections.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def segment_from_config(cfg: dict):
 
 class _NearestSegment:
     """Exact nearest-segment search over runs of consecutive segments (a
-    polyline per run; a point set is a run of zero-length segments).
+    polyline per run).
 
     Segments are grouped into chunks of _BOUNDARY_CHUNK consecutive segments
     of one run (the whole run if it is shorter), each with a bounding box.
@@ -409,9 +410,12 @@ class GeneratingCurve:
     """Arc-length-parameterized spine of a tube.
 
     Provides exact frame evaluation (point, unit tangent, counterclockwise
-    unit normal, curvature vector) and nearest-point projection seeded from
-    a dense sample table (spacing min(0.01 L, 0.05 m)) and refined by Newton
-    iteration, every query over arrays of arc lengths or points.
+    unit normal, curvature vector) and nearest-point projection refined by
+    Newton iteration, every query over arrays of arc lengths or points.  A
+    projection without a previous arc length is seeded from the chord
+    polyline through the spine's bending vertices: a uniform grid (spacing
+    min(0.01 L, 0.05 m)) less the vertices inside a straight stretch, so an
+    arc or a spline keeps every grid vertex and a line only its two ends.
     """
 
     def __init__(self, segments, closed=False):
@@ -432,8 +436,7 @@ class GeneratingCurve:
         self._within = np.array([by_kind[q].index(seg)
                                  for q, seg in zip(self._stack_of, self.segments)])
         self._validate_joints()
-        self._build_sample_table()
-        self._validate_unit_speed()
+        self._build_seed_polyline()
 
     # -- construction checks ------------------------------------------------
 
@@ -451,23 +454,32 @@ class GeneratingCurve:
                     f"tangent kink of {angle:.3e} rad at segment joint exceeds tolerance"
                 )
 
-    def _validate_unit_speed(self):
-        t = self.sample_tangents
-        norms = np.hypot(t[:, 0], t[:, 1])
-        worst = float(np.max(np.abs(norms - 1.0)))
+    def _build_seed_polyline(self):
+        """The chord polyline that seeds projections: the vertices of a
+        uniform grid (spacing min(0.01 L, 0.05 m)) that bend it.  The unit
+        speed of the parameterization is checked at those vertices; a
+        dropped vertex lies on a line, whose tangent is one constant."""
+        L = self.total_length
+        n = max(int(math.ceil(L / min(0.01 * L, 0.05))), 2)
+        self.vertex_ls = self.bending_vertices(np.linspace(0.0, L, n + 1))
+        self.vertex_points, tangents, _ = self.frames(self.vertex_ls)
+        worst = float(np.max(np.abs(np.hypot(tangents[:, 0], tangents[:, 1]) - 1.0)))
         if worst > _UNIT_SPEED_TOL:
             raise ValueError(f"arc-length parameterization off by {worst:.3e}")
+        self._chords = _NearestSegment(self.vertex_points[:-1], self.vertex_points[1:])
 
-    def _build_sample_table(self):
-        L = self.total_length
-        spacing = min(0.01 * L, 0.05)
-        n = max(int(math.ceil(L / spacing)), 2)
-        self.sample_ls = np.linspace(0.0, L, n + 1)
-        self.sample_points, self.sample_tangents, self.sample_normals = self.frames(
-            self.sample_ls
-        )
-        self.sample_spacing = L / n
-        self._samples = _NearestSegment(self.sample_points, self.sample_points)
+    def bending_vertices(self, ls, knots=()):
+        """The ascending arc lengths ls (from 0 to L) less every vertex that
+        cannot bend a polyline through the spine: one that is not in
+        ``knots`` and lies, with both its neighbours, on one line segment.
+        That vertex sits on the chord joining its neighbours, so dropping
+        it leaves the same polyline."""
+        cum = self._cum_arr
+        k = np.minimum(np.searchsorted(cum, ls[:-2], side="right") - 1, len(cum) - 2)
+        line = np.array([seg.kind == "line" for seg in self.segments])[k]
+        keep = np.ones(len(ls), dtype=bool)
+        keep[1:-1] = ~line | (ls[2:] > cum[k + 1]) | np.isin(ls[1:-1], knots)
+        return ls[keep]
 
     # -- evaluation -----------------------------------------------------------
 
@@ -508,9 +520,17 @@ class GeneratingCurve:
     # -- projection -----------------------------------------------------------
 
     def table_seeds(self, pts):
-        """Arc length of the sample nearest to each point: the sample a scan
-        of the whole table picks, ties going to the lowest arc length."""
-        return self.sample_ls[self._samples.nearest(pts)[0]]
+        """Seed arc length of each point: the nearest point of the seed
+        polyline, on the chord a scan of every chord picks (ties going to
+        the lowest), with l interpolated along that chord between its two
+        vertices, l_a + t (l_b - l_a)."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        k = self._chords.nearest(pts)[0]
+        ax, ay, dx, dy, len2 = self._chords.rows[:, k]
+        t = ((pts[:, 0] - ax) * dx + (pts[:, 1] - ay) * dy) / len2
+        np.clip(t, 0.0, 1.0, out=t)
+        l_a = self.vertex_ls[k]
+        return l_a + t * (self.vertex_ls[k + 1] - l_a)
 
     def _newton(self, px, py, l):
         """Newton iteration on the stationarity residual (p - gamma(l)) . t(l),
@@ -544,11 +564,12 @@ class GeneratingCurve:
 
     def project_many(self, pts, seeds=None) -> _Projection:
         """Nearest-point projection of each point onto the curve, all rows at
-        once.  ``seeds`` (previous arc lengths) skip the table search; a
-        seeded row whose iterates still move after _PROJ_MAX_NEWTON steps is
-        retried from its table seed, and TubeDomainError is raised only if
-        that fails too.  Open curves clamp l to [0, L] and report whether the
-        unconstrained optimum lies beyond an endpoint."""
+        once.  ``seeds`` (previous arc lengths) skip the seed polyline's
+        search (table_seeds); a seeded row whose iterates still move after
+        _PROJ_MAX_NEWTON steps is retried from its table seed, and
+        TubeDomainError is raised only if that fails too.  Open curves clamp
+        l to [0, L] and report whether the unconstrained optimum lies beyond
+        an endpoint."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         px, py = pts[:, 0], pts[:, 1]
         L = self.total_length
@@ -811,12 +832,7 @@ class VirtualTube:
         # on one line segment is on the chord that joins them: the spine is
         # straight and both widths are linear there.  Dropping every such
         # vertex leaves the same walls.
-        cum = self.curve._cum_arr
-        k = np.minimum(np.searchsorted(cum, ls[:-2], side="right") - 1, len(cum) - 2)
-        line = np.array([seg.kind == "line" for seg in self.curve.segments])[k]
-        keep = np.ones(len(ls), dtype=bool)
-        keep[1:-1] = ~line | (ls[2:] > cum[k + 1]) | np.isin(ls[1:-1], knots)
-        lower, upper = self.section_ends(ls[keep])
+        lower, upper = self.section_ends(self.curve.bending_vertices(ls, knots))
         # both lateral polylines in one segment list, lower side first: the
         # order in which distance ties are broken
         walls = _NearestSegment(np.concatenate([lower[:-1], upper[:-1]]),

@@ -216,10 +216,10 @@ def oracle_segment_eval(seg):
 
 class OracleCurve:
     """The former scalar GeneratingCurve queries: eval_scalar per arc
-    length and the per-point Newton projection seeded by a scan of the
-    whole sample table, with one change: on a closed curve a step across
-    the seam counts by its wrapped length (before, a point on the seam
-    could flip between l = 0 and l = L until the step limit)."""
+    length and the per-point Newton projection, seeded by a scalar scan of
+    every chord of the seed polyline, with one change: on a closed curve a
+    step across the seam counts by its wrapped length (before, a point on
+    the seam could flip between l = 0 and l = L until the step limit)."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -233,16 +233,29 @@ class OracleCurve:
         i = min(max(bisect.bisect_right(self.cum, l) - 1, 0), len(self.evals) - 1)
         return self.evals[i](l - self.cum[i])
 
-    def seed_index(self, p):
-        d2 = (self.curve.sample_points[:, 0] - p[0]) ** 2 + (self.curve.sample_points[:, 1] - p[1]) ** 2
-        return int(np.argmin(d2))
+    def seed_l(self, p):
+        """The seed of p: a scalar scan of every chord of the seed polyline
+        for the nearest point (ties to the lowest chord), with l interpolated
+        along that chord."""
+        px, py = float(p[0]), float(p[1])
+        ls, (xs, ys) = self.curve.vertex_ls.tolist(), self.curve.vertex_points.T.tolist()
+        best = None
+        for k in range(len(ls) - 1):
+            dx, dy = xs[k + 1] - xs[k], ys[k + 1] - ys[k]
+            apx, apy = px - xs[k], py - ys[k]
+            t = min(max((apx * dx + apy * dy) / (dx * dx + dy * dy), 0.0), 1.0)
+            ex, ey = apx - t * dx, apy - t * dy
+            d2 = ex * ex + ey * ey
+            if best is None or d2 < best[0]:
+                best = (d2, ls[k] + t * (ls[k + 1] - ls[k]))
+        return best[1]
 
     def project(self, p, seed_l=None, max_newton=20):
         """(l, r, tx, ty, kappa, residual, beyond_start, beyond_end, steps)."""
         px, py = float(p[0]), float(p[1])
         L, closed = self.L, self.curve.closed
         if seed_l is None:
-            l = float(self.curve.sample_ls[self.seed_index(p)])
+            l = self.seed_l(p)
         else:
             l = float(seed_l) % L if closed else min(max(float(seed_l), 0.0), L)
         for n in range(1, max_newton + 1):
@@ -377,6 +390,10 @@ class TestProjectionConvergence:
         L = curve.total_length
         p = curve.frames([L])[0]
         assert p[0, 0] != 0.0 and abs(p[0, 0]) < 1e-15  # just short of gamma(0)
+        # the seed polyline's last chord ends at L: the seam seeds at 0 or L
+        assert curve.vertex_ls[0] == 0.0 and curve.vertex_ls[-1] == L
+        seed = curve.table_seeds(p)[0]
+        assert seed == OracleCurve(curve).seed_l(p[0]) and min(seed, L - seed) < 1e-12
         for seeds in (None, [0.0], [L]):
             l = curve.project_many(p, seeds).l[0]
             assert min(l, L - l) < 1e-12
@@ -522,22 +539,55 @@ class TestProjectionAgainstOracle:
         curve = _build_curve(spec)
         oracle = OracleCurve(curve)
         pts = np.array(pts)
-        # points equidistant from two neighbouring samples, and the samples
-        mid = 0.5 * (curve.sample_points[:-1] + curve.sample_points[1:])
-        pts = np.concatenate([pts, mid[::7], curve.sample_points[::11]])
-        want = curve.sample_ls[[oracle.seed_index(p) for p in pts]]
+        # the vertices, where two chords tie, points off them along the
+        # normal, near both chords, and the chord midpoints
+        vs = curve.vertex_points
+        normals = curve.frames(curve.vertex_ls)[2]
+        mid = 0.5 * (vs[:-1] + vs[1:])
+        pts = np.concatenate([pts, vs[::3], (vs + 0.3 * normals)[::5],
+                              (vs - 0.2 * normals)[::7], mid[::7]])
+        want = [oracle.seed_l(p) for p in pts]
         assert np.array_equal(curve.table_seeds(pts), want)
 
     def test_ties_go_to_the_lowest_sample(self):
-        curve = straight_tube().curve
-        xs = curve.sample_points[:, 0]
-        mid = np.stack([0.5 * (xs[:-1] + xs[1:]), np.full(len(xs) - 1, 0.7)], axis=1)
-        d2 = (xs[None, :] - mid[:, :1]) ** 2 + 0.7 ** 2
+        # a hairpin: two parallel lines 2 m apart joined by a half circle;
+        # a point midway between the lines is exactly 1 m from a chord of
+        # each, and the lower chord (the first line, l = x) seeds it
+        curve = GeneratingCurve([LineSegment((0.0, 0.0), (10.0, 0.0)),
+                                 ArcSegment((10.0, 1.0), 1.0, -0.5 * math.pi, math.pi),
+                                 LineSegment((10.0, 2.0), (0.0, 2.0))])
+        xs = np.linspace(0.5, 8.0, 61)
+        mid = np.stack([xs, np.ones_like(xs)], axis=1)
+        d2 = scan_segments(curve._chords.rows, mid)[2]
         tied = np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1
-        assert tied.sum() > 50  # exact ties exist and are exercised
-        want = curve.sample_ls[np.argmin(d2, axis=1)]
-        assert np.array_equal(curve.table_seeds(mid), want)
-        assert np.array_equal(curve.table_seeds(mid[tied]), curve.sample_ls[:-1][tied])
+        assert tied.all()
+        oracle = OracleCurve(curve)
+        seeds = curve.table_seeds(mid)
+        assert np.array_equal(seeds, [oracle.seed_l(p) for p in mid])
+        assert np.max(np.abs(seeds - xs)) < 1e-12
+        # just above the midline the upper line is nearer: l = L - x
+        above = curve.table_seeds(mid + [0.0, 1e-9])
+        assert np.max(np.abs(above - (curve.total_length - xs))) < 1e-9
+
+    def test_straight_spine_keeps_its_two_ends(self):
+        for length in (10.0, 200.0):
+            curve = straight_tube(length).curve
+            assert curve.vertex_ls.tolist() == [0.0, length]
+            pts = [(0.3 * length, 0.5), (-1.0, 0.2), (length + 1.0, -0.4)]
+            assert np.array_equal(curve.table_seeds(pts), [0.3 * length, 0.0, length])
+
+    def test_line_arc_line_spine_keeps_the_arc_grid_and_the_line_ends(self):
+        curve = GeneratingCurve(_chain([("line", 3.0, 0.0), ("arc", 2.0, 1.2),
+                                        ("line", 4.0, 0.0)]))
+        L = curve.total_length
+        grid = np.linspace(0.0, L, int(math.ceil(L / 0.05)) + 1)
+        a, b = curve.segments[0].length, curve.segments[0].length + curve.segments[1].length
+        # the last grid vertex up to the first joint, the first from the
+        # second joint on, and every grid vertex between them
+        lo, hi = grid[grid <= a][-1], grid[grid >= b][0]
+        want = grid[(grid == 0.0) | (grid == L) | ((grid >= lo) & (grid <= hi))]
+        assert np.array_equal(curve.vertex_ls, want)
+        assert 2 + 2.4 / 0.05 < len(want) < 8 + 2.4 / 0.05
 
     @pytest.mark.parametrize("n", [1, 25, 400])
     def test_one_evaluation_per_newton_step(self, monkeypatch, n):
