@@ -35,11 +35,16 @@ from .density import (  # noqa: F401
 )
 from .errors import SafetyViolation
 from .geometry import VirtualTube
-from .metrics import COND23_TOL, MetricsRecord, neighbours
+from .metrics import COND23_TOL, MetricsRecord, PairList, neighbours
 from .metrics import amd_from_positions, min_pairwise_from_positions  # noqa: F401
 from .state import SwarmState
 
 _EXIT_TOL = 1e-12
+# The skin of a run's Verlet lists, in steps at full speed: K v_max dt.  No
+# robot moves farther than v_max dt between records, so the wall list
+# lasts at least K records and the pair list K / 2.  Chosen by a sweep
+# (see CHANGES.md).
+SKIN_STEPS = 10
 
 
 @dataclass
@@ -138,13 +143,28 @@ def apply_exit_rule(swarm: SwarmState, tube: VirtualTube, projections):
 # stepping
 # ---------------------------------------------------------------------------
 
+class Proximity:
+    """The skin lists of one run: the wall candidates and the robot pairs of
+    the active robots, kept across records (see geometry.SegmentList and
+    metrics.PairList), with a skin of SKIN_STEPS v_max dt.  Both rebuild
+    after a skin of motion and when the active set changes: robots only
+    leave it, so it changes with its size.  Their answers equal the
+    use-once queries bit for bit."""
+
+    def __init__(self, tube, params, dt):
+        skin = SKIN_STEPS * params.v_max * dt
+        self.walls = tube.wall_list(skin)
+        self.pairs = PairList(skin)
+
+
 class _Snapshot:
     """Everything derived from one state and shared by all robots: rows over
     the robots still active after the exit rule."""
 
-    def __init__(self, swarm, tube, params, seeds):
+    def __init__(self, swarm, tube, params, seeds, proximity):
         """``seeds``: every robot's arc length at the previous snapshot, or
-        None at the first, whose projections start from the seed polyline."""
+        None at the first, whose projections start from the seed polyline.
+        ``proximity``: the run's skin lists, passed the active positions."""
         self.time = swarm.time
         before = np.flatnonzero(swarm.active)
         prs, inside = tube.locate(
@@ -160,11 +180,12 @@ class _Snapshot:
         # no kept row lies beyond the end, so this is the tube membership
         self.inside = inside[stay]
         self.positions = swarm.positions[self.ids]
-        self.boundary_d, self.boundary_dir = tube.boundary_distance_many(self.positions)
+        self.boundary_d, self.boundary_dir = tube.boundary_distance_many(
+            self.positions, proximity.walls)
         m = len(self.ids)
         # the one pair structure of the snapshot: the safety check, the
         # record's metrics and the avoidance term all read it
-        self.pairs = neighbours(self.positions, params.avoidance_reach)
+        self.pairs = neighbours(self.positions, params.avoidance_reach, proximity.pairs)
         self.min_pair = float(np.min(self.pairs.nearest)) if m >= 2 else math.nan
 
         self.view = None
@@ -290,6 +311,9 @@ def run(scenario) -> SimulationLog:
     fills in their errors when the list holds a chunk of them and when the
     run ends.  A chunk holds as many records as row_blocks fits of one
     grid each, so the pass's arrays stay within one block.
+
+    The wall query and the neighbour pass keep their candidates across
+    records in the run's Proximity lists.
     """
     tube = scenario.tube
     params = scenario.params
@@ -302,11 +326,12 @@ def run(scenario) -> SimulationLog:
     arc = np.full(len(state.positions), np.nan)  # previous snapshot's arc lengths
     chunk, _ = row_blocks(n_steps + 1, grid[0] * grid[1])
     pending = []
+    proximity = Proximity(tube, params, dt)
 
     k = 0
     while True:
         state.time = k * dt
-        snap = _Snapshot(state, tube, params, arc if k else None)
+        snap = _Snapshot(state, tube, params, arc if k else None, proximity)
         log.exit_times.update(dict.fromkeys(snap.exited.tolist(), snap.time))
         try:
             snap.containment_check()

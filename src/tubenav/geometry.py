@@ -282,6 +282,21 @@ def segment_from_config(cfg: dict):
 # nearest-segment search
 # ---------------------------------------------------------------------------
 
+def _offsets(rows, qx, qy):
+    """Offsets from the points (qx, qy) to the nearest point of the segments
+    ``rows`` (ax, ay, dx, dy, len2), broadcast against each other, plus
+    their squares: the per-segment arithmetic of a full scan, on a
+    subset."""
+    ax, ay, dx, dy, len2 = rows
+    apx = qx - ax
+    apy = qy - ay
+    t = (apx * dx + apy * dy) / len2
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = apx - t * dx
+    ey = apy - t * dy
+    return ex, ey, ex * ex + ey * ey
+
+
 class _NearestSegment:
     """Exact nearest-segment search over runs of consecutive segments (a
     polyline per run).
@@ -291,7 +306,9 @@ class _NearestSegment:
     The box of a chunk bounds its segments' distances from below, the
     nearest box's chunk bounds the answer from above, and only chunks whose
     box is within that bound are scanned.  Ties go to the lowest segment
-    index, so a query equals a scan of every segment bit for bit."""
+    index, so a query equals a scan of every segment bit for bit.  A
+    SegmentList keeps the candidate segments of moving points across
+    queries; ``nearest`` is its use-once case."""
 
     def __init__(self, a, b, runs=1):
         d = b - a
@@ -318,26 +335,12 @@ class _NearestSegment:
         self._box_lo = (np.minimum.reduceat(np.minimum(a, b), starts) - pad).T.copy()
         self._box_hi = (np.maximum.reduceat(np.maximum(a, b), starts) + pad).T.copy()
 
-    def _offsets(self, pts, rows, chunks):
-        """Offsets from pts[rows] to the nearest point of every segment of
-        the paired chunks, (chunk width, P) each, plus their squares:
-        the per-segment arithmetic of a full scan, on a subset."""
-        ax, ay, dx, dy, len2 = self._chunks[:, :, chunks]
-        qx, qy = pts[rows].T
-        apx = qx - ax
-        apy = qy - ay
-        t = (apx * dx + apy * dy) / len2
-        np.clip(t, 0.0, 1.0, out=t)
-        ex = apx - t * dx
-        ey = apy - t * dy
-        return ex, ey, ex * ex + ey * ey
-
-    def _candidates(self, pts):
+    def _candidates(self, pts, margin=0.0):
         """Every (point, chunk) pair whose box is within the nearest box's
-        chunk distance of the point, row-major: grouped by point, chunks
-        (hence segments) ascending.  The box pass runs a row block of
-        points at a time; its two live (2, rows, chunks) arrays fit one
-        block."""
+        chunk distance plus ``margin`` of the point, row-major: grouped by
+        point, chunks (hence segments) ascending.  Every point has at least
+        one.  The box pass runs a row block of points at a time; its two
+        live (2, rows, chunks) arrays fit one block."""
         lo, hi = self._box_lo[:, None, :], self._box_hi[:, None, :]
         _, blocks = row_blocks(len(pts), 4 * lo.shape[2])
         who, chunks = [], []
@@ -350,8 +353,10 @@ class _NearestSegment:
             lower2 = gap[0] + gap[1]                     # (rows, chunks)
             rows = np.arange(block.start, block.stop)
             nearest = np.argmin(lower2, axis=1)
-            upper2 = self._offsets(pts, rows, nearest)[2].min(axis=0)
-            keep = lower2 <= upper2[:, None] * (1.0 + _CULL_SLACK)
+            chunk = np.take(self._chunks, nearest, axis=2)
+            upper = np.sqrt(_offsets(chunk, *pts[block].T)[2].min(axis=0))
+            upper += margin
+            keep = lower2 <= (upper * upper)[:, None] * (1.0 + _CULL_SLACK)
             keep[rows - block.start, nearest] = True  # at least one chunk per point
             w, c = np.nonzero(keep)
             who.append(w + block.start)
@@ -361,18 +366,77 @@ class _NearestSegment:
     def nearest(self, pts):
         """Index of the nearest segment to each point, with the offset
         (ex, ey) from that segment's nearest point and its square d2."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        who, chunks = self._candidates(pts)
-        ex, ey, d2 = self._offsets(pts, who, chunks)
+        return SegmentList(self, 0.0).nearest(pts)
+
+
+class SegmentList:
+    """A Verlet skin list (Verlet 1967) of the candidate segments of a
+    _NearestSegment search for moving points.
+
+    A build culls the chunks whose box lies farther than the point's
+    nearest-box bound plus 2 skin, then keeps, of the chunks left, every
+    segment within the point's nearest distance d0 plus 2 skin.  A point
+    that has since moved by at most the skin is at most d0 + skin from its
+    nearest segment, and more than d0 + 2 skin - skin from any segment left
+    out: so its nearest segment and every segment tied with it are kept,
+    and a scan of the kept segments, with the same per-segment arithmetic
+    and the lowest-index tie rule, equals a scan of every segment bit for
+    bit.  The list rebuilds when the number of points changes and when some
+    point has moved farther than the skin since the build; with a skin of 0
+    it rebuilds on any motion.  ``builds`` counts the builds.
+    """
+
+    def __init__(self, search, skin):
+        if not skin >= 0.0:
+            raise ValueError(f"skin must be >= 0, got {skin!r}")
+        self.search = search
+        self.skin = float(skin)
+        self.builds = 0
+        self._built = None
+
+    def _build(self, pts):
+        search = self.search
+        who, chunk = search._candidates(pts, 2.0 * self.skin)
         counts = np.bincount(who, minlength=len(pts))
-        starts = np.cumsum(counts) - counts
-        chunk_min = d2.min(axis=0)
-        tied = chunk_min == np.minimum.reduceat(chunk_min, starts)[who]
-        pairs = len(who)
-        # each point's first pair at its minimum holds the lowest such segment
-        first = np.minimum.reduceat(np.where(tied, np.arange(pairs), pairs), starts)
-        col = np.argmin(d2[:, first], axis=0)
-        return self._seg[chunks[first], col], ex[col, first], ey[col, first], d2[col, first]
+        d2 = _offsets(np.take(search._chunks, chunk, axis=2), *pts.take(who, axis=0).T)[2]
+        bound = np.sqrt(np.minimum.reduceat(d2.min(axis=0), np.cumsum(counts) - counts))
+        bound += 2.0 * self.skin
+        # a segment is dropped only when it is farther than the bound, so a
+        # point whose distances are not finite keeps all its chunks
+        far = d2.T > ((bound * bound) * (1.0 + _CULL_SLACK))[who][:, None]
+        seg = search._seg[chunk]
+        far[:, 1:] |= seg[:, 1:] == seg[:, :-1]  # the padding repeats a segment
+        pair, col = np.nonzero(~far)
+        # grouped by point, segments ascending
+        self._who = who[pair]
+        self._seg = seg[pair, col]
+        self._rows = np.take(search.rows, self._seg, axis=1)
+        counts = np.bincount(self._who, minlength=len(pts))
+        self._starts = np.cumsum(counts) - counts
+        self._index = np.arange(len(self._who))
+        self._built = pts.copy()
+        self.builds += 1
+
+    def _valid(self, pts):
+        built = self._built
+        if built is None or len(built) != len(pts):
+            return False
+        moved = pts - built
+        # a NaN displacement fails the comparison, so it rebuilds
+        return np.max(np.einsum("ij,ij->i", moved, moved), initial=0.0) <= self.skin * self.skin
+
+    def nearest(self, pts):
+        """Index of the nearest segment to each point, with the offset
+        (ex, ey) from that segment's nearest point and its square d2."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        if not self._valid(pts):
+            self._build(pts)
+        who, starts = self._who, self._starts
+        ex, ey, d2 = _offsets(self._rows, *pts.take(who, axis=0).T)
+        tied = d2 == np.minimum.reduceat(d2, starts)[who]
+        # each point's first segment at its minimum is the lowest such
+        first = np.minimum.reduceat(np.where(tied, self._index, len(who)), starts)
+        return self._seg[first], ex[first], ey[first], d2[first]
 
 
 # ---------------------------------------------------------------------------
@@ -840,11 +904,22 @@ class VirtualTube:
         self._walls = walls
         self._seg_ax, self._seg_ay, self._seg_dx, self._seg_dy, self._seg_len2 = walls.rows
 
-    def boundary_distance_many(self, pts):
+    def wall_list(self, skin):
+        """A skin list of this tube's walls for ``boundary_distance_many``
+        (see SegmentList)."""
+        return SegmentList(self._walls, skin)
+
+    def boundary_distance_many(self, pts, walls=None):
         """Distance and inward unit direction to the lateral boundary for
-        each point; no membership check (engine fast path).  Exact: equal to
-        a scan of every boundary segment bit for bit (see _NearestSegment)."""
-        _, ex, ey, d2 = self._walls.nearest(pts)
+        each point; no membership check (engine fast path).  ``walls`` is a
+        ``wall_list`` of this tube kept across calls; without one, the call
+        is its use-once case with no skin.  Exact: equal to a scan of every
+        boundary segment bit for bit (see _NearestSegment)."""
+        if walls is None:
+            walls = self.wall_list(0.0)
+        elif walls.search is not self._walls:
+            raise ValueError("the wall list belongs to another tube")
+        _, ex, ey, d2 = walls.nearest(pts)
         dist = np.sqrt(d2)
         norms = np.where(dist > 0, dist, 1.0)
         return dist, np.stack([ex, ey], axis=1) / norms[:, None]

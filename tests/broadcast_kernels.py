@@ -103,7 +103,7 @@ def scan_segments(rows, pts):
 
 
 def _offsets(walls, pts, rows, chunks):
-    """_NearestSegment._offsets in the (5, chunks, width) layout: (P, width)
+    """geometry._offsets in the (5, chunks, width) layout: (P, width)
     arrays, the per-segment pass along each chunk."""
     ax, ay, dx, dy, len2 = np.take(walls.rows, walls._seg, axis=1)[:, chunks]
     q = pts[rows]

@@ -1,4 +1,5 @@
-"""Point clouds for the property tests of ``metrics.neighbours``.
+"""Point clouds for the property tests of ``metrics.neighbours``, and
+random walks of points for the skin lists.
 
 Each family aims at one edge of the cell list: negative coordinates,
 coincident points, pairs exactly one reach apart, points on cell edges
@@ -80,3 +81,24 @@ def dense_distances(pts):
     d = np.sqrt(dx * dx + dy * dy)
     np.fill_diagonal(d, np.inf)
     return dx, dy, d
+
+
+# step lengths of the skin-list walks, in units of the distance a robot may
+# move before its list rebuilds: just under and just over it, and a few
+# smaller steps that keep a list for several records
+STEP_FACTORS = (1.0 - 1e-9, 0.999, 1.001, 1.0 + 1e-9, 0.3, 0.0)
+
+
+def skin_walk(rng, pts, limit, records, exit_rate=0.05):
+    """The positions of a random walk from ``pts``, one (M_k, 2) array per
+    record.  Each record moves every point by f * ``limit`` in a random
+    direction, with one f from STEP_FACTORS per record, and drops each point
+    with probability ``exit_rate``, so the rows shrink as robots exit."""
+    out = [np.array(pts, dtype=float).reshape(-1, 2)]
+    for _ in range(records - 1):
+        p = out[-1]
+        f = STEP_FACTORS[rng.integers(len(STEP_FACTORS))]
+        angle = rng.uniform(-np.pi, np.pi, len(p))
+        step = f * limit * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        out.append((p + step)[rng.random(len(p)) >= exit_rate])
+    return out

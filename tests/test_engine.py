@@ -20,10 +20,11 @@ from tubenav.geometry import (
     ArcSegment,
     GeneratingCurve,
     LineSegment,
+    SegmentList,
     VirtualTube,
     WidthProfile,
 )
-from tubenav.metrics import neighbours
+from tubenav.metrics import PairList, neighbours
 from tubenav.reports import write_metrics_csv, write_trace_csv
 from tubenav.scenario import bundled_scenario_path, load_scenario
 from tubenav.state import make_swarm
@@ -360,9 +361,9 @@ class TestRun:
     def test_one_neighbour_pass_per_record(self, n, monkeypatch):
         calls = []
 
-        def counted(positions, reach):
+        def counted(positions, reach, *lists):
             calls.append(len(positions))
-            return neighbours(positions, reach)
+            return neighbours(positions, reach, *lists)
 
         monkeypatch.setattr(engine, "neighbours", counted)
         rows = min(10, math.isqrt(n))
@@ -420,6 +421,94 @@ class TestDegenerateSwarms:
         assert log.termination == "time-limit" and log.fault is None
         assert len(log.records) == 201
         assert all(rec.active.all() and rec.metrics.condition23_ok for rec in log.records)
+
+
+def skin_cases():
+    """(name, scenario) pairs for the runs of degenerate swarms."""
+    ring = load_scenario(bundled_scenario_path("annular"))
+    angles = 2.0 * math.pi * np.arange(16) / 16
+    full_ring = 0.8 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return [
+        ("no robot", scenario_stub(straight_tube(), params(), np.zeros((0, 2)), t_end=0.5)),
+        ("one robot", scenario_stub(straight_tube(), params(), [(5.0, 0.3)], t_end=0.5)),
+        ("two robots", scenario_stub(straight_tube(), params(), [(5.0, 0.3), (5.9, -0.2)],
+                                     t_end=0.5)),
+        # alpha0 = 0.1, so that the front robot does not stall (see
+        # TestDegenerateSwarms): both exit, one after the other
+        ("two robots exit", scenario_stub(straight_tube(), params(alpha0=0.1),
+                                          [(18.0, 0.0), (19.4, 0.3)], t_end=5.0)),
+        # one robot exits while the other two stay within reach
+        ("one of three exits", scenario_stub(straight_tube(), params(alpha0=0.1),
+                                             [(19.0, 0.0), (14.0, 0.6), (14.0, -0.6)],
+                                             t_end=2.0)),
+        ("full ring", scenario_stub(ring.tube, ring.params, full_ring, dt=ring.dt, t_end=2.0,
+                                    grid=ring.density_grid)),
+    ]
+
+
+def log_list_queries(monkeypatch, tube):
+    """Patch both skin lists to log each query as (rows, rebuilt), the wall
+    list only on ``tube``'s walls (the projection's seed search is one too);
+    returns the two logs, walls and pairs."""
+    logs = {"walls": [], "pairs": []}
+
+    def logged(cls, name, key):
+        query = getattr(cls, name)
+
+        def wrapper(self, positions, *args):
+            before = self.builds
+            out = query(self, positions, *args)
+            if key == "pairs" or self.search is tube._walls:
+                logs[key].append((len(positions), self.builds > before))
+            return out
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    logged(SegmentList, "nearest", "walls")
+    logged(PairList, "neighbours", "pairs")
+    return logs
+
+
+class TestSkinLists:
+    """Runs with the skin lists write the same files, byte for byte, as runs
+    whose lists rebuild on every record (a skin of 0)."""
+
+    @staticmethod
+    def run_files(sc, tmp_path, tag):
+        log = run(sc)
+        trace = write_trace_csv(log, tmp_path / f"{tag}_trace.csv")
+        metrics = write_metrics_csv(log, tmp_path / f"{tag}_metrics.csv")
+        return log, trace.read_bytes(), metrics.read_bytes()
+
+    @pytest.mark.parametrize("case", range(6), ids=[name for name, _ in skin_cases()])
+    def test_degenerate_swarms_match_a_rebuild_on_every_record(self, case, tmp_path,
+                                                               monkeypatch):
+        sc = skin_cases()[case][1]
+        logs = log_list_queries(monkeypatch, sc.tube)
+        log, trace, metrics = self.run_files(sc, tmp_path, "skin")
+        kept = {key: list(queries) for key, queries in logs.items()}
+        monkeypatch.setattr(engine, "SKIN_STEPS", 0)
+        assert self.run_files(sc, tmp_path, "rebuild")[1:] == (trace, metrics)
+        n = len(sc.initial_state().positions)
+        assert len(kept["walls"]) == len(kept["pairs"]) == len(log.records)
+        for key, queries in kept.items():
+            builds = [k for k, (_, built) in enumerate(queries) if built]
+            # a list lasts several records, and the first query builds it
+            assert n < (2 if key == "pairs" else 1) or 0 in builds
+            assert len(builds) <= len(queries) // 2 + 1
+
+    def test_an_exit_in_the_middle_of_a_list_s_life_rebuilds_it(self, tmp_path, monkeypatch):
+        sc = skin_cases()[4][1]
+        logs = log_list_queries(monkeypatch, sc.tube)
+        log = run(sc)
+        counts = [int(rec.active.sum()) for rec in log.records]
+        assert counts[0] == 3 and counts[-1] == 2
+        exit_k = counts.index(2)
+        for queries in logs.values():
+            assert [rows for rows, _ in queries] == counts
+            # the list built before the exit was in use on the record before
+            # it, and the exit rebuilt it
+            assert not queries[exit_k - 1][1] and queries[exit_k][1]
 
 
 ARRAY_FIELDS = ("positions", "velocities", "u1", "u2", "u3", "u4", "kappa", "active")

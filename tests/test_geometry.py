@@ -20,6 +20,7 @@ from tubenav.geometry import (
 from tubenav.scenario import bundled_scenario_path, load_scenario
 
 from broadcast_kernels import scan_segments
+from clouds import skin_walk
 from scalar_tube import (
     CurvilinearCoord,
     boundary_distance,
@@ -1194,6 +1195,96 @@ class TestWallVertices:
         collect()
         assert seen == {(top, what) for top in ("open", "closed")
                         for what in ("knot inside a line", "bare line", "dropped")}
+
+
+class TestWallList:
+    """A wall list kept across records answers every query as a scan of
+    every boundary segment, bit for bit, while the points move and exit."""
+
+    @staticmethod
+    def walk_matches_full_scan(tube, walk, skin):
+        walls = tube.wall_list(skin)
+        for pts in walk:
+            d, dirs = tube.boundary_distance_many(pts, walls)
+            d_ref, dirs_ref = brute_force_boundary(tube, pts)
+            assert np.array_equal(d, d_ref)
+            assert np.array_equal(dirs, dirs_ref)
+        return walls.builds
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(spec=curve_st, knots=knots_st, default=st.tuples(st.floats(0.1, 1.0),
+                                                            st.floats(0.1, 1.0)),
+           fracs=st.lists(st.tuples(st.floats(-0.02, 1.02), st.floats(-1.2, 1.2)),
+                          min_size=1, max_size=12),
+           skin=st.sampled_from([0.0, 0.01, 0.05, 0.2]), seed=st.integers(0, 2**32 - 1))
+    def test_property_random_walks_on_random_tubes(self, spec, knots, default, fracs, skin,
+                                                   seed):
+        tube = _knotted_tube(spec, knots, default)
+        f = np.array(fracs)
+        ls = np.clip(f[:, 0], 0.0, 1.0) * tube.length
+        pts = tube.section_points(ls, f[:, 1] * tube.widths.r_c(ls))
+        walk = skin_walk(np.random.default_rng(seed), pts, skin, 12)
+        self.walk_matches_full_scan(tube, walk, skin)
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_TUBES))
+    def test_walks_on_the_oracle_tubes(self, kind):
+        tube = ORACLE_TUBES[kind]
+        rng = np.random.default_rng(17)
+        ls = rng.uniform(0.0, tube.length, 60)
+        pts = tube.section_points(ls, rng.uniform(-1.1, 1.1, 60) * tube.widths.r_c(ls))
+        for skin in (0.0, 0.02, 0.3):
+            walk = skin_walk(rng, pts, skin, 40, exit_rate=0.01)
+            builds = self.walk_matches_full_scan(tube, walk, skin)
+            # a skin of 0 moves nothing: the list rebuilds at the exits alone
+            assert 1 < builds < len(walk)
+
+    def test_a_point_crossing_the_centreline_finds_the_far_wall(self):
+        # kept at the build: the lower wall's box is 1.5 skin farther than
+        # the upper wall, inside the 2 skin margin.  The point then moves
+        # 0.99 skin down, past the centreline, without a rebuild.
+        tube = knotted_straight_tube()
+        skin = 0.1
+        walls = tube.wall_list(skin)
+        for y in (0.75 * skin, -0.24 * skin):
+            pts = np.array([[2.0, y]])
+            d, dirs = tube.boundary_distance_many(pts, walls)
+            assert np.array_equal(d, brute_force_boundary(tube, pts)[0])
+            assert dirs[0, 1] == (-1.0 if y > 0 else 1.0)
+        assert walls.builds == 1
+
+    def test_more_than_a_skin_of_motion_rebuilds(self):
+        tube = knotted_straight_tube()
+        walls = tube.wall_list(0.125)
+        pts = np.array([[2.0, 0.0], [6.0, 0.25]])
+        for step, builds in [(0.0, 1), (0.125, 1), (0.125 + 1e-9, 2), (0.0625, 2)]:
+            pts = pts + [step, 0.0]
+            tube.boundary_distance_many(pts, walls)
+            assert walls.builds == builds
+        tube.boundary_distance_many(pts[1:], walls)  # an exit
+        assert walls.builds == 3
+
+    def test_non_finite_points_rebuild(self):
+        tube = knotted_straight_tube()
+        walls = tube.wall_list(0.1)
+        pts = np.array([[2.0, 0.0], [6.0, 0.3]])
+        tube.boundary_distance_many(pts, walls)
+        pts[1, 0] = np.inf
+        with np.errstate(all="ignore"):
+            d, dirs = tube.boundary_distance_many(pts, walls)
+            d_ref, dirs_ref = tube.boundary_distance_many(pts)
+        assert walls.builds == 2
+        assert np.array_equal(d, d_ref, equal_nan=True)
+        assert np.array_equal(dirs, dirs_ref, equal_nan=True)
+
+    def test_a_list_serves_only_its_own_tube(self):
+        walls = knotted_straight_tube().wall_list(0.1)
+        with pytest.raises(ValueError, match="another tube"):
+            long_tapered_tube().boundary_distance_many([[1.0, 0.0]], walls)
+
+    @pytest.mark.parametrize("skin", [-0.1, np.nan])
+    def test_bad_skin_is_refused(self, skin):
+        with pytest.raises(ValueError, match="skin"):
+            knotted_straight_tube().wall_list(skin)
 
 
 def probed_spacing(tube):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from tubenav.control import ControllerParams
 from tubenav.engine import run
@@ -14,6 +15,7 @@ from tubenav.metrics import (
     audit_condition23,
     evacuation_time,
     min_pairwise_from_positions,
+    PairList,
     neighbours,
     stalled_counts,
     throughput,
@@ -21,7 +23,7 @@ from tubenav.metrics import (
 from tubenav.reports import write_summary_json
 from tubenav.state import make_swarm
 
-from clouds import clouds, dense_distances
+from clouds import clouds, dense_distances, skin_walk
 
 
 def straight_tube(length=20.0, half_width=2.0):
@@ -146,6 +148,87 @@ class TestNeighbours:
     def test_out_of_range_positions_are_refused(self, bad):
         with pytest.raises(ValueError, match="finite positions"):
             neighbours([(0.0, 0.0), bad], 1.3)
+
+
+def assert_same_neighbours(got, want):
+    for name in ("i", "j", "dx", "dy", "d", "nearest", "partner"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestPairList:
+    """A pair list kept across records equals the use-once neighbour pass
+    bit for bit, pair order included, while the robots move and exit."""
+
+    @staticmethod
+    def walk_matches_use_once(walk, reach, skin):
+        pairs = PairList(skin)
+        for pts in walk:
+            assert_same_neighbours(neighbours(pts, reach, pairs), neighbours(pts, reach))
+        return pairs.builds
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=clouds(), skin=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_random_walks(self, case, skin, seed):
+        pts, reach, family = case
+        event(family)
+        skin *= reach
+        walk = skin_walk(np.random.default_rng(seed), pts, 0.5 * skin, 10)
+        self.walk_matches_use_once(walk, reach, skin)
+
+    def test_long_walk_of_a_crowd(self):
+        # a dense lattice, so that robots change cell between builds and
+        # every record has pairs to put back in the cell list's order
+        rng = np.random.default_rng(3)
+        pts = np.stack(np.meshgrid(np.arange(8.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+        pts = 0.9 * pts + rng.uniform(-0.05, 0.05, pts.shape)
+        for skin in (0.0, 0.2, 1.0):
+            walk = skin_walk(rng, pts, 0.5 * skin, 60, exit_rate=0.005)
+            builds = self.walk_matches_use_once(walk, 1.3, skin)
+            # a skin of 0 moves nothing: the list rebuilds at the exits alone
+            assert 1 < builds < len(walk)
+
+    def test_a_robot_changing_cell_reorders_the_pairs(self):
+        # robot 0's partners swap cells within half a skin: 1 moves up into
+        # the cell of 2, and 2 down into the cell below, so 2 now comes first
+        reach, skin = 1.0, 0.25
+        pairs = PairList(skin)
+        before = np.array([[0.5, 0.5], [0.3, 0.99], [0.7, 1.05]])
+        after = before + [[0.0, 0.0], [0.0, 0.02], [0.0, -0.06]]
+        for pts, partners in [(before, [1, 2]), (after, [2, 1])]:
+            got = neighbours(pts, reach, pairs)
+            assert got.j[got.i == 0].tolist() == partners
+            assert_same_neighbours(got, neighbours(pts, reach))
+        assert pairs.builds == 1
+
+    def test_more_than_half_a_skin_of_motion_rebuilds(self):
+        pairs = PairList(0.5)
+        pts = np.array([[0.0, 0.0], [0.75, 0.0], [3.0, 0.0]])
+        for step, builds in [(0.0, 1), (0.125, 1), (0.125, 2), (0.0, 2)]:
+            pts = pts + [[step, 0.0], [0.0, 0.0], [0.0, 0.0]]
+            assert_same_neighbours(neighbours(pts, 1.0, pairs), neighbours(pts, 1.0))
+            assert pairs.builds == builds
+        neighbours(pts[1:], 1.0, pairs)  # an exit
+        neighbours(pts[1:], 1.25, pairs)  # another reach
+        assert pairs.builds == 4
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (2e6, 0.0)])
+    def test_bad_positions_are_refused_on_every_record(self, bad):
+        pairs = PairList(0.5)
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.6]])
+        neighbours(pts, 1.3, pairs)
+        pts[1] = bad
+        with pytest.raises(ValueError, match="finite positions"):
+            neighbours(pts, 1.3, pairs)
+        assert pairs.builds == 1
+        pts[1] = [0.5, 0.0]
+        assert_same_neighbours(neighbours(pts, 1.3, pairs), neighbours(pts, 1.3))
+
+    @pytest.mark.parametrize("skin", [-0.1, np.nan])
+    def test_bad_skin_is_refused(self, skin):
+        with pytest.raises(ValueError, match="skin"):
+            PairList(skin)
 
 
 class TestMinDistances:

@@ -14,7 +14,7 @@ import broadcast_kernels as bk
 from tubenav import blocks
 from tubenav.density import DensityView
 from tubenav.engine import run
-from tubenav.geometry import _BOUNDARY_CHUNK, _NearestSegment
+from tubenav.geometry import _BOUNDARY_CHUNK, SegmentList, _NearestSegment
 from tubenav.reports import write_metrics_csv, write_trace_csv
 from tubenav.scenario import bundled_scenario_path, scenario_from_dict
 
@@ -206,7 +206,10 @@ def test_run_files_equal_on_the_broadcast_forms(name, t_end, tmp_path, monkeypat
     monkeypatch.setattr(DensityView, "_kernel_rows", counted("kde", bk.kernel_rows))
     monkeypatch.setattr(DensityView, "estimate_sections",
                         counted("grid", bk.estimate_sections))
-    monkeypatch.setattr(_NearestSegment, "nearest", counted("walls", bk.nearest))
+    # every nearest-segment search, the run's wall list included, is a
+    # SegmentList query
+    monkeypatch.setattr(SegmentList, "nearest",
+                        counted("walls", lambda walls, pts: bk.nearest(walls.search, pts)))
     broadcast_records, *broadcast = run_files("broadcast")
     assert broadcast_records == records == int(round(t_end / raw["dt_s"])) + 1
     # every record ran each broadcast form at least once
