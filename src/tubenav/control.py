@@ -105,7 +105,7 @@ def _avoidance(params: ControllerParams, pairs: Neighbours, ids=None, time=None)
             ia = int(ids[a]) if ids is not None else a
             ib = int(ids[b]) if ids is not None else b
             raise SafetyViolation(
-                f"robots {ia} and {ib} at distance {dmin:.6f} <= 2 r_s = {2 * params.r_s}",
+                f"robots {ia} and {ib} at min pairwise distance {dmin:.6f} <= 2 r_s = {2 * params.r_s}",
                 kind="robot-robot",
                 details={"i": ia, "j": ib, "distance": dmin, "time": time},
             )
@@ -138,8 +138,9 @@ def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, pairs,
     Returns (u1, u2, u3, u4, v, kappa): five (M, 2) arrays, u4 after the
     norm cap (zero in baseline mode) and v = kappa (u1 + u2 + u3 + u4) with
     |v| <= v_max, and the (M,) saturation factors kappa in (0, 1].  Raises
-    SafetyViolation when a pair is at or within 2 r_s or a robot at or
-    within r_s of the boundary.
+    SafetyViolation when a pair is at or within 2 r_s, naming the closest
+    pair, or else when a robot is at or within r_s of the boundary, naming
+    the robot nearest to it.
     """
     if mode not in ("full", "baseline"):
         raise ValueError("mode must be 'full' or 'baseline'")
@@ -153,11 +154,11 @@ def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, pairs,
 
     u2 = _avoidance(params, pairs, ids, time)
 
-    if np.any(boundary_d <= params.r_s):
-        k = int(np.argmax(boundary_d <= params.r_s))
+    if len(boundary_d) and np.min(boundary_d) <= params.r_s:
+        k = int(np.argmin(boundary_d))
         robot, b = int(ids[k]), float(boundary_d[k])
         raise SafetyViolation(
-            f"robot {robot} boundary distance {b:.6f} <= r_s = {params.r_s}",
+            f"robot {robot} at min boundary distance {b:.6f} <= r_s = {params.r_s}",
             kind="boundary",
             details={"robot": robot, "distance": b, "time": time},
         )

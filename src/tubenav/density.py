@@ -22,7 +22,7 @@ import numpy as np
 
 from .blocks import row_blocks
 from .errors import TubeDomainError
-from .geometry import VirtualTube
+from .geometry import VirtualTube, _check_finite
 
 _TWO_PI = 2.0 * math.pi
 _GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -39,8 +39,8 @@ _CULL_RADIUS = math.sqrt(106.0 * math.log(2.0))
 class DensityView:
     """Immutable per-step snapshot of the swarm density estimate.
 
-    ``estimate_many`` returns the raw kernel sum; the controller applies
-    its positivity floor where the estimate appears in a denominator.
+    The estimates are raw kernel sums; the controller applies its
+    positivity floor where the estimate appears in a denominator.
     """
 
     positions: np.ndarray  # (N, 2) active robot positions
@@ -65,10 +65,7 @@ class DensityView:
                 f"bandwidth {self.bandwidth!r} with {n} robots puts n h^2 = {n * h * h!r} or "
                 f"n h^3 = {cube!r} outside the positive finite normal floats"
             )
-        finite = np.isfinite(self.positions)
-        if not finite.all():
-            k = int(np.argmin(finite.all(axis=1)))
-            raise ValueError(f"position row {k} is not finite: {self.positions[k].tolist()}")
+        _check_finite(self.positions)
 
     @property
     def n(self):
@@ -111,15 +108,6 @@ class DensityView:
             np.exp(k, out=k)
             k /= _TWO_PI
             yield rows, dx, dy, k
-
-    def estimate_many(self, pts):
-        """Kernel density at each query point, shape (M,)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        h = self.bandwidth
-        rho = np.empty(len(pts))
-        for rows, _, _, k in self._kernel_rows(pts):
-            rho[rows] = k.sum(axis=1) / (self.n * h * h)
-        return rho
 
     def estimate_sections(self, origins, tangents, normals, offsets):
         """Kernel density at origins[c] + offsets[c, k] * normals[c], shape
@@ -431,25 +419,8 @@ class DesiredDensity:
 
 
 # ---------------------------------------------------------------------------
-# error field and norm
+# error norm
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ErrorField:
-    """Density estimate and target on the curvilinear midpoint grids over
-    the occupied regions of R records, each array with a leading axis of
-    R; error_grid gives one record's, without it."""
-
-    ls: np.ndarray          # (R, n_l) cell-center arc lengths
-    cell_dl: np.ndarray     # (R,)
-    cell_dr: np.ndarray     # (R, n_l) radial cell heights per column
-    rho_hat: np.ndarray     # (R, n_l, n_r)
-    rho_d: np.ndarray       # (R, n_l, n_r), constant along each column
-
-    def cell_areas(self):
-        areas = self.cell_dr * np.asarray(self.cell_dl)[..., None]
-        return np.broadcast_to(areas[..., None], self.rho_hat.shape)
-
 
 def _region_grids(tube: VirtualTube, regions, resolution):
     """Column arc lengths (R, n_l), cell lengths (R,), radial cell heights
@@ -471,16 +442,10 @@ def _region_grids(tube: VirtualTube, regions, resolution):
     return ls, dl, dr, tube.curve.frames(ls_eval), offsets
 
 
-def _region_grid(tube: VirtualTube, region: OccupiedRegion, resolution):
-    """The one-region case of _region_grids: ls (n_l,), dl, dr (n_l,),
-    frames and offsets."""
-    ls, dl, dr, frames, offsets = _region_grids(tube, [region], resolution)
-    return ls[0], dl[0], dr, frames, offsets
-
-
-def error_grids(views, targets, tube: VirtualTube, regions, resolution=(200, 40)) -> ErrorField:
-    """Estimate and target on the grids of R records, from each record's
-    view, target and occupied region.
+def density_errors_l2(views, targets, tube: VirtualTube, regions, resolution):
+    """L2 norm of (estimate - target) over each of R records' occupied
+    regions, (R,), from each record's view, target and region: midpoint
+    quadrature on a curvilinear grid of (n_l, n_r) cells per region.
 
     The columns of all R grids, their frames and the targets' profiles are
     built in one array pass.  The kernel sums run per record, on that
@@ -489,42 +454,19 @@ def error_grids(views, targets, tube: VirtualTube, regions, resolution=(200, 40)
     one bit for bit."""
     n_l, n_r = resolution
     ls, dl, dr, frames, offsets = _region_grids(tube, regions, resolution)
-    rho_hat = np.empty((len(ls), n_l, n_r))
+    sq = np.empty((len(ls), n_l, n_r))
     for i, view in enumerate(views):
         cols = slice(i * n_l, (i + 1) * n_l)
-        rho_hat[i] = view.estimate_sections(*(f[cols] for f in frames), offsets[cols])
+        sq[i] = view.estimate_sections(*(f[cols] for f in frames), offsets[cols])
     args = (np.array(a)[:, None] for a in zip(*(dd._profile_args() for dd in targets)))
-    rho_d = np.broadcast_to(_profile(tube, ls, *args)[..., None], rho_hat.shape)
-    return ErrorField(ls=ls, cell_dl=dl, cell_dr=dr.reshape(ls.shape), rho_hat=rho_hat, rho_d=rho_d)
-
-
-def error_grid(view: DensityView, dd: DesiredDensity, tube: VirtualTube,
-               region: OccupiedRegion, resolution=(200, 40)) -> ErrorField:
-    """Evaluate estimate and target on the region grid: the one-record case
-    of error_grids."""
-    field = error_grids([view], [dd], tube, [region], resolution)
-    return ErrorField(ls=field.ls[0], cell_dl=field.cell_dl[0], cell_dr=field.cell_dr[0],
-                      rho_hat=field.rho_hat[0], rho_d=field.rho_d[0])
-
-
-def l2_norm_on_grid(values, field: ErrorField):
-    """Midpoint-quadrature L2 norm of cell grids over their regions, one
-    per leading index of values, whose last two axes are (n_l, n_r)."""
-    sq = np.square(values)
-    sq *= field.cell_areas()
+    sq -= _profile(tube, ls, *args)[..., None]
+    np.square(sq, out=sq)
+    sq *= (dr.reshape(ls.shape) * dl[:, None])[..., None]
     return np.sqrt(sq.sum(axis=(-2, -1)))
 
 
-def density_errors_l2(views, targets, tube: VirtualTube, regions, resolution=(200, 40)):
-    """L2 norm of (estimate - target) over each record's occupied region,
-    (R,), from one error_grids pass over the R records."""
-    field = error_grids(views, targets, tube, regions, resolution)
-    return l2_norm_on_grid(np.subtract(field.rho_hat, field.rho_d, out=field.rho_hat), field)
-
-
 def density_error_l2_from_view(view: DensityView, dd: DesiredDensity,
-                               tube: VirtualTube, region: OccupiedRegion,
-                               resolution=(200, 40)):
+                               tube: VirtualTube, region: OccupiedRegion, resolution):
     """L2 norm of (estimate - target) over the occupied region: the
     one-record case of density_errors_l2."""
     return float(density_errors_l2([view], [dd], tube, [region], resolution)[0])

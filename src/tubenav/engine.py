@@ -5,9 +5,10 @@ evaluated on the same pre-step snapshot (synchronous update), positions
 advance by dt times the command, and robots whose arc-length coordinate
 reaches the tube end exit and stop interacting.  The state is held as
 arrays (see tubenav.state), every snapshot's commands come from one
-batched call, and containment and safety margins are asserted on every
-snapshot, the initial one included; a violation aborts the run loudly with
-a partial log rather than being silently corrected.
+batched call, and containment (here) and the safety margins (in
+compose_velocity) are asserted on every snapshot, the initial one
+included; a violation aborts the run loudly with a partial log rather
+than being silently corrected.
 
 Runs are deterministic: identical scenario inputs produce bit-identical
 logs.
@@ -134,7 +135,6 @@ def apply_exit_rule(swarm: SwarmState, tube: VirtualTube, projections):
     out = (projections.l >= tube.length - _EXIT_TOL) | projections.beyond_end
     gone = np.flatnonzero(swarm.active)[out]
     swarm.active[gone] = False
-    swarm.exit_time[gone] = swarm.time
     swarm.velocities[gone] = 0.0
     return ~out
 
@@ -143,28 +143,15 @@ def apply_exit_rule(swarm: SwarmState, tube: VirtualTube, projections):
 # stepping
 # ---------------------------------------------------------------------------
 
-class Proximity:
-    """The skin lists of one run: the wall candidates and the robot pairs of
-    the active robots, kept across records (see geometry.SegmentList and
-    metrics.PairList), with a skin of SKIN_STEPS v_max dt.  Both rebuild
-    after a skin of motion and when the active set changes: robots only
-    leave it, so it changes with its size.  Their answers equal the
-    use-once queries bit for bit."""
-
-    def __init__(self, tube, params, dt):
-        skin = SKIN_STEPS * params.v_max * dt
-        self.walls = tube.wall_list(skin)
-        self.pairs = PairList(skin)
-
-
 class _Snapshot:
     """Everything derived from one state and shared by all robots: rows over
     the robots still active after the exit rule."""
 
-    def __init__(self, swarm, tube, params, seeds, proximity):
+    def __init__(self, swarm, tube, params, seeds, wall_list, pair_list):
         """``seeds``: every robot's arc length at the previous snapshot, or
         None at the first, whose projections start from the seed polyline.
-        ``proximity``: the run's skin lists, passed the active positions."""
+        ``wall_list`` and ``pair_list``: the run's skin lists, passed the
+        active positions."""
         self.time = swarm.time
         before = np.flatnonzero(swarm.active)
         prs, inside = tube.locate(
@@ -181,11 +168,11 @@ class _Snapshot:
         self.inside = inside[stay]
         self.positions = swarm.positions[self.ids]
         self.boundary_d, self.boundary_dir = tube.boundary_distance_many(
-            self.positions, proximity.walls)
+            self.positions, wall_list)
         m = len(self.ids)
-        # the one pair structure of the snapshot: the safety check, the
-        # record's metrics and the avoidance term all read it
-        self.pairs = neighbours(self.positions, params.avoidance_reach, proximity.pairs)
+        # the one pair structure of the snapshot: the record's metrics and
+        # the avoidance term, with its safety check, both read it
+        self.pairs = neighbours(self.positions, params.avoidance_reach, pair_list)
         self.min_pair = float(np.min(self.pairs.nearest)) if m >= 2 else math.nan
 
         self.view = None
@@ -216,25 +203,6 @@ class _Snapshot:
                 kind="containment",
                 details={"robot": i, "l": l, "r": r, "time": self.time},
             )
-
-    def safety_check(self, params):
-        if self.min_pair <= 2.0 * params.r_s:
-            a, b, d = self.pairs.closest_pair()
-            i, j = int(self.ids[a]), int(self.ids[b])
-            raise SafetyViolation(
-                f"robots {i} and {j} at min pairwise distance {d:.6f} <= 2 r_s = {2 * params.r_s}",
-                kind="robot-robot",
-                details={"i": i, "j": j, "distance": d, "time": self.time},
-            )
-        if len(self.ids):
-            k = int(np.argmin(self.boundary_d))
-            i, b = int(self.ids[k]), float(self.boundary_d[k])
-            if b <= params.r_s:
-                raise SafetyViolation(
-                    f"robot {i} at min boundary distance {b:.6f} <= r_s = {params.r_s}",
-                    kind="boundary",
-                    details={"robot": i, "distance": b, "time": self.time},
-                )
 
 
 def _metrics(snapshot, swarm, commands):
@@ -303,8 +271,9 @@ def run(scenario) -> SimulationLog:
 
     The scenario supplies tube, params, mode, dt, t_end, density grid and
     the initial state; see tubenav.scenario.  Every record's snapshot passes
-    the containment and safety checks before its commands are composed; a
-    violation ends the log with a fault record that carries no commands.
+    the containment check, and compose_velocity's safety checks while it
+    composes the commands; a violation ends the log with a fault record
+    that carries no commands.
 
     No command reads the density-error metric, so it is left out of the
     step: the records with a density wait in a list, and one array pass
@@ -313,7 +282,11 @@ def run(scenario) -> SimulationLog:
     grid each, so the pass's arrays stay within one block.
 
     The wall query and the neighbour pass keep their candidates across
-    records in the run's Proximity lists.
+    records in two skin lists of the active robots (see
+    geometry.SegmentList and metrics.PairList), with a skin of SKIN_STEPS
+    v_max dt.  Both rebuild after a skin of motion and when the active set
+    changes: robots only leave it, so it changes with its size.  Their
+    answers equal the use-once queries bit for bit.
     """
     tube = scenario.tube
     params = scenario.params
@@ -326,16 +299,16 @@ def run(scenario) -> SimulationLog:
     arc = np.full(len(state.positions), np.nan)  # previous snapshot's arc lengths
     chunk, _ = row_blocks(n_steps + 1, grid[0] * grid[1])
     pending = []
-    proximity = Proximity(tube, params, dt)
+    skin = SKIN_STEPS * params.v_max * dt
+    wall_list, pair_list = tube.wall_list(skin), PairList(skin)
 
     k = 0
     while True:
         state.time = k * dt
-        snap = _Snapshot(state, tube, params, arc if k else None, proximity)
+        snap = _Snapshot(state, tube, params, arc if k else None, wall_list, pair_list)
         log.exit_times.update(dict.fromkeys(snap.exited.tolist(), snap.time))
         try:
             snap.containment_check()
-            snap.safety_check(params)
             commands = compose_velocity(
                 tube, params, scenario.mode, snap.pairs, snap.l, snap.tangent,
                 snap.boundary_d, snap.boundary_dir, snap.rho_hat, snap.grad_hat,

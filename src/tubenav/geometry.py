@@ -282,6 +282,15 @@ def segment_from_config(cfg: dict):
 # nearest-segment search
 # ---------------------------------------------------------------------------
 
+def _check_finite(pts):
+    """Raise ValueError naming the first row of the points (M, 2) that is
+    not finite."""
+    finite = np.isfinite(pts)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"position row {k} is not finite: {pts[k].tolist()}")
+
+
 def _offsets(rows, qx, qy):
     """Offsets from the points (qx, qy) to the nearest point of the segments
     ``rows`` (ax, ay, dx, dy, len2), broadcast against each other, plus
@@ -383,7 +392,8 @@ class SegmentList:
     and the lowest-index tie rule, equals a scan of every segment bit for
     bit.  The list rebuilds when the number of points changes and when some
     point has moved farther than the skin since the build; with a skin of 0
-    it rebuilds on any motion.  ``builds`` counts the builds.
+    it rebuilds on any motion.  ``builds`` counts the builds.  A point that
+    is not finite forces a build, and the build raises ValueError.
     """
 
     def __init__(self, search, skin):
@@ -395,6 +405,7 @@ class SegmentList:
         self._built = None
 
     def _build(self, pts):
+        _check_finite(pts)
         search = self.search
         who, chunk = search._candidates(pts, 2.0 * self.skin)
         counts = np.bincount(who, minlength=len(pts))
@@ -633,8 +644,9 @@ class GeneratingCurve:
         _PROJ_MAX_NEWTON steps is retried from its table seed, and
         TubeDomainError is raised only if that fails too.  Open curves clamp
         l to [0, L] and report whether the unconstrained optimum lies beyond
-        an endpoint."""
+        an endpoint.  A point that is not finite raises ValueError."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        _check_finite(pts)
         px, py = pts[:, 0], pts[:, 1]
         L = self.total_length
         if seeds is None:
@@ -859,19 +871,6 @@ class VirtualTube:
             & (pr.r <= self.widths.r_u(pr.l) + _MEMBERSHIP_TOL)
         )
         return pr, inside
-
-    def section_points(self, ls, rs):
-        """Vectorized inverse map: points at arc lengths ls and offsets rs.
-
-        ls is (K,), rs is (K,) or (K, M); no bounds checking (grid helper)."""
-        ls = np.asarray(ls, dtype=float)
-        if self.closed:
-            ls = ls % self.length
-        pts, _, normals = self.curve.frames(ls)
-        rs = np.asarray(rs, dtype=float)
-        if rs.ndim == 1:
-            return pts + rs[:, None] * normals
-        return pts[:, None, :] + rs[:, :, None] * normals[:, None, :]
 
     # -- boundary --------------------------------------------------------------
 

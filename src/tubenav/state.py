@@ -23,7 +23,6 @@ class SwarmState:
     positions: np.ndarray   # (N, 2) m
     velocities: np.ndarray  # (N, 2) m/s, zero once a robot has exited
     active: np.ndarray      # (N,) bool
-    exit_time: np.ndarray   # (N,) s, NaN while a robot has not exited
 
     def active_positions(self) -> np.ndarray:
         """Positions of active robots, shape (M, 2)."""
@@ -39,5 +38,4 @@ def make_swarm(positions, time=0.0) -> SwarmState:
         positions=positions,
         velocities=np.zeros((n, 2)),
         active=np.ones(n, dtype=bool),
-        exit_time=np.full(n, np.nan),
     )

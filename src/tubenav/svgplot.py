@@ -37,26 +37,11 @@ class WorldTransform:
             (self.ymax + self.pad - y) * self.scale,
         )
 
-    def to_world(self, sx, sy):
-        return (
-            sx / self.scale + self.xmin - self.pad,
-            self.ymax + self.pad - sy / self.scale,
-        )
-
     def root_attrs(self):
         return (
             f'data-scale="{_f(self.scale)}" data-xmin="{_f(self.xmin)}" '
             f'data-ymax="{_f(self.ymax)}" data-pad="{_f(self.pad)}"'
         )
-
-    @staticmethod
-    def from_attrs(attrs):
-        t = WorldTransform.__new__(WorldTransform)
-        t.scale = float(attrs["data-scale"])
-        t.xmin = float(attrs["data-xmin"])
-        t.ymax = float(attrs["data-ymax"])
-        t.pad = float(attrs["data-pad"])
-        return t
 
 
 def _svg_document(transform, body):
@@ -68,14 +53,14 @@ def _svg_document(transform, body):
     )
 
 
-def _polyline(points, transform, stroke, width=1.5, fill="none", cls=None):
+def _polyline(points, transform, stroke, width=1.5, cls=None):
     coords = " ".join(
         "{},{}".format(_f(sx), _f(sy))
         for sx, sy in (transform.to_svg(x, y) for x, y in points)
     )
     cls_attr = f' class="{cls}"' if cls else ""
     return (
-        f'<polyline{cls_attr} points="{coords}" fill="{fill}" '
+        f'<polyline{cls_attr} points="{coords}" fill="none" '
         f'stroke="{stroke}" stroke-width="{_f(width)}"/>\n'
     )
 
@@ -88,16 +73,10 @@ def _polygon(points, transform, fill, opacity=1.0):
     return f'<polygon points="{coords}" fill="{fill}" opacity="{_f(opacity)}" stroke="none"/>\n'
 
 
-def _boundary_polylines(tube, n=600):
-    ls = np.linspace(0.0, tube.length, n)
-    return ls, *tube.section_ends(ls)
-
-
-def render_snapshot(positions, velocities, active, tube, r_s, path, time=None,
-                    arrow_scale=1.0):
+def render_snapshot(positions, velocities, active, tube, r_s, path, time=None):
     """One frame: tube outline, narrow-band shading, robot safety discs and
     velocity arrows."""
-    ls, lower, upper = _boundary_polylines(tube)
+    lower, upper = tube.section_ends(np.linspace(0.0, tube.length, 600))
     all_pts = np.concatenate([lower, upper])
     xmin, ymin = all_pts.min(axis=0) - r_s
     xmax, ymax = all_pts.max(axis=0) + r_s
@@ -129,7 +108,7 @@ def render_snapshot(positions, velocities, active, tube, r_s, path, time=None,
         )
         v = velocities[i]
         if np.hypot(v[0], v[1]) > 1e-12:
-            tip = positions[i] + arrow_scale * v
+            tip = positions[i] + v
             body += _polyline(
                 [tuple(positions[i]), tuple(tip)], tf, stroke="#2b5dd7", width=1.2, cls="vel"
             )
@@ -149,10 +128,10 @@ def render_snapshot(positions, velocities, active, tube, r_s, path, time=None,
 _SERIES_COLORS = ["#2b5dd7", "#e05252", "#2f9e44", "#b8860b", "#7048a8"]
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    return [lo + (hi - lo) * k / 4 for k in range(5)]
 
 
 def render_series(series, path, ylabel="", title="", hlines=()):

@@ -1,8 +1,9 @@
 """Per-point tube queries for the tests, written over the package's array
 queries: the former scalar VirtualTube methods curve_frame,
 cross_section_endpoints, to_curvilinear, to_cartesian and
-boundary_distance, with the tube coordinate they used.  Also the former
-scalar regularity check, segments_intersect over a double loop of section
+boundary_distance, with the tube coordinate they used, and the array
+inverse map section_points that the tests build grids with.  Also the
+former scalar regularity check, segments_intersect over a double loop of section
 pairs, as the oracle of the array check."""
 
 import math
@@ -35,6 +36,20 @@ def cross_section_endpoints(tube, l):
     return lower[0], upper[0]
 
 
+def section_points(tube, ls, rs):
+    """Vectorized inverse map: points at arc lengths ls and offsets rs.
+
+    ls is (K,), rs is (K,) or (K, M); no bounds checking (grid helper)."""
+    ls = np.asarray(ls, dtype=float)
+    if tube.closed:
+        ls = ls % tube.length
+    pts, _, normals = tube.curve.frames(ls)
+    rs = np.asarray(rs, dtype=float)
+    if rs.ndim == 1:
+        return pts + rs[:, None] * normals
+    return pts[:, None, :] + rs[:, :, None] * normals[:, None, :]
+
+
 def to_curvilinear(tube, p):
     """Tube coordinate of a Cartesian point inside the tube; OutsideTubeError
     (carrying the nearest coordinate) for a point outside."""
@@ -56,7 +71,7 @@ def to_cartesian(tube, coord):
     r_d, r_u = float(tube.widths.r_d(l)), float(tube.widths.r_u(l))
     if r < -r_d - _MEMBERSHIP_TOL or r > r_u + _MEMBERSHIP_TOL:
         raise TubeDomainError(f"offset {r} outside [-{r_d}, {r_u}] at arc length {l}")
-    return tube.section_points([l], [r])[0]
+    return section_points(tube, [l], [r])[0]
 
 
 def boundary_distance(tube, p):

@@ -15,7 +15,7 @@ from tubenav.metrics import neighbours
 from tubenav.state import make_swarm
 
 from clouds import clouds, dense_distances
-from scalar_tube import boundary_distance, curve_frame, to_curvilinear
+from scalar_tube import boundary_distance, curve_frame, section_points, to_curvilinear
 
 
 def straight_tube(length=20.0, half_width=2.0, extension=None):
@@ -132,7 +132,7 @@ def dense_avoidance(params, positions, ids=None, time=None):
         ia = int(ids[a]) if ids is not None else int(a)
         ib = int(ids[b]) if ids is not None else int(b)
         raise SafetyViolation(
-            f"robots {ia} and {ib} at distance {dmin:.6f} <= 2 r_s = {2 * params.r_s}",
+            f"robots {ia} and {ib} at min pairwise distance {dmin:.6f} <= 2 r_s = {2 * params.r_s}",
             kind="robot-robot",
             details={"i": ia, "j": ib, "distance": dmin, "time": time},
         )
@@ -225,7 +225,7 @@ def density_for(tube, params, positions):
     return DensityView(positions, params.h), DesiredDensity(tube, region, delta_l)
 
 
-def batch(tube, params, positions, view, dd, mode="full", ids=None):
+def batch(tube, params, positions, view, dd, mode="full", ids=None, time=0.0):
     """compose_velocity on the robots at ``positions``, with every input
     computed by the library's array functions as the engine does."""
     pts = np.asarray(positions, dtype=float)
@@ -236,7 +236,7 @@ def batch(tube, params, positions, view, dd, mode="full", ids=None):
     return Batch(*compose_velocity(
         tube, params, mode, neighbours(pts, params.avoidance_reach), prs.l, prs.tangent,
         bd, bdir, rho, grad, dd.gradient_many(prs.l, prs.r, prs.tangent, prs.curvature),
-        ids, 0.0,
+        ids, time,
     ))
 
 
@@ -404,6 +404,18 @@ class TestTubeKeeping:
         with pytest.raises(SafetyViolation) as exc:
             self._u3((5.0, 1.6))
         assert exc.value.kind == "boundary"
+
+    def test_wall_fault_names_the_robot_nearest_the_wall(self):
+        # both robots are within r_s of the upper wall, the second nearer
+        tube = straight_tube(half_width=2.0)
+        params = default_params()
+        pts = np.array([(3.0, 1.6), (8.0, 1.8)])
+        d, _ = tube.boundary_distance_many(pts)
+        with pytest.raises(SafetyViolation) as exc:
+            batch(tube, params, pts, *density_for(tube, params, pts), mode="baseline",
+                  ids=[7, 9], time=2.5)
+        assert exc.value.details == {"robot": 9, "distance": d[1], "time": 2.5}
+        assert str(exc.value) == f"robot 9 at min boundary distance {d[1]:.6f} <= r_s = 0.5"
 
 
 class TestDistributionRegulation:
@@ -606,7 +618,7 @@ def placements(tube, starts, gaps, offsets, params):
     fractions of the half-width that keeps r_s clear of the walls."""
     ls = starts + np.concatenate([[0.0], np.cumsum(gaps)])
     half = float(tube.widths.r_d(0.0)) - params.r_s - 1e-6
-    return tube.section_points(ls, half * np.asarray(offsets))
+    return section_points(tube, ls, half * np.asarray(offsets))
 
 
 class TestBatchAgainstOracle:

@@ -14,12 +14,10 @@ from tubenav.density import (
     _GL20_NODES,
     _GL20_WEIGHTS,
     OccupiedRegion,
-    _region_grid,
+    _region_grids,
     DensityView,
     DesiredDensity,
     density_error_l2_from_view,
-    error_grid,
-    l2_norm_on_grid,
     occupied_region_from_arclengths,
     silverman_bandwidth,
 )
@@ -35,7 +33,7 @@ from tubenav.geometry import (
 )
 from tubenav.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 
-from scalar_tube import CurvilinearCoord, to_cartesian, to_curvilinear
+from scalar_tube import CurvilinearCoord, section_points, to_cartesian, to_curvilinear
 
 
 def straight_tube(length=10.0, r_d=1.0, r_u=1.0):
@@ -57,8 +55,25 @@ def brute_force_kde(samples, h, p):
     return total / (len(samples) * h**2)
 
 
+def _region_grid(tube, region, resolution):
+    """One region's grid from the density-error pass: column arc lengths
+    (n_l,), the cell length, radial cell heights (n_l,), the columns' frames
+    and the cell-centre offsets (n_l, n_r)."""
+    ls, dl, dr, frames, offsets = _region_grids(tube, [region], resolution)
+    return ls[0], dl[0], dr, frames, offsets
+
+
+def error_grid(view, dd, tube, region, resolution):
+    """Estimate, target and cell areas, (n_l, n_r) each, on one region's
+    grid: the fields whose difference the density-error metric integrates."""
+    ls, dl, dr, frames, offsets = _region_grid(tube, region, resolution)
+    rho_hat = view.estimate_sections(*frames, offsets)
+    rho_d = np.broadcast_to(dd.profile_many(ls)[:, None], rho_hat.shape)
+    return rho_hat, rho_d, np.broadcast_to((dr * dl)[:, None], rho_hat.shape)
+
+
 def estimate_at(view, p):
-    return float(view.estimate_many(p)[0])
+    return float(view.estimate_and_gradient_many(p)[0][0])
 
 
 def kde_gradient_at(view, p):
@@ -144,7 +159,7 @@ class TestKdeEstimate:
         dx = xs[1] - xs[0]
         dy = ys[1] - ys[0]
         grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        mass = float(np.sum(view.estimate_many(grid))) * dx * dy
+        mass = float(np.sum(view.estimate_and_gradient_many(grid)[0])) * dx * dy
         assert mass >= 0.999
         assert mass <= 1.0 + 1e-3
 
@@ -623,7 +638,7 @@ class TestAnalyticTargetGradient:
     def _compare(self, tube, dd, ls, rs, marks, margin=1e-3):
         ok = _away_from(ls, marks, margin)
         ls, rs = ls[ok], rs[ok]
-        pts = tube.section_points(ls, rs)
+        pts = section_points(tube, ls, rs)
         g = spine_gradient(dd, ls, rs)
         fd = fd_gradient(dd, pts, ls)
         err = np.linalg.norm(g - fd, axis=1)
@@ -761,12 +776,12 @@ _SECTION_ATOL = 1e-300
 
 
 def _point_kde(view, pts):
-    """The dense oracle: estimate_many at the (n_l, n_r, 2) points."""
-    return view.estimate_many(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    """The dense oracle: the point KDE at the (n_l, n_r, 2) points."""
+    return view.estimate_and_gradient_many(pts.reshape(-1, 2))[0].reshape(pts.shape[:2])
 
 
 def _assert_matches_point_kde(view, got, pts):
-    """got, (n_l, n_r), against estimate_many at the (n_l, n_r, 2) points."""
+    """got, (n_l, n_r), against the point KDE at the (n_l, n_r, 2) points."""
     want = _point_kde(view, pts)
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=_SECTION_RTOL, atol=_SECTION_ATOL)
@@ -798,19 +813,19 @@ def _random_columns(c, n_r):
 
 
 class TestSectionKde:
-    """DensityView.estimate_sections against estimate_many at the grid's
-    points, tube.section_points(ls, offsets)."""
+    """DensityView.estimate_sections against the point KDE at the grid's
+    points, section_points(tube, ls, offsets)."""
 
     def _compare(self, tube, region, positions, h, resolution=(40, 8)):
         view = DensityView(np.asarray(positions, dtype=float), h)
         ls, _, _, frames, offsets = _region_grid(tube, region, resolution)
         got = view.estimate_sections(*frames, offsets)
-        _assert_matches_point_kde(view, got, tube.section_points(ls, offsets))
+        _assert_matches_point_kde(view, got, section_points(tube, ls, offsets))
         return got
 
     def _swarm_on(self, tube, ls, fracs):
         ls = np.asarray(ls, dtype=float)
-        return tube.section_points(ls, np.asarray(fracs) * tube.widths.r_c(ls))
+        return section_points(tube, ls, np.asarray(fracs) * tube.widths.r_c(ls))
 
     def test_line(self):
         tube = tapered_tube()
@@ -951,7 +966,7 @@ class TestBlockedKernelSums:
             return view.estimate_sections(*frames)
 
         def kde():
-            return (*view.estimate_and_gradient_many(pts), view.estimate_many(pts))
+            return view.estimate_and_gradient_many(pts)
 
         # one element: one column or row per block; then a few per block,
         # with a shorter last block where they do not divide evenly.  The
@@ -971,11 +986,11 @@ class TestBlockedKernelSums:
         assert len(blocks.row_blocks(view.n, 4 * view.n)[1]) > 1
 
         def sums():
-            field = error_grid(view, dd, tube, region, resolution)
-            return (field.rho_hat, *view.estimate_and_gradient_many(view.positions))
+            return (error_grid(view, dd, tube, region, resolution)[0],
+                    *view.estimate_and_gradient_many(view.positions))
 
         ls, *_, offsets = _region_grid(tube, region, resolution)
-        cells = tube.section_points(ls, offsets)
+        cells = section_points(tube, ls, offsets)
         results = _results_per_block_size(
             [1, 7 * (resolution[1] + 5) * view.n, 33 * 4 * view.n, blocks.BLOCK_ELEMENTS], sums)
         _, *want = results[0]
@@ -1005,7 +1020,7 @@ class TestBlockedKernelSums:
             finally:
                 tracemalloc.stop()
 
-        assert peak(lambda: error_grid(view, dd, tube, region, (n_l, n_r))) < bound
+        assert peak(lambda: density_error_l2_from_view(view, dd, tube, region, (n_l, n_r))) < bound
         assert peak(lambda: view.estimate_and_gradient_many(view.positions)) < bound
 
 
@@ -1129,12 +1144,13 @@ class _CallableView:
 def relative_error_field(view, dd, tube, region, resolution, rho_floor=1e-6):
     """Cellwise (estimate - target) / target on the error grid, NaN on the
     cells where the target is below the positivity floor; returns the
-    field, the relative errors and the mask of those excluded cells."""
-    field = error_grid(view, dd, tube, region, resolution)
-    excluded = field.rho_d < rho_floor
+    target, the cell areas, the relative errors and the mask of those
+    excluded cells."""
+    rho_hat, rho_d, areas = error_grid(view, dd, tube, region, resolution)
+    excluded = rho_d < rho_floor
     with np.errstate(divide="ignore", invalid="ignore"):
-        relative = np.where(excluded, np.nan, (field.rho_hat - field.rho_d) / field.rho_d)
-    return field, relative, excluded
+        relative = np.where(excluded, np.nan, (rho_hat - rho_d) / rho_d)
+    return rho_d, areas, relative, excluded
 
 
 class TestDensityError:
@@ -1188,11 +1204,11 @@ class TestDensityError:
             pr = tube.curve.project(p)
             return dd.profile_many([pr.l])[0]
 
-        _, relative, excluded = relative_error_field(_CallableView(exact), dd, tube, region,
-                                                     (40, 8))
+        *_, relative, excluded = relative_error_field(_CallableView(exact), dd, tube, region,
+                                                      (40, 8))
         assert np.all(np.abs(relative[~excluded]) < 1e-9)
 
-        _, relative, excluded = relative_error_field(
+        *_, relative, excluded = relative_error_field(
             _CallableView(lambda p: 2.0 * exact(p)), dd, tube, region, (40, 8)
         )
         assert np.allclose(relative[~excluded], 1.0, atol=1e-9)
@@ -1205,8 +1221,8 @@ class TestDensityError:
         )
         view = DensityView(pts, 0.6)
         res = (80, 16)
-        field, relative, excluded = relative_error_field(view, dd, tube, region, res)
+        rho_d, areas, relative, excluded = relative_error_field(view, dd, tube, region, res)
         assert not excluded.any()  # reference config keeps target above floor
-        recombined = l2_norm_on_grid(relative * field.rho_d, field)
+        recombined = math.sqrt(float(np.sum(np.square(relative * rho_d) * areas)))
         direct = density_error_l2_from_view(view, dd, tube, region, res)
         assert abs(recombined - direct) < 1e-12 * max(1.0, direct)

@@ -16,6 +16,7 @@ from tubenav.density import (
     occupied_region_from_arclengths,
 )
 from tubenav.engine import apply_exit_rule, run, validate_initial
+from tubenav.errors import SafetyViolation
 from tubenav.geometry import (
     ArcSegment,
     GeneratingCurve,
@@ -26,8 +27,15 @@ from tubenav.geometry import (
 )
 from tubenav.metrics import PairList, neighbours
 from tubenav.reports import write_metrics_csv, write_trace_csv
-from tubenav.scenario import bundled_scenario_path, load_scenario
+from tubenav.scenario import (
+    bundled_scenario_path,
+    load_scenario,
+    read_scenario_file,
+    scenario_from_dict,
+)
 from tubenav.state import make_swarm
+
+from scalar_tube import section_points
 
 
 def straight_tube(length=20.0, half_width=2.0):
@@ -204,10 +212,10 @@ class TestExitRule:
     def test_exactly_at_end_exits(self):
         tube = straight_tube(length=20.0)
         swarm = make_swarm([(20.0, 0.0)])
-        swarm.time = 3.5
+        swarm.velocities[0] = (1.0, 0.0)
         assert not exit_rule_on(swarm, tube).any()
         assert not swarm.active[0]
-        assert swarm.exit_time[0] == 3.5
+        assert not swarm.velocities[0].any()
 
     def test_just_before_end_stays(self):
         tube = straight_tube(length=20.0)
@@ -285,7 +293,8 @@ class TestRun:
         sc = scenario_stub(tube, prm, [(19.3, 0.0)], dt=0.01, t_end=5.0, mode="baseline")
         log = run(sc)
         assert log.termination == "all-exited"
-        assert 0 in log.exit_times
+        # stamped with the time of the first record without the robot
+        assert log.exit_times[0] == next(rec.time for rec in log.records if not rec.active[0])
         # exit near t = 0.7 / k1; final record shows zero active robots
         assert not log.records[-1].active.any()
 
@@ -356,6 +365,52 @@ class TestRun:
         assert log.fault["kind"] == "boundary" and log.fault["robot"] == 1
         assert log.fault["message"].startswith("robot 1 at min boundary distance")
         assert log.fault["distance"] == log.records[1].metrics.min_boundary_distance < 0.5
+
+    # the bundled narrow tube with a step past its barriers' band, and with
+    # a weak u3 at double speed: kind, message, robots, distance and time
+    # of each fault pinned exactly
+    @pytest.mark.parametrize("dt, gains, records, fault", [
+        (0.1, {}, 12, {
+            "kind": "robot-robot",
+            "message": "robots 5 and 10 at min pairwise distance 0.993739 <= 2 r_s = 1.0",
+            "i": 5, "j": 10, "distance": 0.9937390469386277, "time": 1.1,
+        }),
+        (0.05, {"k3": 1e-4, "k1_mps": 2.0, "v_max_mps": 4.0}, 18, {
+            "kind": "boundary",
+            "message": "robot 24 at min boundary distance 0.427232 <= r_s = 0.5",
+            "robot": 24, "distance": 0.42723210392885547, "time": 0.8500000000000001,
+        }),
+    ])
+    def test_pinned_faults_of_the_bundled_narrow_tube(self, dt, gains, records, fault):
+        raw = read_scenario_file(bundled_scenario_path("narrow_s_tube"))
+        raw["dt_s"] = dt
+        raw["params"].update(gains)
+        log = run(scenario_from_dict(raw))
+        assert log.termination == "fault"
+        assert log.fault == fault
+        assert len(log.records) == records
+
+    @pytest.mark.parametrize("positions, kind, named", [
+        ([(3.0, 0.0), (3.9, 0.0)], "robot-robot", {"i": 0, "j": 1}),
+        ([(3.0, 1.6), (8.0, 1.8)], "boundary", {"robot": 1}),  # the nearer of two
+        ([(3.0, 1.6), (3.9, 1.6), (8.0, 1.8)], "robot-robot", {"i": 0, "j": 1}),
+    ])
+    def test_run_reports_compose_velocitys_fault(self, positions, kind, named):
+        tube = straight_tube(half_width=2.0)
+        prm = params()
+        log = run(scenario_stub(tube, prm, positions, t_end=0.1))
+        pts = np.array(positions)
+        prs = tube.curve.project_many(pts)
+        d, dirs = tube.boundary_distance_many(pts)
+        zeros = np.zeros_like(pts)
+        with pytest.raises(SafetyViolation) as exc:
+            compose_velocity(tube, prm, "full", neighbours(pts, prm.avoidance_reach), prs.l,
+                             prs.tangent, d, dirs, np.ones(len(pts)), zeros, zeros,
+                             np.arange(len(pts)), 0.0)
+        assert log.fault == {"kind": exc.value.kind, "message": str(exc.value),
+                             **exc.value.details}
+        assert log.fault["kind"] == kind
+        assert named.items() <= log.fault.items()
 
     @pytest.mark.parametrize("n", [1, 25, 400])
     def test_one_neighbour_pass_per_record(self, n, monkeypatch):
@@ -540,8 +595,8 @@ def point_grid_error_l2(view, dd, tube, region, resolution):
     r_d = tube.widths.r_d(ls_eval)
     dr = (r_d + tube.widths.r_u(ls_eval)) / n_r
     offsets = -r_d[:, None] + (np.arange(n_r)[None, :] + 0.5) * dr[:, None]
-    pts = tube.section_points(ls_eval, offsets)
-    rho_hat = view.estimate_many(pts.reshape(-1, 2)).reshape(n_l, n_r)
+    pts = section_points(tube, ls_eval, offsets)
+    rho_hat = view.estimate_and_gradient_many(pts.reshape(-1, 2))[0].reshape(n_l, n_r)
     rho_d = dd.profile_many(ls)[:, None]
     return float(np.sqrt(np.sum((rho_hat - rho_d) ** 2 * (dr[:, None] * dl))))
 

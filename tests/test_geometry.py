@@ -27,6 +27,7 @@ from scalar_tube import (
     cross_section_endpoints,
     curve_frame,
     regularity_loop,
+    section_points,
     segments_intersect,
     to_cartesian,
     to_curvilinear,
@@ -312,7 +313,7 @@ class TestSegmentFrames:
 
     def test_projection_carries_the_frame_tangent(self):
         for tube in (straight_tube(), arc_tube(), s_spline_tube()):
-            pts = tube.section_points(np.linspace(0.1, tube.length - 0.1, 9), np.full(9, 0.3))
+            pts = section_points(tube, np.linspace(0.1, tube.length - 0.1, 9), np.full(9, 0.3))
             prs = tube.curve.project_many(pts)
             assert prs.tangent.shape == (9, 2)
             for k in range(9):
@@ -594,7 +595,7 @@ class TestProjectionAgainstOracle:
     def test_one_evaluation_per_newton_step(self, monkeypatch, n):
         tube = arc_tube(radius=5.0, sweep=2.0)
         rng = np.random.default_rng(n)
-        pts = tube.section_points(rng.uniform(0.0, tube.length, n), rng.uniform(-0.4, 0.4, n))
+        pts = section_points(tube, rng.uniform(0.0, tube.length, n), rng.uniform(-0.4, 0.4, n))
         calls = []
         evaluate = GeneratingCurve.eval_many
         monkeypatch.setattr(GeneratingCurve, "eval_many",
@@ -986,7 +987,7 @@ class TestBoundaryDistanceCulling:
         rng = np.random.default_rng(5)
         ls = rng.uniform(0.0, tube.length, 3000)
         rs = rng.uniform(-1.2, 1.2, 3000) * tube.widths.r_c(ls)
-        pts = tube.section_points(ls, rs)
+        pts = section_points(tube, ls, rs)
         lo, hi = pts.min(axis=0) - 5.0, pts.max(axis=0) + 5.0
         far = rng.uniform(lo, hi, size=(500, 2))
         _assert_matches_oracle(tube, np.concatenate([pts, far]))
@@ -1017,7 +1018,7 @@ class TestBoundaryDistanceCulling:
 
     def test_single_point_and_none(self):
         for tube in ORACLE_TUBES.values():
-            _assert_matches_oracle(tube, tube.section_points([0.37 * tube.length], [0.1]))
+            _assert_matches_oracle(tube, section_points(tube, [0.37 * tube.length], [0.1]))
         d, dirs = straight_tube().boundary_distance_many(np.zeros((0, 2)))
         assert d.shape == (0,) and dirs.shape == (0, 2)
 
@@ -1030,7 +1031,7 @@ class TestBoundaryDistanceCulling:
         for tube in ORACLE_TUBES.values():
             ls = rng.uniform(0.0, tube.length, 50)
             rs = rng.uniform(-1.2, 1.2, 50) * tube.widths.r_c(ls)
-            _assert_matches_oracle(tube, tube.section_points(ls, rs))
+            _assert_matches_oracle(tube, section_points(tube, ls, rs))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -1043,7 +1044,7 @@ class TestBoundaryDistanceCulling:
         tube = ORACLE_TUBES[kind]
         f = np.array(fracs)
         ls = f[:, 0] * tube.length
-        pts = tube.section_points(ls, f[:, 1] * tube.widths.r_c(ls))
+        pts = section_points(tube, ls, f[:, 1] * tube.widths.r_c(ls))
         _assert_matches_oracle(tube, pts)
 
 
@@ -1165,7 +1166,7 @@ class TestWallVertices:
         assert chord_gaps(kept, (lower, upper)) < 1e-12
         f = np.array(fracs)
         qls = np.clip(f[:, 0], 0.0, 1.0) * tube.length
-        pts = tube.section_points(qls, f[:, 1] * tube.widths.r_c(qls))
+        pts = section_points(tube, qls, f[:, 1] * tube.widths.r_c(qls))
         pts = np.concatenate([pts, lower[::17], upper[::19], 0.5 * (lower[1:] + upper[:-1])[::23]])
         _assert_matches_oracle(tube, pts)
         a = np.concatenate([lower[:-1], upper[:-1]])
@@ -1222,7 +1223,7 @@ class TestWallList:
         tube = _knotted_tube(spec, knots, default)
         f = np.array(fracs)
         ls = np.clip(f[:, 0], 0.0, 1.0) * tube.length
-        pts = tube.section_points(ls, f[:, 1] * tube.widths.r_c(ls))
+        pts = section_points(tube, ls, f[:, 1] * tube.widths.r_c(ls))
         walk = skin_walk(np.random.default_rng(seed), pts, skin, 12)
         self.walk_matches_full_scan(tube, walk, skin)
 
@@ -1231,7 +1232,7 @@ class TestWallList:
         tube = ORACLE_TUBES[kind]
         rng = np.random.default_rng(17)
         ls = rng.uniform(0.0, tube.length, 60)
-        pts = tube.section_points(ls, rng.uniform(-1.1, 1.1, 60) * tube.widths.r_c(ls))
+        pts = section_points(tube, ls, rng.uniform(-1.1, 1.1, 60) * tube.widths.r_c(ls))
         for skin in (0.0, 0.02, 0.3):
             walk = skin_walk(rng, pts, skin, 40, exit_rate=0.01)
             builds = self.walk_matches_full_scan(tube, walk, skin)
@@ -1263,18 +1264,22 @@ class TestWallList:
         tube.boundary_distance_many(pts[1:], walls)  # an exit
         assert walls.builds == 3
 
-    def test_non_finite_points_rebuild(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rebuild(self, bad):
+        # the check sits in the build alone: a non-finite displacement
+        # fails the skin test, so the kept list rebuilds and raises
         tube = knotted_straight_tube()
         walls = tube.wall_list(0.1)
         pts = np.array([[2.0, 0.0], [6.0, 0.3]])
-        tube.boundary_distance_many(pts, walls)
-        pts[1, 0] = np.inf
-        with np.errstate(all="ignore"):
-            d, dirs = tube.boundary_distance_many(pts, walls)
-            d_ref, dirs_ref = tube.boundary_distance_many(pts)
-        assert walls.builds == 2
-        assert np.array_equal(d, d_ref, equal_nan=True)
-        assert np.array_equal(dirs, dirs_ref, equal_nan=True)
+        d, dirs = tube.boundary_distance_many(pts, walls)
+        moved = pts.copy()
+        moved[1, 0] = bad
+        with pytest.raises(ValueError, match=r"^position row 1 is not finite"):
+            tube.boundary_distance_many(moved, walls)
+        # the failed build kept nothing: the list still serves the old points
+        again = tube.boundary_distance_many(pts, walls)
+        assert walls.builds == 1
+        assert np.array_equal(again[0], d) and np.array_equal(again[1], dirs)
 
     def test_a_list_serves_only_its_own_tube(self):
         walls = knotted_straight_tube().wall_list(0.1)
@@ -1285,6 +1290,42 @@ class TestWallList:
     def test_bad_skin_is_refused(self, skin):
         with pytest.raises(ValueError, match="skin"):
             knotted_straight_tube().wall_list(skin)
+
+
+class TestNonFinitePoints:
+    """A NaN or infinite point fails loudly in the projection and the wall
+    query, naming its row, as the density and neighbour passes do."""
+
+    CASES = [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf), (np.nan, np.inf)]
+
+    @staticmethod
+    def _queries(tube):
+        return {
+            "locate": lambda pts: tube.locate(pts),
+            "seeded locate": lambda pts: tube.locate(pts, seeds=np.full(len(pts), 1.0)),
+            "project": lambda pts: tube.curve.project_many(pts),
+            "seeded project": lambda pts: tube.curve.project_many(pts, np.full(len(pts), 1.0)),
+            "walls": lambda pts: tube.boundary_distance_many(pts),
+            "wall list": lambda pts: tube.boundary_distance_many(pts, tube.wall_list(0.1)),
+        }
+
+    @pytest.mark.parametrize("bad", CASES)
+    @pytest.mark.parametrize("make", [straight_tube, ring_tube])
+    def test_raises_naming_the_row(self, bad, make):
+        tube = make()
+        pts = np.array([[1.0, 0.1], bad, [np.nan, np.nan]])
+        for name, query in self._queries(tube).items():
+            with pytest.raises(ValueError, match=r"^position row 1 is not finite") as exc:
+                query(pts)
+            assert str(exc.value) == f"position row 1 is not finite: {list(bad)}", name
+
+    def test_the_bundled_narrow_tube(self):
+        # unchecked, a NaN point reaches the seed search's tie rule, whose
+        # reduceat then indexes one past the last chord
+        tube = load_scenario(bundled_scenario_path("narrow_s_tube")).tube
+        for name, query in self._queries(tube).items():
+            with pytest.raises(ValueError, match=r"^position row 0 is not finite"):
+                query(np.array([[np.nan, 0.0]]))
 
 
 def probed_spacing(tube):
@@ -1346,7 +1387,7 @@ class TestInvariants:
         n = 10_000
         ls = rng.uniform(0.0, tube.length, n)
         rs = rng.uniform(-0.4, 0.6, n)
-        pts = tube.section_points(ls, rs)
+        pts = section_points(tube, ls, rs)
         prs = tube.curve.project_many(pts)
         for k in range(n):
             assert abs(prs.l[k] - ls[k]) < 1e-6

@@ -19,7 +19,6 @@ from tubenav.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from tubenav.svgplot import WorldTransform
 
 
 def short_scenario_dict(t_end=0.5, mode="full", **param_over):
@@ -434,6 +433,14 @@ class TestMalformedScenarioExitCode:
         assert len(err) == 1 and err[0].startswith(f"scenario error [{rule}]: "), err
 
 
+def svg_to_world(attrs, sx, sy):
+    """World coordinates of SVG pixel (sx, sy), from the world-to-pixel
+    transform that a snapshot's root element carries."""
+    scale, pad = float(attrs["data-scale"]), float(attrs["data-pad"])
+    return (sx / scale + float(attrs["data-xmin"]) - pad,
+            float(attrs["data-ymax"]) + pad - sy / scale)
+
+
 class TestPlotsAndRoundTrip:
     def test_snapshot_disc_count_and_round_trip(self, tmp_path):
         raw = short_scenario_dict(t_end=0.2)
@@ -443,7 +450,6 @@ class TestPlotsAndRoundTrip:
         svg = out / "snapshot_t0.svg"
         tree = ET.parse(svg)
         root = tree.getroot()
-        tf = WorldTransform.from_attrs(root.attrib)
         ns = "{http://www.w3.org/2000/svg}"
         discs = [el for el in root.iter(f"{ns}circle") if el.get("class") == "robot"]
         assert len(discs) == 25
@@ -451,7 +457,7 @@ class TestPlotsAndRoundTrip:
         logged = frames[0].positions
         for el in discs:
             rid = int(el.get("data-robot-id"))
-            x, y = tf.to_world(float(el.get("cx")), float(el.get("cy")))
+            x, y = svg_to_world(root.attrib, float(el.get("cx")), float(el.get("cy")))
             assert abs(x - logged[rid, 0]) < 1e-9
             assert abs(y - logged[rid, 1]) < 1e-9
 
