@@ -17,7 +17,8 @@ logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .density import (  # noqa: F401
 )
 from .errors import SafetyViolation
 from .geometry import VirtualTube
-from .metrics import COND23_TOL, MetricsRecord, PairList, neighbours
+from .metrics import COND23_TOL, METRIC_DTYPE, MetricsRecord, PairList, neighbours
 from .metrics import amd_from_positions, min_pairwise_from_positions  # noqa: F401
 from .state import SwarmState
 
@@ -48,37 +49,117 @@ _EXIT_TOL = 1e-12
 SKIN_STEPS = 10
 
 
-@dataclass
-class StepRecord:
-    """Snapshot of one simulation state plus the commands computed on it."""
+def _row(name, doc):
+    return property(lambda self: getattr(self._log, name)[self._k], doc=doc)
 
-    time: float
-    positions: np.ndarray   # (N, 2), inactive robots hold their last position
-    velocities: np.ndarray  # (N, 2), zero for inactive robots
+
+class StepRecord:
+    """Record k of a log, as views of row k of the log's arrays: writing
+    into one of them writes the log."""
+
+    __slots__ = ("_log", "_k")
+
+    def __init__(self, log, k):
+        self._log = log
+        self._k = k
+
+    @property
+    def time(self):
+        return self._log.time[self._k].item()
+
+    positions = _row("positions", "(N, 2), inactive robots hold their last position")
+    velocities = _row("velocities", "(N, 2), zero for inactive robots")
+    u1 = _row("u1", "(N, 2)")
+    u2 = _row("u2", "(N, 2)")
+    u3 = _row("u3", "(N, 2)")
+    u4 = _row("u4", "(N, 2)")
+    kappa = _row("kappa", "(N,)")
+    active = _row("active", "(N,) bool")
+
+    @property
+    def metrics(self):
+        return MetricsRecord(self._log, self._k)
+
+
+class Records(Sequence):
+    """A log's records, a read-only sequence of StepRecord views."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log):
+        self._log = log
+
+    def __len__(self):
+        return len(self._log.time)
+
+    def __getitem__(self, k):
+        rows = range(len(self))[k]
+        if isinstance(rows, range):
+            return [StepRecord(self._log, i) for i in rows]
+        return StepRecord(self._log, rows)
+
+
+# the log's arrays, each with a row per record
+_ROW_FIELDS = ("time", "positions", "velocities", "u1", "u2", "u3", "u4", "kappa", "active",
+               "metrics")
+
+
+@dataclass(eq=False, slots=True)
+class SimulationLog:
+    """A run's log: one array per logged field, with a row per record.
+
+    ``time`` is (R,); ``positions``, ``velocities`` and ``u1``..``u4`` are
+    (R, N, 2), ``kappa`` (R, N) and ``active`` (R, N) bool; ``metrics`` is
+    (R,) of METRIC_DTYPE, a field per metric.  ``records`` views the same
+    rows one record at a time.
+    """
+
+    fingerprint: str
+    scenario: dict
+    time: np.ndarray
+    positions: np.ndarray   # inactive robots hold their last position
+    velocities: np.ndarray  # zero for inactive robots
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
     u4: np.ndarray
-    kappa: np.ndarray       # (N,)
-    active: np.ndarray      # (N,) bool
-    metrics: MetricsRecord
-
-
-@dataclass
-class SimulationLog:
-    fingerprint: str
-    scenario: dict
-    records: list[StepRecord] = field(default_factory=list)
+    kappa: np.ndarray
+    active: np.ndarray
+    metrics: np.ndarray
     termination: str = "time-limit"  # all-exited | time-limit | fault
     fault: dict | None = None
     exit_times: dict[int, float] = field(default_factory=dict)
 
+    @classmethod
+    def allocate(cls, fingerprint, scenario, n_robots, capacity):
+        """A log with room for ``capacity`` records of ``n_robots``, every
+        row zero: the arrays are allocated zeroed, so the rows a run never
+        writes are never made resident."""
+        vector = (capacity, n_robots, 2)
+        return cls(
+            fingerprint, scenario, np.zeros(capacity),
+            *(np.zeros(vector) for _ in range(6)),
+            np.zeros((capacity, n_robots)), np.zeros((capacity, n_robots), dtype=bool),
+            np.zeros(capacity, METRIC_DTYPE),
+        )
+
+    def head(self, count):
+        """The log of its first ``count`` records, as views; the log itself
+        when it holds no more."""
+        if count == len(self.time):
+            return self
+        return replace(self, **{name: getattr(self, name)[:count] for name in _ROW_FIELDS})
+
+    @property
+    def records(self):
+        return Records(self)
+
     @property
     def step_count(self):
-        return len(self.records) - 1
+        return len(self.time) - 1
 
     def final_metrics(self):
-        return self.records[-1].metrics if self.records else None
+        return MetricsRecord(self, len(self.time) - 1) if len(self.time) else None
 
 
 # ---------------------------------------------------------------------------
@@ -205,64 +286,50 @@ class _Snapshot:
             )
 
 
-def _metrics(snapshot, swarm, commands):
-    """The record's metrics, with the density error NaN: run fills it in
-    later, with the rest of its chunk (see _fill_density_errors)."""
-    pts = snapshot.positions
-    n_active = len(pts)
-    amd_val = float(np.mean(snapshot.pairs.nearest)) if n_active >= 2 else math.nan
-    min_bound = float(np.min(snapshot.boundary_d)) if n_active >= 1 else math.nan
+def _record(log, k, snapshot, swarm, commands):
+    """Write row k of the log: the snapshot's state, its commands and its
+    metrics, with the density error NaN: run fills it in later, with the
+    rest of its chunk (see _fill_density_errors).  ``commands`` is
+    compose_velocity's result over the snapshot's active robots, or None
+    after a fault, whose record keeps zero commands and kappa 1."""
+    ids = snapshot.ids
+    n_active = len(ids)
+    log.time[k] = swarm.time
+    log.positions[k] = swarm.positions
+    log.active[k] = swarm.active
+    log.kappa[k] = 1.0
     cond_ok, max_norm = True, math.nan
-    if commands is not None and n_active:
-        u1, u2, u3, u4, v, _ = commands
-        n123 = np.linalg.norm(u1 + u2 + u3, axis=1)
-        cond_ok = not np.any(np.linalg.norm(u4, axis=1) > n123 + COND23_TOL)
-        max_norm = float(np.max(np.linalg.norm(v, axis=1)))
-    return MetricsRecord(
-        time=swarm.time,
-        min_pairwise_distance=snapshot.min_pair,
-        min_boundary_distance=min_bound,
-        amd=amd_val,
-        exited_count=int(np.count_nonzero(~swarm.active)),
-        density_error_l2=math.nan,
-        condition23_ok=cond_ok,
-        max_command_norm=max_norm,
-    )
-
-
-def _record(snapshot, swarm, commands):
-    """The record of one snapshot; ``commands`` is compose_velocity's
-    result over the snapshot's active robots, or None after a fault."""
-    n = len(swarm.positions)
-    terms = np.zeros((5, n, 2))
-    kappa = np.ones(n)
     if commands is not None:
-        terms[:, snapshot.ids] = commands[:5]
-        kappa[snapshot.ids] = commands[5]
-    u1, u2, u3, u4, velocities = terms
-    return StepRecord(
-        time=swarm.time,
-        positions=swarm.positions.copy(),
-        velocities=velocities,
-        u1=u1,
-        u2=u2,
-        u3=u3,
-        u4=u4,
-        kappa=kappa,
-        active=swarm.active.copy(),
-        metrics=_metrics(snapshot, swarm, commands),
+        u1, u2, u3, u4, v, kappa = commands
+        for column, value in zip((log.u1, log.u2, log.u3, log.u4, log.velocities), commands):
+            column[k, ids] = value
+        log.kappa[k, ids] = kappa
+        if n_active:
+            # |u1 + u2 + u3|, |u4| and |v| in one pass of numpy.linalg.norm's
+            # arithmetic: the sum of the squares of each row, then sqrt
+            norms = np.array([u1 + u2 + u3, u4, v])
+            n123, n4, nv = np.sqrt(np.add.reduce(norms * norms, axis=2))
+            cond_ok = not np.any(n4 > n123 + COND23_TOL)
+            max_norm = float(np.max(nv))
+    log.metrics[k] = (  # in METRIC_DTYPE's order, the density error NaN
+        snapshot.min_pair,
+        snapshot.boundary_d.min() if n_active else math.nan,
+        snapshot.pairs.nearest.mean() if n_active >= 2 else math.nan,
+        np.count_nonzero(~swarm.active),
+        math.nan,
+        cond_ok,
+        max_norm,
     )
 
 
-def _fill_density_errors(pending, tube, density_grid):
-    """Write the density-error metric of every pending record, a (metrics,
-    view, target, region) row each, from one density_errors_l2 pass over
+def _fill_density_errors(pending, log, tube, density_grid):
+    """Write the density-error metric of every pending record, a (row,
+    view, target, region) tuple each, from one density_errors_l2 pass over
     their grids, and empty the list."""
     if pending:
-        metrics, views, targets, regions = zip(*pending)
-        errors = density_errors_l2(views, targets, tube, regions, density_grid)
-        for m, err in zip(metrics, errors.tolist()):
-            m.density_error_l2 = err
+        rows, views, targets, regions = zip(*pending)
+        log.metrics["density_error_l2"][list(rows)] = density_errors_l2(
+            views, targets, tube, regions, density_grid)
         pending.clear()
 
 
@@ -274,6 +341,10 @@ def run(scenario) -> SimulationLog:
     the containment check, and compose_velocity's safety checks while it
     composes the commands; a violation ends the log with a fault record
     that carries no commands.
+
+    The log is allocated for the n_steps + 1 records the run can write,
+    and each record fills its row in place (see _record); a run that stops
+    early returns views of the rows it wrote.
 
     No command reads the density-error metric, so it is left out of the
     step: the records with a density wait in a list, and one array pass
@@ -292,10 +363,10 @@ def run(scenario) -> SimulationLog:
     params = scenario.params
     dt = scenario.dt
     grid = scenario.density_grid
-    log = SimulationLog(fingerprint=scenario.fingerprint, scenario=scenario.resolved)
-
     state = scenario.initial_state()
     n_steps = 0 if scenario.t_end <= 0 else int(math.ceil(scenario.t_end / dt - 1e-9))
+    log = SimulationLog.allocate(scenario.fingerprint, scenario.resolved,
+                                 len(state.positions), n_steps + 1)
     arc = np.full(len(state.positions), np.nan)  # previous snapshot's arc lengths
     chunk, _ = row_blocks(n_steps + 1, grid[0] * grid[1])
     pending = []
@@ -318,14 +389,13 @@ def run(scenario) -> SimulationLog:
             commands = None
             log.termination = "fault"
             log.fault = {"kind": exc.kind, "message": str(exc), **exc.details}
-        rec = _record(snap, state, commands)
-        log.records.append(rec)
+        _record(log, k, snap, state, commands)
         if snap.view is not None:
-            pending.append((rec.metrics, snap.view, snap.dd, snap.region))
+            pending.append((k, snap.view, snap.dd, snap.region))
         if commands is None or not len(snap.ids) or k >= n_steps:
             break
         if len(pending) == chunk:
-            _fill_density_errors(pending, tube, grid)
+            _fill_density_errors(pending, log, tube, grid)
         v = commands[4]
         state.velocities[snap.ids] = v
         state.positions[snap.ids] = state.positions[snap.ids] + dt * v
@@ -333,5 +403,5 @@ def run(scenario) -> SimulationLog:
         k += 1
     if commands is not None:
         log.termination = "time-limit" if len(snap.ids) else "all-exited"
-    _fill_density_errors(pending, tube, grid)
-    return log
+    _fill_density_errors(pending, log, tube, grid)
+    return log.head(k + 1)

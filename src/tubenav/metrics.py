@@ -7,21 +7,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import row_blocks
+
 COND23_TOL = 1e-12
 # an active robot commanded slower than this fraction of k1 is stalled
 STALL_FRACTION = 1e-3
 
 
-@dataclass
+# The logged metrics of a record besides its time: a field each of the
+# log's structured metrics array.
+METRIC_DTYPE = np.dtype([
+    ("min_pairwise_distance", float),  # m; NaN with < 2 active robots
+    ("min_boundary_distance", float),  # m; NaN with no active robots
+    ("amd", float),                    # m, average nearest-neighbor distance
+    ("exited_count", np.int64),
+    ("density_error_l2", float),       # 1/m; NaN with no active robots
+    ("condition23_ok", bool),
+    ("max_command_norm", float),       # m/s
+])
+
+
 class MetricsRecord:
-    time: float
-    min_pairwise_distance: float   # m; NaN with < 2 active robots
-    min_boundary_distance: float   # m; NaN with no active robots
-    amd: float                     # m, average nearest-neighbor distance
-    exited_count: int
-    density_error_l2: float        # 1/m; NaN with no active robots
-    condition23_ok: bool
-    max_command_norm: float        # m/s
+    """The metrics of record k of a log (see engine.SimulationLog): ``time``
+    and each METRIC_DTYPE field, read from the log's arrays as a Python
+    scalar."""
+
+    __slots__ = ("_log", "_k")
+
+    def __init__(self, log, k):
+        self._log = log
+        self._k = k
+
+    def __getattr__(self, name):
+        if name == "time":
+            return self._log.time[self._k].item()
+        if name not in METRIC_DTYPE.names:
+            raise AttributeError(f"no metric {name!r}")
+        return self._log.metrics[name][self._k].item()
 
 
 # Cells are this much wider than the reach, so that the rounding of p / cell
@@ -225,9 +247,9 @@ def amd_from_positions(pts):
 
 def throughput(log, t):
     """Number of robots that exited at or before time t."""
-    if not log.records:
+    if not len(log.time):
         raise ValueError("empty log")
-    t_last = log.records[-1].time
+    t_last = log.time[-1].item()
     if t < 0 or t > t_last + 1e-12:
         raise ValueError(f"time {t} outside the log range [0, {t_last}]")
     return sum(1 for exit_t in log.exit_times.values() if exit_t <= t + 1e-12)
@@ -236,9 +258,16 @@ def throughput(log, t):
 def evacuation_time(log):
     """Time at which the last robot exited, or None while robots remain
     active at the end of the log (always on a closed tube)."""
-    if not log.records or log.records[-1].active.any() or not log.exit_times:
+    if not len(log.time) or log.active[-1].any() or not log.exit_times:
         return None
     return max(log.exit_times.values())
+
+
+def _record_blocks(log, live):
+    """Slices over the log's records in the row blocks of a pass that holds
+    ``live`` floats per robot of a record: the pass's temporaries stay
+    within one block, not a few times a column of the log."""
+    return row_blocks(len(log.time), live * max(log.positions.shape[1], 1))[1]
 
 
 def stalled_counts(log, k1):
@@ -246,10 +275,11 @@ def stalled_counts(log, k1):
     STALL_FRACTION * k1, with k1 the approach speed.  A fault record carries
     no commands, so it counts none."""
     slow = STALL_FRACTION * k1
-    counts = np.array([
-        np.count_nonzero(rec.active & (np.hypot(rec.velocities[:, 0], rec.velocities[:, 1]) < slow))
-        for rec in log.records
-    ], dtype=np.int64)
+    counts = np.zeros(len(log.time), dtype=np.int64)
+    for rows in _record_blocks(log, 3):
+        v = log.velocities[rows]
+        slow_active = log.active[rows] & (np.hypot(v[..., 0], v[..., 1]) < slow)
+        counts[rows] = np.count_nonzero(slow_active, axis=1)
     if log.termination == "fault":
         counts[-1] = 0
     return counts
@@ -265,11 +295,12 @@ def audit_condition23(log, tol=COND23_TOL) -> Condition23Report:
     """Re-verify from the logged command components that the regulation term
     never exceeded the safe-navigation term in norm."""
     violations = []
-    for rec in log.records:
-        u123 = rec.u1 + rec.u2 + rec.u3
-        n123 = np.linalg.norm(u123, axis=1)
-        n4 = np.linalg.norm(rec.u4, axis=1)
-        bad = np.flatnonzero(rec.active & (n4 > n123 + tol))
-        for i in bad:
-            violations.append((rec.time, int(i), float(n4[i]), float(n123[i])))
+    for rows in _record_blocks(log, 8):
+        n123 = np.linalg.norm(log.u1[rows] + log.u2[rows] + log.u3[rows], axis=2)
+        n4 = np.linalg.norm(log.u4[rows], axis=2)
+        ks, ids = np.nonzero(log.active[rows] & (n4 > n123 + tol))
+        violations += [
+            (log.time[rows.start + k].item(), int(i), n4[k, i].item(), n123[k, i].item())
+            for k, i in zip(ks, ids)
+        ]
     return Condition23Report(ok=not violations, violations=violations)

@@ -239,7 +239,7 @@ def render_frames(frames, columns, outdir, tube, r_s):
     """Standard plot set of a run: snapshots of up to five frames, evenly
     spread over the run, plus the distance and density-error series.
 
-    ``frames`` are the run's records in time order (StepRecords or read-back
+    ``frames`` are the run's records in time order (StepRecord views or read-back
     TraceFrames: anything with time, positions, velocities and active);
     ``columns`` maps metrics.csv column names to per-record arrays, or is
     None for no series.  Returns the written paths."""
@@ -281,26 +281,21 @@ def render_frames(frames, columns, outdir, tube, r_s):
 
 
 def render_plots(log, outdir, tube, params):
-    """render_frames on a run's log, its series read from the records."""
-    metrics = [r.metrics for r in log.records]
+    """render_frames on a run's log, its series read from the log's arrays."""
     columns = {
-        "t": np.array([r.time for r in log.records]),
-        "min_pair_dist": np.array([m.min_pairwise_distance for m in metrics]),
-        "min_bound_dist": np.array([m.min_boundary_distance for m in metrics]),
-        "density_err_l2": np.array([m.density_error_l2 for m in metrics]),
+        "t": log.time,
+        "min_pair_dist": log.metrics["min_pairwise_distance"],
+        "min_bound_dist": log.metrics["min_boundary_distance"],
+        "density_err_l2": log.metrics["density_error_l2"],
     }
     return render_frames(log.records, columns, outdir, tube, params.r_s)
 
 
 def render_amd_comparison(log_full, log_baseline, path):
-    ts_f = np.array([r.time for r in log_full.records])
-    amd_f = np.array([r.metrics.amd for r in log_full.records])
-    ts_b = np.array([r.time for r in log_baseline.records])
-    amd_b = np.array([r.metrics.amd for r in log_baseline.records])
     return render_series(
         {
-            "with distribution regulation": (ts_f, amd_f),
-            "safe navigation only": (ts_b, amd_b),
+            "with distribution regulation": (log_full.time, log_full.metrics["amd"]),
+            "safe navigation only": (log_baseline.time, log_baseline.metrics["amd"]),
         },
         path,
         ylabel="AMD (m)",
@@ -309,15 +304,10 @@ def render_amd_comparison(log_full, log_baseline, path):
 
 
 def render_throughput_comparison(log_full, log_baseline, path):
-    def series(log):
-        ts = np.array([r.time for r in log.records])
-        ex = np.array([r.metrics.exited_count for r in log.records], dtype=float)
-        return ts, ex
-
     return render_series(
         {
-            "with distribution regulation": series(log_full),
-            "safe navigation only": series(log_baseline),
+            "with distribution regulation": (log_full.time, log_full.metrics["exited_count"]),
+            "safe navigation only": (log_baseline.time, log_baseline.metrics["exited_count"]),
         },
         path,
         ylabel="robots exited",

@@ -8,7 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tubenav.control import ControllerParams
-from tubenav.engine import run
+from tubenav.engine import SimulationLog, run
 from tubenav.geometry import GeneratingCurve, LineSegment, VirtualTube, WidthProfile
 from tubenav.metrics import (
     amd_from_positions,
@@ -24,6 +24,7 @@ from tubenav.reports import write_summary_json
 from tubenav.state import make_swarm
 
 from clouds import clouds, dense_distances, skin_walk
+from log_oracles import loop_audit_condition23
 
 
 def straight_tube(length=20.0, half_width=2.0):
@@ -269,11 +270,11 @@ class TestMinDistances:
 
 
 class TestThroughput:
-    def _log(self):
+    def _log(self, t_end=4.0):
         tube = straight_tube(length=20.0)
         prm = params()
         sc = scenario_stub(tube, prm, [(19.2, 0.0), (17.8, 0.4)], dt=0.01,
-                           t_end=4.0, mode="baseline")
+                           t_end=t_end, mode="baseline")
         return run(sc)
 
     def test_counts(self):
@@ -292,8 +293,9 @@ class TestThroughput:
         write_summary_json(log, tmp_path / "summary.json")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["evacuated_s"] == evacuation_time(log)
-        # one robot is still in the tube at 0.5 s
-        log.records = [r for r in log.records if r.time <= 0.5]
+        # cut at 1 s, robot 0 has exited (at 0.8 s) and robot 1 has not
+        log = self._log(t_end=1.0)
+        assert log.records[-1].time == 1.0 and log.records[-1].active.tolist() == [False, True]
         assert log.exit_times and evacuation_time(log) is None
 
     def test_summary_counts_stalled_robots(self, tmp_path):
@@ -314,33 +316,37 @@ class TestThroughput:
             throughput(log, log.records[-1].time + 1.0)
 
 
-def _record(velocities, active):
-    return SimpleNamespace(velocities=np.asarray(velocities, dtype=float),
-                           active=np.asarray(active, dtype=bool))
+def stall_log(velocities, active, termination="time-limit"):
+    """A log of the records' (N, 2) velocities and (N,) active flags."""
+    active = np.asarray(active, dtype=bool)
+    log = SimulationLog.allocate("stall", {}, active.shape[1], len(active))
+    log.velocities[:] = velocities
+    log.active[:] = active
+    log.termination = termination
+    return log
 
 
 class TestStalledCounts:
     def test_counts_active_robots_below_the_threshold(self):
         k1 = 2.0
         slow = 1e-3 * k1
-        log = SimpleNamespace(termination="time-limit", records=[
-            _record([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [True, True, False]),
+        log = stall_log([
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
             # exactly at the threshold is not stalled; just below is
-            _record([[slow, 0.0], [0.0, np.nextafter(slow, 0.0)], [0.8 * slow, 0.8 * slow]],
-                    [True, True, True]),
-            _record([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [False, False, False]),
-        ])
+            [[slow, 0.0], [0.0, np.nextafter(slow, 0.0)], [0.8 * slow, 0.8 * slow]],
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        ], [[True, True, False], [True, True, True], [False, False, False]])
         assert stalled_counts(log, k1).tolist() == [1, 1, 0]
 
     def test_fault_record_counts_none(self):
-        still = _record([[0.0, 0.0], [0.0, 0.0]], [True, True])
-        log = SimpleNamespace(termination="fault", records=[still, still])
+        still = ([[0.0, 0.0], [0.0, 0.0]], [True, True])
+        log = stall_log(*zip(still, still), termination="fault")
         assert stalled_counts(log, 1.0).tolist() == [2, 0]
         log.termination = "time-limit"
         assert stalled_counts(log, 1.0).tolist() == [2, 2]
 
     def test_empty_log(self):
-        log = SimpleNamespace(termination="time-limit", records=[])
+        log = stall_log(np.zeros((0, 3, 2)), np.zeros((0, 3), dtype=bool))
         assert stalled_counts(log, 1.0).tolist() == []
 
 
@@ -362,6 +368,7 @@ class TestAuditCondition23:
         report = audit_condition23(log)
         assert not report.ok
         assert any(rid == 0 for _, rid, _, _ in report.violations)
+        assert report.violations == loop_audit_condition23(log)
 
     def test_baseline_vacuous(self):
         tube = straight_tube(length=30.0, half_width=3.0)

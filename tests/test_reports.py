@@ -3,14 +3,15 @@ readers against a per-row csv.DictReader loop and on malformed files, and
 `tubenav plot` against the plots `simulate` writes."""
 
 import csv
+import gc
 import json
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tubenav.cli import main
-from tubenav.engine import run
+from tubenav.engine import SimulationLog, run
 from tubenav.errors import RunFileError
 from tubenav.reports import (
     METRICS_COLUMNS,
@@ -20,7 +21,9 @@ from tubenav.reports import (
     write_metrics_csv,
     write_trace_csv,
 )
-from tubenav.scenario import apply_overrides, bundled_scenario_path, scenario_from_dict
+from tubenav.scenario import scenario_from_dict
+
+from run_cases import RUNS
 
 
 def loop_write_trace_csv(log, path):
@@ -47,58 +50,20 @@ def loop_write_trace_csv(log, path):
                 ])
 
 
-def bundled(name, **over):
-    return apply_overrides(json.loads(bundled_scenario_path(name).read_text()), **over)
-
-
-def exit_scenario():
-    """The narrow tube in baseline mode with one robot in the bulb and one
-    a metre short of the end, which exits within the run."""
-    raw = bundled("narrow_s_tube", t_end=2.0, mode="baseline")
-    raw["placement"] = {"kind": "explicit",
-                        "positions_xy_m": [[3.0, 0.0], [28.1, 3.783900317293356]]}
-    return raw
-
-
-def fault_scenario():
-    """Two robots side by side in the tube-keeping band of a 2.2 m tube: a
-    strong u3 and a weak u2 carry them inside 2 r_s in one 0.1 s step."""
-    return {
-        "name": "squeeze", "dt_s": 0.1, "t_end_s": 1.0, "mode": "baseline",
-        "tube": {
-            "segments": [{"kind": "line", "start_xy_m": [0.0, 0.0], "end_xy_m": [20.0, 0.0]}],
-            "width_knots_m": [[0.0, 1.1, 1.1], [20.0, 1.1, 1.1]],
-        },
-        "placement": {"kind": "explicit", "positions_xy_m": [[5.0, 0.55], [5.0, -0.55]]},
-        "params": {"k2": 1e-6, "k3": 10.0},
-    }
-
-
-RUNS = {
-    "exits": exit_scenario,
-    "fault": fault_scenario,
-    "zero_length": lambda: bundled("narrow_s_tube", t_end=0.0),
-    "ring": lambda: bundled("annular", t_end=0.05),
-}
-
-
 def synthetic_log():
     """Records holding values whose repr is easy to get wrong."""
     odd = [-0.0, np.nan, 5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf, 1e300,
            -1.5e-7, 0.1 + 0.2, 123456789.0, 1.0, -2.0, 0.0, 3.0]
-
-    def record(time, shift):
+    log = SimulationLog.allocate("synthetic", {}, 3, 3)
+    for k, (time, shift) in enumerate([(0.0, 0), (-0.0, 5), (5e-324, 11)]):
         # three robots, each row the values rotated by one more place
-        table = np.stack([np.roll(odd, shift + k) for k in range(3)])
-        return SimpleNamespace(
-            time=time,
-            positions=table[:, 0:2], velocities=table[:, 2:4],
-            u1=table[:, 4:6], u2=table[:, 6:8], u3=table[:, 8:10], u4=table[:, 10:12],
-            kappa=table[:, 12],
-            active=np.array([True, False, True]),
-        )
-
-    return SimpleNamespace(records=[record(0.0, 0), record(-0.0, 5), record(5e-324, 11)])
+        table = np.stack([np.roll(odd, shift + i) for i in range(3)])
+        log.time[k] = time
+        for c, name in enumerate(("positions", "velocities", "u1", "u2", "u3", "u4")):
+            getattr(log, name)[k] = table[:, 2 * c:2 * c + 2]
+        log.kappa[k] = table[:, 12]
+        log.active[k] = [True, False, True]
+    return log
 
 
 class TestTraceWriter:
@@ -126,7 +91,7 @@ class TestTraceWriter:
             assert text in got
 
     def test_no_records_writes_the_header(self, tmp_path):
-        write_trace_csv(SimpleNamespace(records=[]), tmp_path / "empty.csv")
+        write_trace_csv(SimulationLog.allocate("empty", {}, 3, 0), tmp_path / "empty.csv")
         assert (tmp_path / "empty.csv").read_bytes() == (",".join(TRACE_COLUMNS) + "\r\n").encode()
 
 
@@ -174,6 +139,31 @@ class TestReaders:
         for fr, (_, table, active) in zip(got, want):
             assert _same(np.concatenate([fr.positions, fr.velocities], axis=1), table)
             assert np.array_equal(fr.active, active)
+
+    def test_trace_read_back_memory(self, tmp_path):
+        """Reading a 20,000-row trace peaks at no more than 3.5 times its
+        float payload: the parsed values are not kept as Python floats."""
+        records, n = 1000, 20
+        log = SimulationLog.allocate("memory", {}, n, records)
+        rng = np.random.default_rng(0)
+        log.time[:] = 0.01 * np.arange(records)
+        for name in ("positions", "velocities", "u1", "u2", "u3", "u4"):
+            getattr(log, name)[:] = rng.normal(size=(records, n, 2))
+        log.kappa[:] = rng.uniform(size=(records, n))
+        log.active[:] = True
+        path = write_trace_csv(log, tmp_path / "trace.csv")
+        del log
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frames = read_trace_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(frames) == records
+        payload = records * n * len(TRACE_COLUMNS) * 8
+        assert peak <= 3.5 * payload, peak / payload
 
     def test_metrics_round_trip(self, tmp_path):
         log = run(scenario_from_dict(RUNS["exits"]()))
