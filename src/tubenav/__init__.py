@@ -14,7 +14,6 @@ from .density import (
 )
 from .engine import SimulationLog, apply_exit_rule, run, validate_initial
 from .errors import (
-    OutsideTubeError,
     SafetyViolation,
     ScenarioError,
     TubeDomainError,

@@ -2,9 +2,7 @@
 
 The command composes four terms:
 
-  u1  constant-speed approach along the spine tangent (with an optional
-      distance-scheduled variant that decays near the end of the extended
-      spine),
+  u1  constant-speed approach along the spine tangent,
   u2  inter-robot repulsion from a rational barrier active on the band
       (2 r_s, r_s + r_a],
   u3  tube keeping, the same barrier shape on boundary distance over
@@ -28,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SafetyViolation
-from .geometry import VirtualTube
 from .metrics import Neighbours, neighbours
+
+RHO_FLOOR = 1e-6  # 1/m^2, density positivity floor of the regulation term
 
 
 @dataclass
@@ -41,12 +40,8 @@ class ControllerParams:
     r_s: float = 0.5           # m, safety radius
     r_a: float = 0.8           # m, avoidance radius (> r_s)
     r_t: float = 0.3           # m, tube-keeping activation margin
-    eta_min: float = 1.0       # 1/s, approach scaling lower bound
-    eta_max: float = 1.0       # 1/s, approach scaling upper bound
     alpha0: float = 1.0        # m^2/s, nominal diffusion coefficient
     h: float | None = None     # m, KDE bandwidth; None = rule of thumb
-    rho_floor: float = 1e-6    # 1/m^2, density positivity floor
-    u1_mode: str = "modified"  # "modified" (constant speed) | "original"
 
     def validate(self):
         problems = []
@@ -63,16 +58,10 @@ class ControllerParams:
         if self.alpha0 < 0:
             # zero switches regulation off entirely (degenerate but legal)
             problems.append("alpha0 must be nonnegative")
-        if not (0 < self.eta_min <= self.eta_max):
-            problems.append("need 0 < eta_min <= eta_max")
         if not (self.r_t > 0):
             problems.append("r_t must be positive")
         if self.h is not None and not (self.h > 0):
             problems.append("bandwidth must be positive when given")
-        if not (self.rho_floor > 0):
-            problems.append("rho_floor must be positive")
-        if self.u1_mode not in ("modified", "original"):
-            problems.append("u1_mode must be 'modified' or 'original'")
         if problems:
             raise ValueError("; ".join(problems))
         return self
@@ -121,14 +110,13 @@ def avoidance_batch(params: ControllerParams, positions, ids=None, time=None):
     return _avoidance(params, neighbours(positions, params.avoidance_reach), ids, time)
 
 
-def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, pairs,
-                     ls, tangents, boundary_d, boundary_dir, rho_hat, grad_hat,
-                     grad_d, ids, time):
+def compose_velocity(params: ControllerParams, mode, pairs, tangents, boundary_d,
+                     boundary_dir, rho_hat, grad_hat, grad_d, ids, time):
     """Commands of all M active robots from one snapshot.
 
     ``pairs`` is the snapshot's Neighbours for the reach
     ``params.avoidance_reach``.  The other inputs are arrays with one row
-    per active robot: arc length ls (M,) and the unit spine tangent there
+    per active robot: the unit spine tangent at the robot's arc length
     (M, 2); lateral boundary distance (M,) and the unit direction away from
     the nearest boundary point (M, 2); the density estimate rho_hat (M,),
     its gradient and the target gradient (M, 2) each.  ``ids`` names the
@@ -145,12 +133,6 @@ def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, pairs,
     if mode not in ("full", "baseline"):
         raise ValueError("mode must be 'full' or 'baseline'")
     u1 = params.k1 * tangents
-    if params.u1_mode == "original" and not tube.closed:
-        l_end = tube.extension_length
-        if l_end is None:
-            l_end = tube.length + params.k1 / params.eta_min
-        speed = np.maximum(l_end - ls, 0.0) * params.eta_min
-        u1 = np.minimum(speed, params.k1)[:, None] * tangents
 
     u2 = _avoidance(params, pairs, ids, time)
 
@@ -167,14 +149,15 @@ def compose_velocity(tube: VirtualTube, params: ControllerParams, mode, pairs,
 
     u123 = u1 + u2 + u3
     if mode == "full":
-        denom = np.maximum(rho_hat, params.rho_floor)
+        denom = np.maximum(rho_hat, RHO_FLOOR)
         u4 = -params.alpha0 * (grad_hat - grad_d) / denom[:, None]
         # cap |u4| at |u123|: a pointwise rescaling of the diffusion
         # coefficient, so the capped term is still a regulation velocity
         n123 = np.hypot(u123[:, 0], u123[:, 1])
         n4 = np.hypot(u4[:, 0], u4[:, 1])
         keep = (n4 > 0.0) & (n123 > 0.0)
-        scale = np.minimum(1.0, n123 / np.where(keep, n4, 1.0))
+        # divide only where the cap binds: n123 / n4 overflows for a subnormal n4
+        scale = np.divide(n123, n4, out=np.ones_like(n4), where=n4 > n123)
         u4 = np.where(keep[:, None], u4 * scale[:, None], 0.0)
     else:
         u4 = np.zeros_like(u123)

@@ -381,9 +381,9 @@ def run(scenario) -> SimulationLog:
         try:
             snap.containment_check()
             commands = compose_velocity(
-                tube, params, scenario.mode, snap.pairs, snap.l, snap.tangent,
-                snap.boundary_d, snap.boundary_dir, snap.rho_hat, snap.grad_hat,
-                snap.grad_d, snap.ids, snap.time,
+                params, scenario.mode, snap.pairs, snap.tangent, snap.boundary_d,
+                snap.boundary_dir, snap.rho_hat, snap.grad_hat, snap.grad_d, snap.ids,
+                snap.time,
             )
         except SafetyViolation as exc:
             commands = None

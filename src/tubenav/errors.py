@@ -11,18 +11,6 @@ class TubeDomainError(TubeNavError, ValueError):
     """A coordinate argument is outside the valid domain of an operation."""
 
 
-class OutsideTubeError(TubeNavError):
-    """A query point lies outside the tube.
-
-    Carries the best-effort curvilinear coordinate of the nearest-section
-    projection, for diagnostics.
-    """
-
-    def __init__(self, message, best_coord=None):
-        super().__init__(message)
-        self.best_coord = best_coord
-
-
 class SafetyViolation(TubeNavError):
     """A hard safety invariant failed (robot overlap, boundary penetration,
     or a robot left the tube).  Raised instead of silently correcting, so a

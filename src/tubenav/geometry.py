@@ -784,12 +784,10 @@ class VirtualTube:
 
     topology "open" tubes have terminal cross-sections at l = 0 and l = L;
     "closed" tubes are periodic in arc length (annular corridors) and have
-    no terminals.  ``extension_length`` describes how far past L the spine
-    conceptually continues for the constant-speed approach term; it is
-    validated against controller parameters at scenario load.
+    no terminals.
     """
 
-    def __init__(self, curve, widths, topology="open", extension_length=None):
+    def __init__(self, curve, widths, topology="open"):
         if topology not in ("open", "closed"):
             raise ValueError("topology must be 'open' or 'closed'")
         if topology == "closed" and not curve.closed:
@@ -800,12 +798,6 @@ class VirtualTube:
         self.widths = widths
         self.topology = topology
         self.length = curve.total_length
-        if extension_length is not None:
-            if topology == "closed":
-                raise ValueError("closed tubes take no extension length")
-            if extension_length < self.length:
-                raise ValueError("extension length must be at least the tube length")
-        self.extension_length = extension_length
 
         if np.any(self.widths.knot_ls < -1e-9) or np.any(
             self.widths.knot_ls > self.length + 1e-6

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import RunFileError
-from .metrics import evacuation_time, stalled_counts
+from .metrics import METRIC_DTYPE, evacuation_time, stalled_counts
 
 TRACE_COLUMNS = [
     "t", "robot_id", "x", "y", "vx", "vy",
@@ -84,16 +84,8 @@ def _json_num(x):
 def _metrics_dict(m):
     if m is None:
         return None
-    return {
-        "time": m.time,
-        "min_pairwise_distance": _json_num(m.min_pairwise_distance),
-        "min_boundary_distance": _json_num(m.min_boundary_distance),
-        "amd": _json_num(m.amd),
-        "exited_count": m.exited_count,
-        "density_error_l2": _json_num(m.density_error_l2),
-        "condition23_ok": m.condition23_ok,
-        "max_command_norm": _json_num(m.max_command_norm),
-    }
+    metrics = {name: _json_num(getattr(m, name)) for name in METRIC_DTYPE.names}
+    return {"time": m.time, **metrics}
 
 
 def stalled_summary(log):

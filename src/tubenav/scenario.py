@@ -29,20 +29,17 @@ from .geometry import (
 )
 from .state import SwarmState, make_swarm
 
-_PARAM_DEFAULTS = {
-    "k1_mps": 1.0,
-    "k2": 0.02,
-    "k3": 0.02,
-    "v_max_mps": 2.0,
-    "r_s_m": 0.5,
-    "r_a_m": 0.8,
-    "r_t_m": 0.3,
-    "eta_min_per_s": 1.0,
-    "eta_max_per_s": 1.0,
-    "alpha0_m2ps": 1.0,
-    "h_m": None,
-    "rho_floor_per_m2": 1e-6,
-    "u1_mode": "modified",
+# JSON key of each ControllerParams field; the defaults are the dataclass's
+_PARAM_FIELDS = {
+    "k1_mps": "k1",
+    "k2": "k2",
+    "k3": "k3",
+    "v_max_mps": "v_max",
+    "r_s_m": "r_s",
+    "r_a_m": "r_a",
+    "r_t_m": "r_t",
+    "alpha0_m2ps": "alpha0",
+    "h_m": "h",
 }
 
 _TOP_DEFAULTS = {
@@ -56,7 +53,7 @@ _TOP_DEFAULTS = {
 }
 
 
-_TUBE_KEYS = {"topology", "segments", "width_knots_m", "extension_length_m"}
+_TUBE_KEYS = {"topology", "segments", "width_knots_m"}
 
 _SEGMENT_KEYS = {
     "line": {"kind", "start_xy_m", "end_xy_m"},
@@ -102,39 +99,20 @@ def bundled_scenario_path(name: str) -> Path:
 # building blocks
 # ---------------------------------------------------------------------------
 
-def build_tube(tube_cfg: dict, params: ControllerParams | None = None) -> VirtualTube:
-    """Tube from its scenario description; the extension default needs the
-    controller parameters (approach speed over the scaling floor)."""
+def build_tube(tube_cfg: dict) -> VirtualTube:
+    """Tube from its scenario description."""
     topology = tube_cfg.get("topology", "open")
-    closed = topology == "closed"
     try:
         segments = [segment_from_config(s) for s in tube_cfg["segments"]]
-        curve = GeneratingCurve(segments, closed=closed)
+        curve = GeneratingCurve(segments, closed=topology == "closed")
         widths = WidthProfile(tube_cfg["width_knots_m"])
-        extension = tube_cfg.get("extension_length_m")
-        if not closed and extension is None and params is not None:
-            extension = curve.total_length + params.k1 / params.eta_min
-        return VirtualTube(curve, widths, topology=topology, extension_length=extension)
+        return VirtualTube(curve, widths, topology=topology)
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"tube construction failed: {exc}", rule="param-bound") from exc
 
 
 def _build_params(cfg: dict) -> ControllerParams:
-    p = ControllerParams(
-        k1=cfg["k1_mps"],
-        k2=cfg["k2"],
-        k3=cfg["k3"],
-        v_max=cfg["v_max_mps"],
-        r_s=cfg["r_s_m"],
-        r_a=cfg["r_a_m"],
-        r_t=cfg["r_t_m"],
-        eta_min=cfg["eta_min_per_s"],
-        eta_max=cfg["eta_max_per_s"],
-        alpha0=cfg["alpha0_m2ps"],
-        h=cfg["h_m"],
-        rho_floor=cfg["rho_floor_per_m2"],
-        u1_mode=cfg["u1_mode"],
-    )
+    p = ControllerParams(**{field: cfg[key] for key, field in _PARAM_FIELDS.items()})
     try:
         return p.validate()
     except ValueError as exc:
@@ -173,7 +151,7 @@ def _check_keys(cfg, allowed, path=""):
 
 def _check_all_keys(raw: dict):
     _check_keys(raw, {*_TOP_DEFAULTS, "tube", "placement", "params"})
-    _check_keys(raw.get("params", {}), _PARAM_DEFAULTS, "params")
+    _check_keys(raw.get("params", {}), _PARAM_FIELDS, "params")
     tube = raw.get("tube", {})
     _check_keys(tube, _TUBE_KEYS, "tube")
     segments = tube.get("segments")
@@ -214,8 +192,7 @@ def _check_values(resolved: dict):
     for i, cells in enumerate(grid):
         _check_value(cells, f"density_grid[{i}]", integer=True)
     for key, value in resolved["params"].items():
-        if key != "u1_mode":
-            _check_value(value, f"params.{key}", nullable=key == "h_m")
+        _check_value(value, f"params.{key}", nullable=key == "h_m")
     placement = resolved["placement"]
     kind = placement.get("kind")
     for key in sorted(_PLACEMENT_KEYS.get(kind, set()) - {"kind", "jitter_m"}):
@@ -257,12 +234,13 @@ def resolve_scenario(raw: dict) -> dict:
         raise ScenarioError("scenario needs 'tube' and 'placement' sections", rule="param-bound")
     resolved["tube"] = copy.deepcopy(raw["tube"])
     resolved["tube"].setdefault("topology", "open")
-    resolved["tube"].setdefault("extension_length_m", None)
     resolved["placement"] = copy.deepcopy(raw["placement"])
     if resolved["placement"].get("kind") == "grid":
         resolved["placement"].setdefault("jitter_m", 0.0)
     params_raw = raw.get("params", {})
-    resolved["params"] = {k: params_raw.get(k, v) for k, v in _PARAM_DEFAULTS.items()}
+    defaults = ControllerParams()
+    resolved["params"] = {key: params_raw.get(key, getattr(defaults, field))
+                          for key, field in _PARAM_FIELDS.items()}
     _check_values(resolved)
     return resolved
 
@@ -279,8 +257,7 @@ def _fingerprint(resolved: dict) -> str:
 def scenario_from_dict(raw: dict) -> Scenario:
     resolved = resolve_scenario(raw)
     params = _build_params(resolved["params"])
-    tube = build_tube(resolved["tube"], params)
-    resolved["tube"]["extension_length_m"] = tube.extension_length
+    tube = build_tube(resolved["tube"])
 
     if resolved["mode"] not in ("full", "baseline", "compare"):
         raise ScenarioError(f"mode must be full|baseline|compare, got {resolved['mode']!r}",
@@ -294,17 +271,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     grid = resolved["density_grid"]
     if grid[0] < 1 or grid[1] < 1:
         raise ScenarioError("density_grid must be two positive cell counts", rule="param-bound")
-
-    if params.u1_mode == "original" and tube.closed:
-        raise ScenarioError("distance-scheduled approach mode needs an open tube",
-                            rule="param-bound")
-    if not tube.closed:
-        needed = tube.length + params.k1 / params.eta_min
-        if tube.extension_length < needed - 1e-9:
-            raise ScenarioError(
-                f"extension length {tube.extension_length} below required {needed}",
-                rule="param-bound",
-            )
 
     try:
         report = tube.check_regularity(spacing=resolved["regularity_spacing_m"])

@@ -1,7 +1,8 @@
 """Per-point tube queries for the tests, written over the package's array
 queries: the former scalar VirtualTube methods curve_frame,
 cross_section_endpoints, to_curvilinear, to_cartesian and
-boundary_distance, with the tube coordinate they used, and the array
+boundary_distance, with the tube coordinate they used and the error they
+raise for a point outside the tube, and the array
 inverse map section_points that the tests build grids with.  Also the
 former scalar regularity check, segments_intersect over a double loop of section
 pairs, as the oracle of the array check."""
@@ -11,9 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tubenav.errors import OutsideTubeError, TubeDomainError
+from tubenav.errors import TubeDomainError
 
 _MEMBERSHIP_TOL = 1e-9  # m, slack of the width bounds
+
+
+class OutsideTubeError(Exception):
+    """A query point lies outside the tube.
+
+    Carries the best-effort curvilinear coordinate of the nearest-section
+    projection, for diagnostics.
+    """
+
+    def __init__(self, message, best_coord=None):
+        super().__init__(message)
+        self.best_coord = best_coord
 
 
 @dataclass(frozen=True)

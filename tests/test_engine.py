@@ -277,12 +277,12 @@ class TestRun:
         bd, bdir = tube.boundary_distance_many(pts)
         rho, grad = view.estimate_and_gradient_many(pts)
         grad_d = dd.gradient_many(prs.l, prs.r, prs.tangent, prs.curvature)
-        inputs = [prs.l, prs.tangent, bd, bdir, rho, grad, grad_d, np.arange(3)]
+        inputs = [prs.tangent, bd, bdir, rho, grad, grad_d, np.arange(3)]
         reach = prm.avoidance_reach
         for mode in ("full", "baseline"):
-            forward = compose_velocity(tube, prm, mode, neighbours(pts, reach), *inputs, 0.0)
+            forward = compose_velocity(prm, mode, neighbours(pts, reach), *inputs, 0.0)
             for perm in ([2, 1, 0], [1, 2, 0], [0, 2, 1]):
-                permuted = compose_velocity(tube, prm, mode, neighbours(pts[perm], reach),
+                permuted = compose_velocity(prm, mode, neighbours(pts[perm], reach),
                                             *(a[perm] for a in inputs), 0.0)
                 for want, got in zip(forward, permuted):
                     assert np.array_equal(got, want[perm])
@@ -404,9 +404,8 @@ class TestRun:
         d, dirs = tube.boundary_distance_many(pts)
         zeros = np.zeros_like(pts)
         with pytest.raises(SafetyViolation) as exc:
-            compose_velocity(tube, prm, "full", neighbours(pts, prm.avoidance_reach), prs.l,
-                             prs.tangent, d, dirs, np.ones(len(pts)), zeros, zeros,
-                             np.arange(len(pts)), 0.0)
+            compose_velocity(prm, "full", neighbours(pts, prm.avoidance_reach), prs.tangent,
+                             d, dirs, np.ones(len(pts)), zeros, zeros, np.arange(len(pts)), 0.0)
         assert log.fault == {"kind": exc.value.kind, "message": str(exc.value),
                              **exc.value.details}
         assert log.fault["kind"] == kind

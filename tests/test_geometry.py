@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubenav import blocks, geometry
-from tubenav.errors import OutsideTubeError, TubeDomainError
+from tubenav.errors import TubeDomainError
 from tubenav.geometry import (
     ArcSegment,
     CatmullRomSegment,
@@ -23,6 +23,7 @@ from broadcast_kernels import scan_segments
 from clouds import skin_walk
 from scalar_tube import (
     CurvilinearCoord,
+    OutsideTubeError,
     boundary_distance,
     cross_section_endpoints,
     curve_frame,

@@ -124,6 +124,12 @@ class TestLoadScenario:
         ("placement", "jiter_m", "placement.jiter_m"),
         ("tube", "widths", "tube.widths"),
         ("params", "k_1", "params.k_1"),
+        # keys of the former distance-scheduled approach and density floor
+        ("params", "u1_mode", "params.u1_mode"),
+        ("params", "eta_min_per_s", "params.eta_min_per_s"),
+        ("params", "eta_max_per_s", "params.eta_max_per_s"),
+        ("params", "rho_floor_per_m2", "params.rho_floor_per_m2"),
+        ("tube", "extension_length_m", "tube.extension_length_m"),
     ])
     def test_unknown_field_rejected_with_its_path(self, section, key, path):
         raw = short_scenario_dict()
@@ -390,6 +396,18 @@ class TestCheckTubeCommand:
         outtext = capsys.readouterr().out
         assert "no narrow sections" in outtext
 
+    @pytest.mark.parametrize("knots, code", [
+        (None, 0),
+        ([[0.0, 7.0, 7.0], [30.0, 7.0, 7.0]], 1),  # irregular: the fallback path
+    ])
+    def test_checks_at_the_scenarios_spacing(self, knots, code, tmp_path, capsys):
+        raw = short_scenario_dict()
+        raw["regularity_spacing_m"] = 0.25
+        if knots is not None:
+            raw["tube"]["width_knots_m"] = knots
+        assert main(["check-tube", str(write_scenario(tmp_path, raw))]) == code
+        assert "(section spacing 0.250 m)" in capsys.readouterr().out
+
     def test_irregular_tube_reported(self, tmp_path, capsys):
         raw = short_scenario_dict()
         raw["tube"]["width_knots_m"] = [[0.0, 7.0, 7.0], [30.0, 7.0, 7.0]]
@@ -410,6 +428,8 @@ MALFORMED = {
     "no-tube": (_without_tube, "param-bound"),
     "r_s-text": (lambda: json.dumps(short_scenario_dict(r_s_m="big")), "param-bound"),
     "r_s-negative": (lambda: json.dumps(short_scenario_dict(r_s_m=-1.0)), "param-bound"),
+    "spacing-zero": (lambda: json.dumps({**short_scenario_dict(), "regularity_spacing_m": 0}),
+                     "param-bound"),
     "bad-json": (lambda: '{"name": "x",', "parse"),
     "top-level-list": (lambda: "[1, 2]", "parse"),
 }
