@@ -101,8 +101,10 @@ def _avoidance(params: ControllerParams, pairs: Neighbours, ids=None, time=None)
     # every listed pair is within the reach, the barrier's outer edge
     _, slope = _barrier_slope(pairs.d, 2.0 * params.r_s, params.avoidance_reach)
     w = -params.k2 * slope / pairs.d
-    return np.stack([np.bincount(pairs.i, w * pairs.dx, minlength=m),
-                     np.bincount(pairs.i, w * pairs.dy, minlength=m)], axis=1)
+    u2 = np.empty((m, 2))
+    u2[:, 0] = np.bincount(pairs.i, w * pairs.dx, minlength=m)
+    u2[:, 1] = np.bincount(pairs.i, w * pairs.dy, minlength=m)
+    return u2
 
 
 def avoidance_batch(params: ControllerParams, positions, ids=None, time=None):
@@ -136,7 +138,7 @@ def compose_velocity(params: ControllerParams, mode, pairs, tangents, boundary_d
 
     u2 = _avoidance(params, pairs, ids, time)
 
-    if len(boundary_d) and np.min(boundary_d) <= params.r_s:
+    if len(boundary_d) and np.minimum.reduce(boundary_d) <= params.r_s:
         k = int(np.argmin(boundary_d))
         robot, b = int(ids[k]), float(boundary_d[k])
         raise SafetyViolation(

@@ -55,7 +55,7 @@ class DensityView:
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
         # the estimate divides by n h^2 and its gradient by n h^3
-        h, n = float(self.bandwidth), self.n
+        h, n = float(self.bandwidth), len(self.positions)
         try:
             cube = n * h ** 3
         except OverflowError:
@@ -66,10 +66,7 @@ class DensityView:
                 f"n h^3 = {cube!r} outside the positive finite normal floats"
             )
         _check_finite(self.positions)
-
-    @property
-    def n(self):
-        return len(self.positions)
+        self.n = n
 
     def _kernel_rows(self, pts):
         """(rows, dx, dy, k) for blocks of query rows: the scaled offsets
@@ -143,8 +140,14 @@ class DensityView:
         if offsets.size == 0:
             return np.zeros((n_l, n_r))
         size, blocks = row_blocks(n_l, (n_r + 5) * self.n)
-        low_cell = origins + offsets.min(axis=1)[:, None] * normals
-        high_cell = origins + offsets.max(axis=1)[:, None] * normals
+        # per column, built once along the columns: the cells at the smallest
+        # and largest offsets, and the frame's components tx, ty, nx, ny
+        # as (4, n_l, 1) columns that a block slices
+        low_cell = origins + np.minimum.reduce(offsets, axis=1)[:, None] * normals
+        high_cell = origins + np.maximum.reduce(offsets, axis=1)[:, None] * normals
+        frame = np.empty((4, n_l, 1))
+        frame[:2, :, 0] = tangents.T
+        frame[2:, :, 0] = normals.T
         starts = [cols.start for cols in blocks]
         lo = np.minimum.reduceat(np.minimum(low_cell, high_cell), starts) - _CULL_RADIUS * h
         hi = np.maximum.reduceat(np.maximum(low_cell, high_cell), starts) + _CULL_RADIUS * h
@@ -180,10 +183,11 @@ class DensityView:
             np.matmul(columns[:, cols], neg, out=dxy)
             dxy /= h
             dx, dy = dxy
-            np.multiply(dx, tangents[cols, 0, None], out=tau)
-            tau += np.multiply(dy, tangents[cols, 1, None], out=tmp)
-            np.multiply(dx, normals[cols, 0, None], out=s)
-            s += np.multiply(dy, normals[cols, 1, None], out=tmp)
+            tx, ty, nx, ny = frame[:, cols]
+            np.multiply(dx, tx, out=tau)
+            tau += np.multiply(dy, ty, out=tmp)
+            np.multiply(dx, nx, out=s)
+            s += np.multiply(dy, ny, out=tmp)
             tmp.fill(1.0)
             np.matmul(cells[cols], ones_s, out=z)
             np.square(z, out=z)
@@ -197,15 +201,18 @@ class DensityView:
 
     def estimate_and_gradient_many(self, pts):
         """Density and gradient at each query point in one kernel pass."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim < 2:
+            pts = pts.reshape(1, -1)
         h = self.bandwidth
         scale = -1.0 / (self.n * h ** 3)
         rho = np.empty(len(pts))
         grad = np.empty((len(pts), 2))
+        # row sums as ndarray.sum takes them: one add.reduce along the row
         for rows, dx, dy, k in self._kernel_rows(pts):
-            rho[rows] = k.sum(axis=1) / (self.n * h * h)
-            grad[rows, 0] = np.multiply(k, dx, out=dx).sum(axis=1) * scale
-            grad[rows, 1] = np.multiply(k, dy, out=dy).sum(axis=1) * scale
+            rho[rows] = np.add.reduce(k, axis=1) / (self.n * h * h)
+            grad[rows, 0] = np.add.reduce(np.multiply(k, dx, out=dx), axis=1) * scale
+            grad[rows, 1] = np.add.reduce(np.multiply(k, dy, out=dy), axis=1) * scale
         return rho, grad
 
 
@@ -252,17 +259,21 @@ def occupied_region_from_arclengths(ls, tube: VirtualTube, min_halfwidth=0.0):
         raise ValueError("occupied region undefined with no active robots")
     L = tube.length
     if tube.closed:
-        ls = np.sort(ls % L)
+        ls = ls % L
+        ls.sort()
         if len(ls) == 1:
             l_b, l_f = float(ls[0]), float(ls[0])
         else:
-            gaps = np.diff(np.concatenate([ls, [ls[0] + L]]))
-            k = int(np.argmax(gaps))
+            # the gaps between neighbours around the ring, the seam's last
+            gaps = np.empty(len(ls))
+            np.subtract(ls[1:], ls[:-1], out=gaps[:-1])
+            gaps[-1] = (ls[0] + L) - ls[-1]
+            k = int(gaps.argmax())
             biggest = float(gaps[k])
             l_b = float(ls[(k + 1) % len(ls)])
             l_f = l_b + (L - biggest)
     else:
-        l_b, l_f = float(np.min(ls)), float(np.max(ls))
+        l_b, l_f = float(ls.min()), float(ls.max())
     if l_f - l_b < 2.0 * min_halfwidth:
         mid = 0.5 * (l_b + l_f)
         l_b = mid - min_halfwidth
@@ -283,8 +294,7 @@ def occupied_region_from_arclengths(ls, tube: VirtualTube, min_halfwidth=0.0):
 
 def _cos_ramp(s):
     """Smooth 0 -> 1 ramp with zero slope at both ends."""
-    s = np.clip(s, 0.0, 1.0)
-    return 0.5 * (1.0 - np.cos(math.pi * s))
+    return 0.5 * (1.0 - np.cos(math.pi * s.clip(0.0, 1.0)))
 
 
 def _cos_ramp_slope(s):
@@ -312,7 +322,7 @@ def _mask(ls, l_b, l_f, delta, full_ring, slope=False):
     or columns with one row per target for a batch whose arc lengths have
     a row per target; either way they broadcast against ls, so every
     target shares this one arithmetic."""
-    s = np.stack([ls - l_b, l_f - ls]) / delta
+    s = np.array([ls - l_b, l_f - ls]) / delta
     inside = (ls >= l_b) & (ls <= l_f)
     ramp = _cos_ramp(s)
     mask = np.where(full_ring, 1.0, np.where(inside, ramp[0] * ramp[1], 0.0))
@@ -331,6 +341,27 @@ def _profile(tube, ls, l_b, l_f, delta, lam_moll, full_ring):
     return lam_moll * tube.widths.r_c(_wrap(tube, ls_u)) * _mask(ls_u, l_b, l_f, delta, full_ring)
 
 
+def _gauss_sum(mask, r_c, half):
+    """The 20-node Gauss-Legendre sum of mask * 2 r_c^2, both (pieces, 20),
+    over pieces of the given half lengths."""
+    return float((mask * 2.0 * r_c ** 2) @ _GL20_WEIGHTS @ half)
+
+
+def _stretch(ls, rs, curvatures):
+    """1 - kappa r at the points with tube coordinates (ls, rs) and signed
+    curvatures kappa: the factor by which grad l = t / (1 - kappa r) grows.
+    Raises where it is <= 0: the point is at or past the centre of
+    curvature, where l is not a function of position."""
+    stretch = 1.0 - curvatures * rs
+    if (stretch <= 0.0).any():
+        k = int((stretch <= 0.0).argmax())
+        raise TubeDomainError(
+            f"offset r={rs[k]} at arc length l={ls[k]} is at or past the centre of "
+            f"curvature (1 - kappa r = {stretch[k]:.3e})"
+        )
+    return stretch
+
+
 class DesiredDensity:
     """Capacity-proportional target density on the occupied region.
 
@@ -338,24 +369,52 @@ class DesiredDensity:
     multiplied by cosine ramps of width delta_l inside each edge and scaled
     by lam_moll so the mollified field integrates to one.  A closed tube
     whose occupied region covers the whole ring needs no ramps.
+
+    ``at``, the (ls, rs, tangents, curvatures) of points as a projection
+    returns them, asks for the target gradient there as well: ``gradient``,
+    (M, 2), equal to ``gradient_many`` at those points bit for bit.  The
+    build then evaluates the mask, its slope and r_c at the normalization's
+    quadrature nodes and at those arc lengths in one pass; without ``at``
+    ``gradient`` is None.
     """
 
-    def __init__(self, tube: VirtualTube, region: OccupiedRegion, delta_l):
+    def __init__(self, tube: VirtualTube, region: OccupiedRegion, delta_l, at=None):
         if delta_l <= 0:
             raise ValueError("mollification width must be positive")
         self.tube = tube
         self.region = region
         self.full_ring = tube.closed and region.span >= tube.length - 1e-12
         self.delta = min(float(delta_l), 0.5 * region.span)
-        self.lam_moll = 1.0 / self._mass()
+        self.gradient = None
+        if at is None:
+            self.lam_moll = 1.0 / self._mass()
+            return
+        ls, rs, tangents, curvatures = at
+        stretch = _stretch(ls, rs, curvatures)
+        xs, half = self._nodes()
+        n = xs.size
+        ls_u = np.concatenate([xs.ravel(), _unwrap(tube, ls, region.l_b)])
+        (mask, mask_slope), r_c, ls_w = self._mask_and_width(ls_u, slope=True)
+        self.lam_moll = 1.0 / _gauss_sum(mask[:n].reshape(xs.shape), r_c[:n].reshape(xs.shape),
+                                         half)
+        slope = self._slope(ls_w[n:], mask[n:], mask_slope[n:], r_c[n:]) / stretch
+        self.gradient = slope[:, None] * tangents
 
     def _profile_args(self):
         """(l_b, l_f, delta, lam_moll, full_ring): what _profile reads."""
         return self.region.l_b, self.region.l_f, self.delta, self.lam_moll, self.full_ring
 
-    def _mass(self):
-        """Integral of mask(l) * 2 r_c(l)^2 over the region, in one
-        Gauss-Legendre pass.
+    def _mask_and_width(self, ls_u, slope=False):
+        """The mask (with ``slope``, the pair of mask and slope) and r_c at
+        the unwrapped arc lengths ls_u, and those arc lengths wrapped."""
+        ls_w = _wrap(self.tube, ls_u)
+        mask = _mask(ls_u, self.region.l_b, self.region.l_f, self.delta, self.full_ring,
+                     slope=slope)
+        return mask, self.tube.widths.r_c(ls_w), ls_w
+
+    def _nodes(self):
+        """The nodes (pieces, 20) of the Gauss-Legendre pass that integrates
+        mask(l) * 2 r_c(l)^2 over the region, and each piece's half length.
 
         The region is cut at the ramp ends and at every image of the width
         knots and, on closed tubes, of the seam, so each piece is smooth:
@@ -368,13 +427,29 @@ class DesiredDensity:
             periods = np.arange(math.floor(l_b / L), math.ceil(l_f / L) + 1)
             breaks = (np.append(breaks, 0.0) + L * periods[:, None]).ravel()
         inner = breaks[(breaks > l_b) & (breaks < l_f)]
-        cuts = np.unique(np.concatenate([[l_b, l_b + d, max(l_f - d, l_b + d), l_f], inner]))
+        # the sorted distinct cuts, as np.unique gives them
+        cuts = np.concatenate([[l_b, l_b + d, max(l_f - d, l_b + d), l_f], inner])
+        cuts.sort()
+        first = np.empty(len(cuts), dtype=bool)
+        first[0] = True
+        np.not_equal(cuts[1:], cuts[:-1], out=first[1:])
+        cuts = cuts[first]
         mid = 0.5 * (cuts[:-1] + cuts[1:])
         half = 0.5 * (cuts[1:] - cuts[:-1])
-        xs = mid[:, None] + half[:, None] * _GL20_NODES
-        mask = _mask(xs, l_b, l_f, d, self.full_ring)
-        r_c = self.tube.widths.r_c(_wrap(self.tube, xs))
-        return float((mask * 2.0 * r_c ** 2) @ _GL20_WEIGHTS @ half)
+        return mid[:, None] + half[:, None] * _GL20_NODES, half
+
+    def _mass(self):
+        """Integral of mask(l) * 2 r_c(l)^2 over the region, in one
+        Gauss-Legendre pass over the nodes of _nodes."""
+        xs, half = self._nodes()
+        mask, r_c, _ = self._mask_and_width(xs)
+        return _gauss_sum(mask, r_c, half)
+
+    def _slope(self, ls_w, mask, mask_slope, r_c):
+        """d rho_d / dl at the wrapped arc lengths ls_w, from the mask, its
+        slope and r_c there: the piecewise-linear capacity's slope times the
+        mask plus the capacity times the cosine ramps' slope."""
+        return self.lam_moll * (self.tube.widths.r_c_slope(ls_w) * mask + r_c * mask_slope)
 
     # -- profile ------------------------------------------------------------
 
@@ -383,14 +458,10 @@ class DesiredDensity:
         return _profile(self.tube, ls, *self._profile_args())
 
     def profile_slope_many(self, ls):
-        """d rho_d / dl: the piecewise-linear capacity's slope times the
-        mask plus the capacity times the cosine ramps' slope, shape (M,)."""
-        l_b, l_f, delta, lam_moll, full_ring = self._profile_args()
-        ls_u = _unwrap(self.tube, ls, l_b)
-        ls_w = _wrap(self.tube, ls_u)
-        mask, mask_slope = _mask(ls_u, l_b, l_f, delta, full_ring, slope=True)
-        widths = self.tube.widths
-        return lam_moll * (widths.r_c_slope(ls_w) * mask + widths.r_c(ls_w) * mask_slope)
+        """d rho_d / dl, shape (M,); see _slope."""
+        ls_u = _unwrap(self.tube, ls, self.region.l_b)
+        (mask, mask_slope), r_c, ls_w = self._mask_and_width(ls_u, slope=True)
+        return self._slope(ls_w, mask, mask_slope, r_c)
 
     # -- gradient -------------------------------------------------------------
 
@@ -406,14 +477,7 @@ class DesiredDensity:
         where l is not a function of position."""
         ls = np.asarray(ls, dtype=float)
         rs = np.asarray(rs, dtype=float)
-        stretch = 1.0 - np.asarray(curvatures, dtype=float) * rs
-        bad = np.flatnonzero(stretch <= 0.0)
-        if len(bad):
-            k = int(bad[0])
-            raise TubeDomainError(
-                f"offset r={rs[k]} at arc length l={ls[k]} is at or past the centre of "
-                f"curvature (1 - kappa r = {stretch[k]:.3e})"
-            )
+        stretch = _stretch(ls, rs, np.asarray(curvatures, dtype=float))
         slope = self.profile_slope_many(ls) / stretch
         return slope[:, None] * np.asarray(tangents, dtype=float).reshape(-1, 2)
 

@@ -214,9 +214,10 @@ def apply_exit_rule(swarm: SwarmState, tube: VirtualTube, projections):
     if tube.closed:
         return np.ones(len(projections.l), dtype=bool)
     out = (projections.l >= tube.length - _EXIT_TOL) | projections.beyond_end
-    gone = np.flatnonzero(swarm.active)[out]
-    swarm.active[gone] = False
-    swarm.velocities[gone] = 0.0
+    if out.any():
+        gone = np.flatnonzero(swarm.active)[out]
+        swarm.active[gone] = False
+        swarm.velocities[gone] = 0.0
     return ~out
 
 
@@ -228,25 +229,31 @@ class _Snapshot:
     """Everything derived from one state and shared by all robots: rows over
     the robots still active after the exit rule."""
 
-    def __init__(self, swarm, tube, params, seeds, wall_list, pair_list):
-        """``seeds``: every robot's arc length at the previous snapshot, or
-        None at the first, whose projections start from the seed polyline.
-        ``wall_list`` and ``pair_list``: the run's skin lists, passed the
-        active positions."""
+    def __init__(self, swarm, tube, params, mode, previous, wall_list, pair_list):
+        """``previous``: the previous snapshot, or None at the first.  Its
+        robots are the ones active now, and its projection seeds this one's:
+        its arc lengths start the Newton iterations and its spine frames
+        stand in for their first evaluation.  The first snapshot's
+        projections start from the seed polyline.  ``wall_list`` and
+        ``pair_list``: the run's skin lists, passed the active positions.
+        The density estimate and both gradients feed only the regulation
+        term, which the baseline mode drops, so there they are None."""
         self.time = swarm.time
-        before = np.flatnonzero(swarm.active)
-        prs, inside = tube.locate(
-            swarm.positions[before], seeds=None if seeds is None else seeds[before]
-        )
+        if previous is None:
+            before = np.flatnonzero(swarm.active)
+            prs, inside = tube.locate(swarm.positions[before])
+        else:
+            before = previous.ids
+            prs, inside = tube.locate(swarm.positions[before], previous.l, previous.frames)
         stay = apply_exit_rule(swarm, tube, prs)
-        self.exited = before[~stay]
-        self.ids = before[stay]
-        self.l = prs.l[stay]
-        self.r = prs.r[stay]
-        self.tangent = prs.tangent[stay]
-        self.curvature = prs.curvature[stay]
+        self.exited = before[~stay].tolist()
+        keep = slice(None) if stay.all() else stay  # views while no robot exits
+        self.ids = before[keep]
+        self.l, self.r, self.curvature = prs.l[keep], prs.r[keep], prs.curvature[keep]
+        self.frames = tuple(part[keep] for part in prs.frames)
+        self.tangent = self.frames[1]
         # no kept row lies beyond the end, so this is the tube membership
-        self.inside = inside[stay]
+        self.inside = inside[keep]
         self.positions = swarm.positions[self.ids]
         self.boundary_d, self.boundary_dir = tube.boundary_distance_many(
             self.positions, wall_list)
@@ -254,26 +261,29 @@ class _Snapshot:
         # the one pair structure of the snapshot: the record's metrics and
         # the avoidance term, with its safety check, both read it
         self.pairs = neighbours(self.positions, params.avoidance_reach, pair_list)
-        self.min_pair = float(np.min(self.pairs.nearest)) if m >= 2 else math.nan
+        self.min_pair = float(self.pairs.nearest.min()) if m >= 2 else math.nan
 
-        self.view = None
-        self.region = None
-        self.dd = None
-        self.rho_hat = np.zeros(m)
-        self.grad_hat = np.zeros((m, 2))
-        self.grad_d = np.zeros((m, 2))
-        if m:
-            # built in both modes: the baseline arm ignores the density for
-            # control but still reports the tracking-error metric
-            bandwidth = (
-                params.h if params.h is not None else silverman_bandwidth(self.positions, params.r_s)
-            )
-            delta_l = max(bandwidth, params.r_s)
-            self.region = occupied_region_from_arclengths(self.l, tube, min_halfwidth=delta_l)
-            self.view = DensityView(self.positions, bandwidth)
+        self.view = self.region = self.dd = None
+        if not m:
+            self.rho_hat, self.grad_hat, self.grad_d = np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2))
+            return
+        # built in both modes: the baseline arm ignores the density for
+        # control but still reports the tracking-error metric
+        bandwidth = (
+            params.h if params.h is not None else silverman_bandwidth(self.positions, params.r_s)
+        )
+        delta_l = max(bandwidth, params.r_s)
+        self.region = occupied_region_from_arclengths(self.l, tube, min_halfwidth=delta_l)
+        self.view = DensityView(self.positions, bandwidth)
+        if mode == "baseline":
             self.dd = DesiredDensity(tube, self.region, delta_l=delta_l)
+            self.rho_hat = self.grad_hat = self.grad_d = None
+        else:
+            self.dd = DesiredDensity(tube, self.region, delta_l=delta_l,
+                                     at=(self.l, self.r, self.tangent, self.curvature))
             self.rho_hat, self.grad_hat = self.view.estimate_and_gradient_many(self.positions)
-            self.grad_d = self.dd.gradient_many(self.l, self.r, self.tangent, self.curvature)
+            # the error metric's pending list keeps the target, not its gradient
+            self.grad_d, self.dd.gradient = self.dd.gradient, None
 
     def containment_check(self):
         if not self.inside.all():
@@ -309,13 +319,14 @@ def _record(log, k, snapshot, swarm, commands):
             # arithmetic: the sum of the squares of each row, then sqrt
             norms = np.array([u1 + u2 + u3, u4, v])
             n123, n4, nv = np.sqrt(np.add.reduce(norms * norms, axis=2))
-            cond_ok = not np.any(n4 > n123 + COND23_TOL)
-            max_norm = float(np.max(nv))
+            cond_ok = not (n4 > n123 + COND23_TOL).any()
+            max_norm = float(nv.max())
+    # the active robots are the snapshot's, so the rest have exited
     log.metrics[k] = (  # in METRIC_DTYPE's order, the density error NaN
         snapshot.min_pair,
         snapshot.boundary_d.min() if n_active else math.nan,
-        snapshot.pairs.nearest.mean() if n_active >= 2 else math.nan,
-        np.count_nonzero(~swarm.active),
+        np.add.reduce(snapshot.pairs.nearest) / n_active if n_active >= 2 else math.nan,
+        len(swarm.active) - n_active,
         math.nan,
         cond_ok,
         max_norm,
@@ -367,17 +378,18 @@ def run(scenario) -> SimulationLog:
     n_steps = 0 if scenario.t_end <= 0 else int(math.ceil(scenario.t_end / dt - 1e-9))
     log = SimulationLog.allocate(scenario.fingerprint, scenario.resolved,
                                  len(state.positions), n_steps + 1)
-    arc = np.full(len(state.positions), np.nan)  # previous snapshot's arc lengths
     chunk, _ = row_blocks(n_steps + 1, grid[0] * grid[1])
     pending = []
     skin = SKIN_STEPS * params.v_max * dt
     wall_list, pair_list = tube.wall_list(skin), PairList(skin)
 
     k = 0
+    snap = None
     while True:
         state.time = k * dt
-        snap = _Snapshot(state, tube, params, arc if k else None, wall_list, pair_list)
-        log.exit_times.update(dict.fromkeys(snap.exited.tolist(), snap.time))
+        snap = _Snapshot(state, tube, params, scenario.mode, snap, wall_list, pair_list)
+        if snap.exited:
+            log.exit_times.update(dict.fromkeys(snap.exited, snap.time))
         try:
             snap.containment_check()
             commands = compose_velocity(
@@ -398,8 +410,7 @@ def run(scenario) -> SimulationLog:
             _fill_density_errors(pending, log, tube, grid)
         v = commands[4]
         state.velocities[snap.ids] = v
-        state.positions[snap.ids] = state.positions[snap.ids] + dt * v
-        arc[snap.ids] = snap.l
+        state.positions[snap.ids] = snap.positions + dt * v
         k += 1
     if commands is not None:
         log.termination = "time-limit" if len(snap.ids) else "all-exited"

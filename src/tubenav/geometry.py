@@ -82,7 +82,7 @@ class LineSegment:
     def eval_many(self, s, k=0):
         u = self._u[k]
         points = self._a[k] + np.asarray(s, dtype=float)[:, None] * u
-        tangents = np.empty_like(points)
+        tangents = np.empty(points.shape)
         tangents[:] = u
         return points, tangents, np.zeros(points.shape)
 
@@ -432,9 +432,9 @@ class SegmentList:
         built = self._built
         if built is None or len(built) != len(pts):
             return False
-        moved = pts - built
+        dx, dy = (pts - built).T
         # a NaN displacement fails the comparison, so it rebuilds
-        return np.max(np.einsum("ij,ij->i", moved, moved), initial=0.0) <= self.skin * self.skin
+        return np.maximum.reduce(dx * dx + dy * dy, initial=0.0) <= self.skin * self.skin
 
     def nearest(self, pts):
         """Index of the nearest segment to each point, with the offset
@@ -457,15 +457,24 @@ class SegmentList:
 @dataclass
 class _Projection:
     """Nearest spine points of several points, every field an array with one
-    row per point; from ``project``, the one row as plain values."""
+    row per point; from ``project``, the one row as plain values (a tuple
+    for each (M, 2) field)."""
 
     l: np.ndarray
     r: np.ndarray
-    tangent: np.ndarray       # unit tangent at l, (M, 2); a (tx, ty) tuple from project
+    tangent: np.ndarray       # unit tangent at l, (M, 2)
     curvature: np.ndarray     # signed curvature c . n at l
     residual: np.ndarray      # tangential component of (p - gamma(l))
     beyond_start: np.ndarray
     beyond_end: np.ndarray
+    point: np.ndarray         # gamma(l), (M, 2)
+    curvature_vector: np.ndarray  # c at l, (M, 2)
+
+    @property
+    def frames(self):
+        """The spine's (points, unit tangents, curvature vectors) at l:
+        what a later projection seeded at l takes as its ``frames``."""
+        return self.point, self.tangent, self.curvature_vector
 
 
 def _unconverged(p, tries):
@@ -500,6 +509,8 @@ class GeneratingCurve:
         self.closed = bool(closed)
         self._lengths = np.array([seg.length for seg in self.segments])
         self._cum_arr = np.concatenate([[0.0], np.cumsum(self._lengths)])
+        self._ends = self._cum_arr[1:]
+        self._n_segments = len(self.segments)
         self.total_length = float(self._cum_arr[-1])
         # the segments of each kind evaluate as one stack (a lone segment is
         # its own stack); segment n is row _within[n] of stack _stack_of[n]
@@ -561,25 +572,33 @@ class GeneratingCurve:
     def eval_many(self, ls, clip=False):
         """Points, unit tangents and curvature vectors at the arc lengths ls,
         (M, 2) each.  Each arc length is taken in the segment it falls in;
-        ``clip`` clamps it to that segment's ends."""
+        ``clip`` clamps it to that segment's ends.  Arc lengths on segments
+        of one kind go straight to that kind's stack; a batch on several
+        kinds is split by one stable sort and each kind's rows are written
+        once.  Every row is evaluated on its own, so its value does not
+        depend on the rest of the batch."""
         ls = np.asarray(ls, dtype=float)
-        if len(self.segments) == 1:
+        if self._n_segments == 1:
             return self._stacks[0].eval_many(np.clip(ls, 0.0, self.total_length) if clip else ls)
-        idx = np.minimum(np.searchsorted(self._cum_arr[1:], ls, side="right"),
-                         len(self.segments) - 1)
+        idx = np.minimum(self._ends.searchsorted(ls, side="right"), self._n_segments - 1)
         s = ls - self._cum_arr[idx]
         if clip:
             s = np.clip(s, 0.0, self._lengths[idx])
         k = self._within[idx]
         if len(self._stacks) == 1:
             return self._stacks[0].eval_many(s, k)
-        out = np.empty((3, len(ls), 2))
         stack_of = self._stack_of[idx]
-        for q, stack in enumerate(self._stacks):
-            rows = np.flatnonzero(stack_of == q)
-            if rows.size:
-                for part, values in zip(out, stack.eval_many(s[rows], k[rows])):
-                    part[rows] = values
+        counts = np.bincount(stack_of, minlength=len(self._stacks)).tolist()
+        if len(ls) in counts:  # one kind (or no rows)
+            return self._stacks[counts.index(len(ls))].eval_many(s, k)
+        order = stack_of.argsort(kind="stable")
+        out = np.empty((3, len(ls), 2))
+        start = 0
+        for stack, count in zip(self._stacks, counts):
+            rows = order[start:start + count]
+            start += count
+            if count:
+                out[:, rows] = stack.eval_many(s[rows], k[rows])
         return out[0], out[1], out[2]
 
     def eval_scalar(self, l):
@@ -607,21 +626,24 @@ class GeneratingCurve:
         l_a = self.vertex_ls[k]
         return l_a + t * (self.vertex_ls[k + 1] - l_a)
 
-    def _newton(self, px, py, l):
+    def _newton(self, px, py, l, first=None):
         """Newton iteration on the stationarity residual (p - gamma(l)) . t(l),
         every row at once; a row stops once it moves by less than the
         tolerance.  Open curves clamp l to [0, L], closed ones wrap it (and
-        measure the move around the seam).  Returns each row's final l and
-        last step, and the rows still moving after _PROJ_MAX_NEWTON steps."""
+        measure the move around the seam).  ``first``, the spine's (points,
+        tangents, curvature vectors) at the starting l, stands in for the
+        first evaluation.  Returns each row's final l and last step, and the
+        rows still moving after _PROJ_MAX_NEWTON steps."""
         L = self.total_length
         l = l.copy()
-        step = np.zeros_like(l)
+        step = np.zeros(l.shape)
         live = np.arange(len(l))
         for _ in range(_PROJ_MAX_NEWTON):
             if not live.size:
                 break
             lr = l[live]
-            pt, tan, curv = self.eval_many(lr)
+            pt, tan, curv = self.eval_many(lr) if first is None else first
+            first = None
             dx, dy = px[live] - pt[:, 0], py[live] - pt[:, 1]
             g = dx * tan[:, 0] + dy * tan[:, 1]
             gp = dx * curv[:, 0] + dy * curv[:, 1] - 1.0
@@ -637,24 +659,41 @@ class GeneratingCurve:
             live = live[moved >= 1e-13 * (1.0 + L)]
         return l, step, live
 
-    def project_many(self, pts, seeds=None) -> _Projection:
+    def project_many(self, pts, seeds=None, frames=None) -> _Projection:
         """Nearest-point projection of each point onto the curve, all rows at
         once.  ``seeds`` (previous arc lengths) skip the seed polyline's
         search (table_seeds); a seeded row whose iterates still move after
         _PROJ_MAX_NEWTON steps is retried from its table seed, and
         TubeDomainError is raised only if that fails too.  Open curves clamp
         l to [0, L] and report whether the unconstrained optimum lies beyond
-        an endpoint.  A point that is not finite raises ValueError."""
+        an endpoint.  A point that is not finite raises ValueError.
+
+        ``frames``, the ``frames`` of the projection that returned the seeds
+        (rows in the seeds' order), stand in for the first Newton evaluation
+        of every row whose seed the clamp or wrap leaves unchanged, bit for
+        bit: an evaluation at the same l gives the same rows.  The other rows
+        are evaluated afresh, so the result equals a projection without
+        ``frames`` bit for bit."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         _check_finite(pts)
         px, py = pts[:, 0], pts[:, 1]
         L = self.total_length
+        first = None
         if seeds is None:
             seed = self.table_seeds(pts)
         else:
-            seed = np.asarray(seeds, dtype=float).reshape(-1)
-            seed = seed % L if self.closed else np.clip(seed, 0.0, L)
-        l, step, live = self._newton(px, py, seed)
+            given = np.asarray(seeds, dtype=float).reshape(-1)
+            seed = given % L if self.closed else np.clip(given, 0.0, L)
+            if frames is not None:
+                # a changed seed, a sign of zero included, is evaluated afresh
+                stale = (seed != given) | (np.signbit(seed) != np.signbit(given))
+                first = frames
+                if stale.any():
+                    stale = stale.nonzero()[0]
+                    first = [part.copy() for part in frames]
+                    for part, values in zip(first, self.eval_many(seed[stale])):
+                        part[stale] = values
+        l, step, live = self._newton(px, py, seed, first)
         if live.size and seeds is not None:
             retry = self.table_seeds(pts[live])
             l_retry, step_retry, bad = self._newton(px[live], py[live], retry)
@@ -674,14 +713,15 @@ class GeneratingCurve:
         return _Projection(
             l=l, r=-dx * ty + dy * tx, tangent=tan, curvature=ty * -curv[:, 0] + tx * curv[:, 1],
             residual=g, beyond_start=is_open & (l <= 0.0) & (g < -_MEMBERSHIP_TOL),
-            beyond_end=is_open & (l >= L) & (g > _MEMBERSHIP_TOL),
+            beyond_end=is_open & (l >= L) & (g > _MEMBERSHIP_TOL), point=pt,
+            curvature_vector=curv,
         )
 
     def project(self, p, seed_l=None) -> _Projection:
         """Projection of one point: one row of project_many, as plain values."""
         pr = self.project_many([p], None if seed_l is None else [seed_l])
         return _Projection(**{
-            key: tuple(v[0].tolist()) if key == "tangent" else v[0].item()
+            key: tuple(v[0].tolist()) if v.ndim == 2 else v[0].item()
             for key, v in vars(pr).items()
         })
 
@@ -851,11 +891,12 @@ class VirtualTube:
 
     # -- curvilinear map --------------------------------------------------------
 
-    def locate(self, pts, seeds=None):
+    def locate(self, pts, seeds=None, frames=None):
         """Projections of the points (M, 2) plus their tube-membership flags
         (M,).  An outside point is reported by its flag; only an unconverged
-        projection raises (TubeDomainError, see GeneratingCurve.project_many)."""
-        pr = self.curve.project_many(pts, seeds)
+        projection raises (TubeDomainError, see GeneratingCurve.project_many,
+        which takes ``seeds`` and ``frames``)."""
+        pr = self.curve.project_many(pts, seeds, frames)
         inside = (
             ~pr.beyond_start
             & ~pr.beyond_end
@@ -912,8 +953,11 @@ class VirtualTube:
             raise ValueError("the wall list belongs to another tube")
         _, ex, ey, d2 = walls.nearest(pts)
         dist = np.sqrt(d2)
-        norms = np.where(dist > 0, dist, 1.0)
-        return dist, np.stack([ex, ey], axis=1) / norms[:, None]
+        direction = np.empty((len(dist), 2))
+        direction[:, 0] = ex
+        direction[:, 1] = ey
+        direction /= np.where(dist > 0, dist, 1.0)[:, None]
+        return dist, direction
 
     def terminal_sections(self):
         """Terminal cross-section segments (open tubes only)."""

@@ -84,7 +84,7 @@ class Neighbours:
     def closest_pair(self):
         """(a, b, d): the lowest-index robot at the minimum pair distance,
         its partner and that distance; needs at least two robots."""
-        a = int(np.argmin(self.nearest))
+        a = int(self.nearest.argmin())
         return a, int(self.partner[a]), float(self.nearest[a])
 
 
@@ -164,8 +164,8 @@ class PairList:
         if built is None or len(built) != len(pts) or reach != self._reach:
             return False
         limit = max(0.5 * self.skin - _SKIN_SLACK * (reach + self.skin), 0.0)
-        moved = pts - built
-        return np.max(np.einsum("ij,ij->i", moved, moved)) <= limit * limit
+        dx, dy = (pts - built).T
+        return np.maximum.reduce(dx * dx + dy * dy) <= limit * limit
 
     def _sort(self, pts, reach):
         """Keep the pairs in the cell list's order for the current cells."""
@@ -201,26 +201,38 @@ class PairList:
             delta = pts.take(i, axis=0) - pts.take(j, axis=0)
             dx, dy = delta.T
             d = np.sqrt(dx * dx + dy * dy)
-            keep = np.flatnonzero(d < reach)
+            keep = (d < reach).nonzero()[0]
             i, j, delta, d = i.take(keep), j.take(keep), delta.take(keep, axis=0), d.take(keep)
             np.minimum.at(nearest, i, d)
             hit = d == nearest.take(i)
             np.minimum.at(partner, i[hit], j[hit])
-            alone = np.flatnonzero(partner == m)
+            alone = (partner == m).nonzero()[0]
         else:
             # no pair within reach + skin: every robot is alone
             i = j = self.i
             delta, d = np.zeros((0, 2)), np.zeros(0)
             alone = np.arange(m)
         if len(alone):
-            delta_alone = pts.take(alone, axis=0)[:, None, :] - pts
-            adx, ady = delta_alone[..., 0], delta_alone[..., 1]
-            ad = np.sqrt(adx * adx + ady * ady)
-            rows = np.arange(len(alone))
-            ad[rows, alone] = np.inf
-            partner[alone] = q = ad.argmin(axis=1)
-            nearest[alone] = ad[rows, q]
+            _nearest_of_alone(pts, alone, nearest, partner)
         return Neighbours(i, j, delta[:, 0], delta[:, 1], d, nearest, partner)
+
+
+def _nearest_of_alone(pts, alone, nearest, partner):
+    """Write the nearest distance and partner of the robots ``alone``, who
+    have no other robot within reach, from a dense pass over their rows:
+    a row block at a time, so that its (rows, M) arrays stay within one
+    block however many robots are alone."""
+    m = len(pts)
+    # live per row: the two offsets, the two squares and their sum
+    for block in row_blocks(len(alone), 5 * m)[1]:
+        rows = alone[block]
+        delta = pts.take(rows, axis=0)[:, None, :] - pts
+        dx, dy = delta[..., 0], delta[..., 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        k = np.arange(len(rows))
+        d[k, rows] = np.inf
+        partner[rows] = q = d.argmin(axis=1)
+        nearest[rows] = d[k, q]
 
 
 def neighbours(positions, reach, pairs=None):

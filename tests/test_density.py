@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubenav import blocks, density
+from tubenav import blocks, density, engine
 from tubenav.density import (
     _CULL_RADIUS,
     _GL20_NODES,
@@ -745,18 +745,18 @@ class TestAnalyticTargetGradient:
 class TestTargetGradientInRuns:
     @pytest.mark.parametrize("name", ["narrow_s_tube", "annular"])
     def test_bit_equal_to_per_point_frames(self, monkeypatch, name):
-        # every snapshot of 1 s of the bundled run: the gradient from the
-        # projection's tangent and curvature equals the per-point frame one
-        library = DesiredDensity.gradient_many
+        # every snapshot of 1 s of the bundled run: the gradient the target
+        # builds from the projection's tangent and curvature, in its
+        # normalization pass, equals the per-point frame one
+        build = engine._Snapshot.__init__
         robots = []
 
-        def checked(dd, ls, rs, tangents, curvatures):
-            got = library(dd, ls, rs, tangents, curvatures)
-            assert np.array_equal(got, oracle_gradient(dd, ls, rs))
-            robots.append(np.count_nonzero(np.linalg.norm(got, axis=1)))
-            return got
+        def checked(snap, *args):
+            build(snap, *args)
+            assert np.array_equal(snap.grad_d, oracle_gradient(snap.dd, snap.l, snap.r))
+            robots.append(np.count_nonzero(np.linalg.norm(snap.grad_d, axis=1)))
 
-        monkeypatch.setattr(DesiredDensity, "gradient_many", checked)
+        monkeypatch.setattr(engine._Snapshot, "__init__", checked)
         raw = json.loads(bundled_scenario_path(name).read_text())
         log = run(scenario_from_dict({**raw, "t_end_s": 1.0}))
         assert log.termination == "time-limit"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubenav import blocks, engine
+from tubenav import blocks, density, engine
 from tubenav.control import ControllerParams, compose_velocity
 from tubenav.density import (
     DensityView,
@@ -765,3 +765,47 @@ class TestDensityErrorPass:
         records = int(round(t_end / sc.dt)) + 1
         chunk, _ = blocks.row_blocks(records, sc.density_grid[0] * sc.density_grid[1])
         assert sum(calls) == records and max(calls) == chunk < records
+
+
+class TestSmallSwarmStep:
+    """The step's per-record work on the bundled narrow run: the projection
+    reuses the last record's spine frames, and the target's normalization
+    and gradient share one mask pass."""
+
+    def test_evaluations_and_mask_passes_per_record(self, monkeypatch):
+        sc = replace(load_scenario(bundled_scenario_path("narrow_s_tube")), t_end=1.0)
+        assert sc.mode == "full"
+        evaluations, slopes = [], []
+        evaluate = GeneratingCurve.eval_many
+        monkeypatch.setattr(GeneratingCurve, "eval_many",
+                            lambda curve, ls, clip=False: evaluations.append(len(ls)) or
+                            evaluate(curve, ls, clip))
+        mask = density._mask
+        monkeypatch.setattr(density, "_mask", lambda ls, *args, slope=False:
+                            slopes.append(slope) or mask(ls, *args, slope=slope))
+        log = run(sc)
+        records = len(log.records)
+        assert records == 101 and log.termination == "time-limit"
+        # two Newton evaluations and the final one per record, less the
+        # first, which the last record's final evaluation stands in for
+        assert len(evaluations) <= 2.1 * records
+        # one target pass per record, with the mask's slope for the
+        # gradient; the others are the error metric's, one per chunk
+        chunks = len(blocks.row_blocks(records, sc.density_grid[0] * sc.density_grid[1])[1])
+        assert slopes.count(True) == records
+        assert slopes.count(False) == chunks
+
+    def test_baseline_builds_no_density_gradient(self, monkeypatch):
+        # u4 is zero in the baseline, so the run skips the KDE gradient and
+        # the target's; the view and the target stay for the error metric
+        sc = replace(load_scenario(bundled_scenario_path("narrow_s_tube")), t_end=0.5,
+                     mode="baseline")
+        called = []
+        for owner, name in ((DensityView, "estimate_and_gradient_many"),
+                            (DesiredDensity, "gradient_many"),
+                            (DesiredDensity, "profile_slope_many")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: called.append(name))
+        log = run(sc)
+        assert called == []
+        assert np.all(np.isfinite(log.metrics["density_error_l2"]))
+        assert not np.any(log.u4)

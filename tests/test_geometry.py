@@ -609,6 +609,114 @@ class TestProjectionAgainstOracle:
         assert 2 <= len(calls) <= geometry._PROJ_MAX_NEWTON + 1
 
 
+def assert_same_projection(got, want):
+    """Two projections field by field, bit for bit, or two errors' messages."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for name, value in vars(want).items():
+        assert getattr(got, name).tobytes() == value.tobytes(), name
+
+
+class TestCarriedFrames:
+    """A projection seeded at the arc lengths of an earlier one takes that
+    projection's final spine frames for its first Newton evaluation; the
+    result equals a projection without them bit for bit."""
+
+    @staticmethod
+    def project_both(curve, pts, seeds, frames):
+        """project_many with and without ``frames``: both results, or both
+        errors' messages."""
+        out = []
+        for carried in (frames, None):
+            try:
+                out.append(curve.project_many(pts, seeds, carried))
+            except TubeDomainError as exc:
+                out.append(str(exc))
+        return out
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(spec=curve_st,
+           fracs=st.lists(st.tuples(st.floats(-0.05, 1.05), st.floats(-1.0, 1.0)),
+                          min_size=1, max_size=12),
+           shift=st.floats(-0.2, 0.2),
+           keep=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_property_equals_a_fresh_projection(self, spec, fracs, shift, keep):
+        curve = _build_curve(spec)
+        L = curve.total_length
+        pts, _ = _query_points(curve, fracs)
+        first = curve.project_many(pts)
+        moved = pts + shift * np.array([0.6, -0.8])
+        # the run's case: the next record from the last one's arc lengths
+        # and frames, for every row and for the rows left after exits
+        rows = np.flatnonzero(keep[:len(pts)])
+        for subset in (slice(None), rows):
+            got, want = self.project_both(curve, moved[subset], first.l[subset],
+                                          [part[subset] for part in first.frames])
+            assert_same_projection(got, want)
+        # seeds that the clamp (open) or wrap (closed) changes, a negative
+        # zero and the seam, with the frames evaluated at the seeds given
+        ends = np.array([-0.3, -0.0, 0.0, L, L + 0.3, np.nextafter(L, 0.0)])
+        seeds = np.concatenate([first.l, ends])
+        ends_pts = curve.frames(np.clip(ends, 0.0, L))[0] + 0.01
+        many = np.concatenate([moved, ends_pts])
+        got, want = self.project_both(curve, many, seeds, curve.eval_many(seeds))
+        assert_same_projection(got, want)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_changed_seeds_are_evaluated_afresh(self, monkeypatch, closed):
+        # a seed the clamp or wrap moves gets a fresh first evaluation, even
+        # with frames that would lead the iteration elsewhere
+        if closed:
+            curve = GeneratingCurve(_stadium(2.0, 1.0, 0.0, 0.0), closed=True)
+        else:
+            curve = arc_tube().curve
+        L = curve.total_length
+        seeds = np.array([-0.5, L + 0.5, 0.5 * L])
+        pts = curve.frames(np.clip(seeds, 0.0, L))[0] * 1.01
+        wrong = [np.full((3, 2), 7.0), np.full((3, 2), 0.6), np.zeros((3, 2))]
+        want = curve.project_many(pts, seeds)
+        first = []
+        evaluate = GeneratingCurve.eval_many
+        monkeypatch.setattr(GeneratingCurve, "eval_many",
+                            lambda curve, ls, clip=False: first.append(np.copy(ls)) or
+                            evaluate(curve, ls, clip))
+        got = curve.project_many(pts, seeds, [part.copy() for part in wrong])
+        # the two changed seeds are evaluated on their own, the third kept
+        assert np.array_equal(first[0], (seeds % L if closed else np.clip(seeds, 0.0, L))[:2])
+        for name in ("l", "r", "tangent", "curvature"):
+            assert np.array_equal(getattr(got, name)[:2], getattr(want, name)[:2])
+
+    def test_retried_row(self, monkeypatch):
+        # the row seeded at l = 8 fails within 3 steps and is retried from
+        # its table seed: the carried frames change neither row
+        curve = arc_tube().curve
+        pts = [(4.0, 2.0), (5.2, 1.0)]
+        seeds = np.array([8.0, 0.2])
+        monkeypatch.setattr(geometry, "_PROJ_MAX_NEWTON", 3)
+        got, want = self.project_both(curve, pts, seeds, curve.eval_many(seeds))
+        assert_same_projection(got, want)
+        monkeypatch.setattr(geometry, "_PROJ_MAX_NEWTON", 2)
+        got, want = self.project_both(curve, pts, seeds, curve.eval_many(seeds))
+        assert isinstance(got, str) and got == want
+
+    def test_one_evaluation_fewer(self, monkeypatch):
+        tube = arc_tube(radius=5.0, sweep=2.0)
+        rng = np.random.default_rng(4)
+        pts = section_points(tube, rng.uniform(0.0, tube.length, 25), rng.uniform(-0.4, 0.4, 25))
+        prs = tube.curve.project_many(pts)
+        calls = []
+        evaluate = GeneratingCurve.eval_many
+        monkeypatch.setattr(GeneratingCurve, "eval_many",
+                            lambda curve, ls, clip=False: calls.append(len(ls)) or
+                            evaluate(curve, ls, clip))
+        tube.curve.project_many(pts + 0.01, prs.l)
+        fresh = len(calls)
+        calls.clear()
+        tube.curve.project_many(pts + 0.01, prs.l, prs.frames)
+        assert len(calls) == fresh - 1
+
+
 # ---------------------------------------------------------------------------
 # cross_section_endpoints
 # ---------------------------------------------------------------------------

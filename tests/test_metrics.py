@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from tubenav import blocks
 from tubenav.control import ControllerParams
 from tubenav.engine import SimulationLog, run
 from tubenav.geometry import GeneratingCurve, LineSegment, VirtualTube, WidthProfile
@@ -230,6 +232,45 @@ class TestPairList:
     def test_bad_skin_is_refused(self, skin):
         with pytest.raises(ValueError, match="skin"):
             PairList(skin)
+
+
+class TestIsolatedRobots:
+    """Robots with no other robot within reach take their nearest distance
+    from a dense pass over their rows, a row block at a time."""
+
+    @staticmethod
+    def isolated_lattice(n, spacing):
+        side = math.isqrt(n)
+        grid = np.stack(np.meshgrid(np.arange(side), np.arange(n // side)), axis=-1)
+        return spacing * grid.reshape(-1, 2).astype(float)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=clouds(), rows_per_block=st.integers(1, 5))
+    def test_property_any_block_size(self, case, rows_per_block):
+        pts, reach, family = case
+        event(family)
+        want = neighbours(pts, reach)
+        with pytest.MonkeyPatch.context() as mp:
+            # live values per row are 5 M, so this many rows fit a block
+            mp.setattr(blocks, "BLOCK_ELEMENTS", rows_per_block * 5 * max(len(pts), 1))
+            assert_same_neighbours(neighbours(pts, reach), want)
+
+    def test_traced_peak_stays_within_the_blocks(self):
+        # 2,000 robots 5 m apart, none within the reach: every row is alone
+        pts = self.isolated_lattice(2000, 5.0)
+        bound = 1.5 * 8 * blocks.BLOCK_ELEMENTS
+        # without the blocks, the (A, M, 2) offsets alone are 61 MiB
+        assert 8 * 2 * len(pts) ** 2 > 30 * bound
+        pairs = neighbours(pts, 1.3)  # warm
+        tracemalloc.start()
+        try:
+            got = neighbours(pts, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert_same_neighbours(got, pairs)
+        assert np.all(got.nearest == 5.0)
 
 
 class TestMinDistances:
