@@ -30,6 +30,5 @@ from .geometry import (
 )
 from .metrics import audit_condition23, throughput
 from .scenario import Scenario, bundled_scenario_path, load_scenario, scenario_from_dict
-from .state import SwarmState, make_swarm
 
 __version__ = "0.1.0"

@@ -25,7 +25,9 @@ from .reports import (
 from .scenario import (
     apply_overrides,
     build_tube,
+    checked_scenario,
     read_scenario_file,
+    regularity_report,
     resolve_scenario,
     scenario_from_dict,
 )
@@ -123,24 +125,23 @@ def cmd_compare(args):
 
 
 def cmd_check_tube(args):
-    raw = read_scenario_file(args.scenario)
-    resolved = resolve_scenario(raw)
+    resolved = resolve_scenario(read_scenario_file(args.scenario))
+    tube = build_tube(resolved["tube"])
+    report = None
     try:
-        scenario = scenario_from_dict(raw)
-        tube, r_s = scenario.tube, scenario.params.r_s
+        report = regularity_report(tube, resolved)
+        r_s = checked_scenario(resolved, tube, report).params.r_s
     except ScenarioError as exc:
         # tube-only inspection still works when the full scenario fails; a
         # malformed tube, r_s_m or regularity spacing is reported like any
         # scenario error
-        tube, r_s = build_tube(resolved["tube"]), resolved["params"]["r_s_m"]
+        r_s = resolved["params"]["r_s_m"]
         if r_s <= 0:
             raise ScenarioError(f"params.r_s_m must be positive, got {r_s!r}",
                                 rule="param-bound") from exc
         print(f"note: scenario validation failed ({exc.rule}): {exc}")
-    try:
-        report = tube.check_regularity(spacing=resolved["regularity_spacing_m"])
-    except ValueError as exc:
-        raise ScenarioError(f"regularity_spacing_m: {exc}", rule="param-bound") from exc
+        if report is None:
+            raise
     print(f"tube length: {tube.length:.4f} m   topology: {tube.topology}")
     print(f"tube area:   {tube.tube_area():.4f} m^2")
     print(f"regularity:  {'ok' if report.ok else 'IRREGULAR'} "

@@ -3,9 +3,9 @@
 Explicit Euler on the single-integrator model: every robot's command is
 evaluated on the same pre-step snapshot (synchronous update), positions
 advance by dt times the command, and robots whose arc-length coordinate
-reaches the tube end exit and stop interacting.  The state is held as
-arrays (see tubenav.state), every snapshot's commands come from one
-batched call, and containment (here) and the safety margins (in
+reaches the tube end exit and stop interacting.  The state is the run
+log's row (positions, active flags), every snapshot's commands come from
+one batched call, and containment (here) and the safety margins (in
 compose_velocity) are asserted on every snapshot, the initial one
 included; a violation aborts the run loudly with a partial log rather
 than being silently corrected.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .errors import SafetyViolation
 from .geometry import VirtualTube
 from .metrics import COND23_TOL, METRIC_DTYPE, MetricsRecord, PairList, neighbours
 from .metrics import amd_from_positions, min_pairwise_from_positions  # noqa: F401
-from .state import SwarmState
 
 _EXIT_TOL = 1e-12
 # The skin of a run's Verlet lists, in steps at full speed: K v_max dt.  No
@@ -128,7 +127,6 @@ class SimulationLog:
     metrics: np.ndarray
     termination: str = "time-limit"  # all-exited | time-limit | fault
     fault: dict | None = None
-    exit_times: dict[int, float] = field(default_factory=dict)
 
     @classmethod
     def allocate(cls, fingerprint, scenario, n_robots, capacity):
@@ -155,6 +153,13 @@ class SimulationLog:
         return Records(self)
 
     @property
+    def exit_times(self):
+        """Exit time of each exited robot: its first inactive record's time."""
+        gone = ~self.active
+        robots = np.flatnonzero(gone.any(axis=0))
+        return dict(zip(robots.tolist(), self.time[gone.argmax(axis=0)[robots]].tolist()))
+
+    @property
     def step_count(self):
         return len(self.time) - 1
 
@@ -174,12 +179,11 @@ def _point_segment_distances(pts, a, b):
     return np.linalg.norm(pts - (a + t[:, None] * ab), axis=1)
 
 
-def validate_initial(swarm: SwarmState, tube: VirtualTube, params: ControllerParams):
-    """Initial-condition checks: strictly collision-free, strictly clear of
-    the full boundary (terminal sections included), all inside the tube.
-    Returns a list of violation descriptions; empty means ok."""
+def validate_initial(pts, tube: VirtualTube, params: ControllerParams):
+    """Initial-condition checks of pts (N, 2): strictly collision-free,
+    strictly clear of the full boundary (terminal sections included), all
+    inside the tube.  Returns a list of violation descriptions; empty means ok."""
     problems = []
-    pts = swarm.active_positions()
     pairs = neighbours(pts, params.avoidance_reach)
     close = np.flatnonzero((pairs.i < pairs.j) & (pairs.d <= 2.0 * params.r_s))
     close = close[np.lexsort((pairs.j[close], pairs.i[close]))]
@@ -205,19 +209,17 @@ def validate_initial(swarm: SwarmState, tube: VirtualTube, params: ControllerPar
 # exit rule
 # ---------------------------------------------------------------------------
 
-def apply_exit_rule(swarm: SwarmState, tube: VirtualTube, projections):
+def apply_exit_rule(active, tube: VirtualTube, projections):
     """Deactivate robots whose arc-length coordinate has reached the tube
     end; they stop affecting neighbors and density from the next evaluation.
-    ``projections`` is the array projection of the active robots, in index
-    order.  Closed tubes never exit.  Mutates the swarm and returns the mask,
-    over the robots that were active, of those still active."""
+    ``projections`` projects the robots flagged in ``active``, in index
+    order.  Closed tubes never exit.  Clears the exited robots' flags and
+    returns the mask, over the flagged robots, of those still active."""
     if tube.closed:
         return np.ones(len(projections.l), dtype=bool)
     out = (projections.l >= tube.length - _EXIT_TOL) | projections.beyond_end
     if out.any():
-        gone = np.flatnonzero(swarm.active)[out]
-        swarm.active[gone] = False
-        swarm.velocities[gone] = 0.0
+        active[np.flatnonzero(active)[out]] = False
     return ~out
 
 
@@ -229,24 +231,25 @@ class _Snapshot:
     """Everything derived from one state and shared by all robots: rows over
     the robots still active after the exit rule."""
 
-    def __init__(self, swarm, tube, params, mode, previous, wall_list, pair_list):
-        """``previous``: the previous snapshot, or None at the first.  Its
-        robots are the ones active now, and its projection seeds this one's:
-        its arc lengths start the Newton iterations and its spine frames
-        stand in for their first evaluation.  The first snapshot's
-        projections start from the seed polyline.  ``wall_list`` and
-        ``pair_list``: the run's skin lists, passed the active positions.
+    def __init__(self, time, positions, active, tube, params, mode, previous, wall_list,
+                 pair_list):
+        """``positions`` and ``active``: a log row, whose flags the exit
+        rule clears.  ``previous``: the previous snapshot, or None at the
+        first.  Its robots are the ones active now, and its projection seeds
+        this one's: its arc lengths start the Newton iterations and its
+        spine frames stand in for their first evaluation.  The first
+        snapshot's projections start from the seed polyline.  ``wall_list``
+        and ``pair_list``: the run's skin lists, passed the active positions.
         The density estimate and both gradients feed only the regulation
         term, which the baseline mode drops, so there they are None."""
-        self.time = swarm.time
+        self.time = time
         if previous is None:
-            before = np.flatnonzero(swarm.active)
-            prs, inside = tube.locate(swarm.positions[before])
+            before = np.flatnonzero(active)
+            prs, inside = tube.locate(positions[before])
         else:
             before = previous.ids
-            prs, inside = tube.locate(swarm.positions[before], previous.l, previous.frames)
-        stay = apply_exit_rule(swarm, tube, prs)
-        self.exited = before[~stay].tolist()
+            prs, inside = tube.locate(positions[before], previous.l, previous.frames)
+        stay = apply_exit_rule(active, tube, prs)
         keep = slice(None) if stay.all() else stay  # views while no robot exits
         self.ids = before[keep]
         self.l, self.r, self.curvature = prs.l[keep], prs.r[keep], prs.curvature[keep]
@@ -254,7 +257,7 @@ class _Snapshot:
         self.tangent = self.frames[1]
         # no kept row lies beyond the end, so this is the tube membership
         self.inside = inside[keep]
-        self.positions = swarm.positions[self.ids]
+        self.positions = positions[self.ids]
         self.boundary_d, self.boundary_dir = tube.boundary_distance_many(
             self.positions, wall_list)
         m = len(self.ids)
@@ -296,17 +299,15 @@ class _Snapshot:
             )
 
 
-def _record(log, k, snapshot, swarm, commands):
-    """Write row k of the log: the snapshot's state, its commands and its
-    metrics, with the density error NaN: run fills it in later, with the
-    rest of its chunk (see _fill_density_errors).  ``commands`` is
-    compose_velocity's result over the snapshot's active robots, or None
-    after a fault, whose record keeps zero commands and kappa 1."""
+def _record(log, k, snapshot, commands):
+    """Write the rest of row k of the log, whose state run wrote: the time,
+    the commands and the metrics, with the density error NaN: run fills it
+    in later, with the rest of its chunk (see _fill_density_errors).
+    ``commands`` is compose_velocity's result over the snapshot's active
+    robots, or None after a fault, whose record keeps zero commands and kappa 1."""
     ids = snapshot.ids
     n_active = len(ids)
-    log.time[k] = swarm.time
-    log.positions[k] = swarm.positions
-    log.active[k] = swarm.active
+    log.time[k] = snapshot.time
     log.kappa[k] = 1.0
     cond_ok, max_norm = True, math.nan
     if commands is not None:
@@ -326,7 +327,7 @@ def _record(log, k, snapshot, swarm, commands):
         snapshot.min_pair,
         snapshot.boundary_d.min() if n_active else math.nan,
         np.add.reduce(snapshot.pairs.nearest) / n_active if n_active >= 2 else math.nan,
-        len(swarm.active) - n_active,
+        log.active.shape[1] - n_active,
         math.nan,
         cond_ok,
         max_norm,
@@ -348,14 +349,15 @@ def run(scenario) -> SimulationLog:
     """Run a validated scenario to completion and return the full log.
 
     The scenario supplies tube, params, mode, dt, t_end, density grid and
-    the initial state; see tubenav.scenario.  Every record's snapshot passes
+    initial positions; see tubenav.scenario.  Every record's snapshot passes
     the containment check, and compose_velocity's safety checks while it
     composes the commands; a violation ends the log with a fault record
     that carries no commands.
 
-    The log is allocated for the n_steps + 1 records the run can write,
-    and each record fills its row in place (see _record); a run that stops
-    early returns views of the rows it wrote.
+    The log is allocated for the n_steps + 1 records the run can write.
+    Its row k is the state at record k, and the Euler update writes row
+    k + 1 only when the run goes on; a run that stops early returns views
+    of the rows it wrote.
 
     No command reads the density-error metric, so it is left out of the
     step: the records with a density wait in a list, and one array pass
@@ -374,10 +376,12 @@ def run(scenario) -> SimulationLog:
     params = scenario.params
     dt = scenario.dt
     grid = scenario.density_grid
-    state = scenario.initial_state()
     n_steps = 0 if scenario.t_end <= 0 else int(math.ceil(scenario.t_end / dt - 1e-9))
     log = SimulationLog.allocate(scenario.fingerprint, scenario.resolved,
-                                 len(state.positions), n_steps + 1)
+                                 len(scenario.positions), n_steps + 1)
+    positions, active = log.positions, log.active
+    positions[0] = scenario.positions
+    active[0] = True
     chunk, _ = row_blocks(n_steps + 1, grid[0] * grid[1])
     pending = []
     skin = SKIN_STEPS * params.v_max * dt
@@ -386,10 +390,8 @@ def run(scenario) -> SimulationLog:
     k = 0
     snap = None
     while True:
-        state.time = k * dt
-        snap = _Snapshot(state, tube, params, scenario.mode, snap, wall_list, pair_list)
-        if snap.exited:
-            log.exit_times.update(dict.fromkeys(snap.exited, snap.time))
+        snap = _Snapshot(k * dt, positions[k], active[k], tube, params, scenario.mode, snap,
+                         wall_list, pair_list)
         try:
             snap.containment_check()
             commands = compose_velocity(
@@ -401,16 +403,16 @@ def run(scenario) -> SimulationLog:
             commands = None
             log.termination = "fault"
             log.fault = {"kind": exc.kind, "message": str(exc), **exc.details}
-        _record(log, k, snap, state, commands)
+        _record(log, k, snap, commands)
         if snap.view is not None:
             pending.append((k, snap.view, snap.dd, snap.region))
         if commands is None or not len(snap.ids) or k >= n_steps:
             break
         if len(pending) == chunk:
             _fill_density_errors(pending, log, tube, grid)
-        v = commands[4]
-        state.velocities[snap.ids] = v
-        state.positions[snap.ids] = snap.positions + dt * v
+        positions[k + 1] = positions[k]
+        positions[k + 1, snap.ids] = snap.positions + dt * commands[4]
+        active[k + 1] = active[k]
         k += 1
     if commands is not None:
         log.termination = "time-limit" if len(snap.ids) else "all-exited"

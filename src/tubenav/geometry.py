@@ -261,23 +261,6 @@ class CatmullRomSegment:
         return self._derivs(i, u, 0), tangents, curvatures
 
 
-def segment_from_config(cfg: dict):
-    """Build a curve segment from its scenario-file description."""
-    kind = cfg.get("kind")
-    if kind == "line":
-        return LineSegment(cfg["start_xy_m"], cfg["end_xy_m"])
-    if kind == "arc":
-        return ArcSegment(
-            cfg["center_xy_m"],
-            cfg["radius_m"],
-            cfg["start_angle_rad"],
-            cfg["sweep_angle_rad"],
-        )
-    if kind == "spline":
-        return CatmullRomSegment(cfg["points_xy_m"])
-    raise ValueError(f"unknown segment kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # nearest-segment search
 # ---------------------------------------------------------------------------
@@ -585,8 +568,6 @@ class GeneratingCurve:
         if clip:
             s = np.clip(s, 0.0, self._lengths[idx])
         k = self._within[idx]
-        if len(self._stacks) == 1:
-            return self._stacks[0].eval_many(s, k)
         stack_of = self._stack_of[idx]
         counts = np.bincount(stack_of, minlength=len(self._stacks)).tolist()
         if len(ls) in counts:  # one kind (or no rows)

@@ -22,12 +22,13 @@ from .control import ControllerParams
 from .engine import validate_initial
 from .errors import ScenarioError
 from .geometry import (
+    ArcSegment,
+    CatmullRomSegment,
     GeneratingCurve,
+    LineSegment,
     VirtualTube,
     WidthProfile,
-    segment_from_config,
 )
-from .state import SwarmState, make_swarm
 
 # JSON key of each ControllerParams field; the defaults are the dataclass's
 _PARAM_FIELDS = {
@@ -55,10 +56,12 @@ _TOP_DEFAULTS = {
 
 _TUBE_KEYS = {"topology", "segments", "width_knots_m"}
 
-_SEGMENT_KEYS = {
-    "line": {"kind", "start_xy_m", "end_xy_m"},
-    "arc": {"kind", "center_xy_m", "radius_m", "start_angle_rad", "sweep_angle_rad"},
-    "spline": {"kind", "points_xy_m"},
+# each segment kind's class, and the constructor argument of each of its JSON keys
+_SEGMENTS = {
+    "line": (LineSegment, {"start_xy_m": "start", "end_xy_m": "end"}),
+    "arc": (ArcSegment, {"center_xy_m": "center", "radius_m": "radius",
+                         "start_angle_rad": "start_angle", "sweep_angle_rad": "sweep_angle"}),
+    "spline": (CatmullRomSegment, {"points_xy_m": "points"}),
 }
 
 _PLACEMENT_KEYS = {
@@ -85,9 +88,6 @@ class Scenario:
     def n_robots(self):
         return len(self.positions)
 
-    def initial_state(self) -> SwarmState:
-        return make_swarm(self.positions.copy())
-
 
 def bundled_scenario_path(name: str) -> Path:
     """Path of a scenario shipped with the package (e.g. 'narrow_s_tube')."""
@@ -99,11 +99,18 @@ def bundled_scenario_path(name: str) -> Path:
 # building blocks
 # ---------------------------------------------------------------------------
 
+def _segment(cfg: dict):
+    if cfg.get("kind") not in _SEGMENTS:
+        raise ValueError(f"unknown segment kind {cfg.get('kind')!r}")
+    cls, args = _SEGMENTS[cfg["kind"]]
+    return cls(**{arg: cfg[key] for key, arg in args.items()})
+
+
 def build_tube(tube_cfg: dict) -> VirtualTube:
     """Tube from its scenario description."""
     topology = tube_cfg.get("topology", "open")
     try:
-        segments = [segment_from_config(s) for s in tube_cfg["segments"]]
+        segments = [_segment(s) for s in tube_cfg["segments"]]
         curve = GeneratingCurve(segments, closed=topology == "closed")
         widths = WidthProfile(tube_cfg["width_knots_m"])
         return VirtualTube(curve, widths, topology=topology)
@@ -156,7 +163,8 @@ def _check_all_keys(raw: dict):
     _check_keys(tube, _TUBE_KEYS, "tube")
     segments = tube.get("segments")
     # a missing or malformed list is reported by build_tube
-    kinded = [(f"tube.segments[{i}]", seg, _SEGMENT_KEYS)
+    segment_keys = {kind: {"kind", *args} for kind, (_, args) in _SEGMENTS.items()}
+    kinded = [(f"tube.segments[{i}]", seg, segment_keys)
               for i, seg in enumerate(segments if isinstance(segments, list) else [])]
     kinded.append(("placement", raw.get("placement", {}), _PLACEMENT_KEYS))
     for path, cfg, keys_by_kind in kinded:
@@ -201,8 +209,14 @@ def _check_values(resolved: dict):
                                 rule="param-bound")
     for key in ("rows", "cols", "spacing_m", "jitter_m"):
         if key in placement:
-            _check_value(placement[key], f"placement.{key}", integer=key in ("rows", "cols"),
-                         nullable=key == "jitter_m")
+            value, jitter = placement[key], key == "jitter_m"
+            _check_value(value, f"placement.{key}", integer=key in ("rows", "cols"),
+                         nullable=jitter)
+            # an empty grid, or a negative jitter, would otherwise load as if valid
+            if value is not None and (value < 0 if jitter else value <= 0):
+                bound = "nonnegative" if jitter else "positive"
+                raise ScenarioError(f"placement.{key} must be {bound}, got {value!r}",
+                                    rule="param-bound")
     if "origin_xy_m" in placement:
         _check_point(placement["origin_xy_m"], "placement.origin_xy_m")
     if "positions_xy_m" in placement:
@@ -254,11 +268,24 @@ def _fingerprint(resolved: dict) -> str:
 # loading and validation
 # ---------------------------------------------------------------------------
 
+def regularity_report(tube: VirtualTube, resolved: dict):
+    """The tube's regularity report; a refused section spacing raises ScenarioError."""
+    try:
+        return tube.check_regularity(spacing=resolved["regularity_spacing_m"])
+    except ValueError as exc:
+        raise ScenarioError(f"regularity_spacing_m: {exc}", rule="param-bound") from exc
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     resolved = resolve_scenario(raw)
-    params = _build_params(resolved["params"])
     tube = build_tube(resolved["tube"])
+    return checked_scenario(resolved, tube, regularity_report(tube, resolved))
 
+
+def checked_scenario(resolved: dict, tube: VirtualTube, report) -> Scenario:
+    """The scenario of a resolved dict and its tube, after every check;
+    ``report`` is the tube's regularity_report."""
+    params = _build_params(resolved["params"])
     if resolved["mode"] not in ("full", "baseline", "compare"):
         raise ScenarioError(f"mode must be full|baseline|compare, got {resolved['mode']!r}",
                             rule="param-bound")
@@ -272,10 +299,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if grid[0] < 1 or grid[1] < 1:
         raise ScenarioError("density_grid must be two positive cell counts", rule="param-bound")
 
-    try:
-        report = tube.check_regularity(spacing=resolved["regularity_spacing_m"])
-    except ValueError as exc:
-        raise ScenarioError(f"regularity_spacing_m: {exc}", rule="param-bound") from exc
     if not report.ok:
         pairs = ", ".join(f"({a:.2f}, {b:.2f})" for a, b in report.intersections[:5])
         raise ScenarioError(
@@ -309,7 +332,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         )
 
     positions = _placement_positions(resolved["placement"], int(resolved["seed"]))
-    violations = validate_initial(make_swarm(positions), tube, params)
+    violations = validate_initial(positions, tube, params)
     if violations:
         raise ScenarioError(
             "initial placement invalid: " + "; ".join(violations[:5]),

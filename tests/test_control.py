@@ -12,7 +12,6 @@ from tubenav.density import DensityView, DesiredDensity, occupied_region_from_ar
 from tubenav.errors import SafetyViolation
 from tubenav.geometry import ArcSegment, GeneratingCurve, LineSegment, VirtualTube, WidthProfile
 from tubenav.metrics import neighbours
-from tubenav.state import make_swarm
 
 from clouds import clouds, dense_distances
 from scalar_tube import (
@@ -87,14 +86,12 @@ def line_approach(tube, params, p, seed_l=None):
     return approach_at_arclength(tube, params, l)
 
 
-def robot_avoidance(params, i, swarm):
-    if not swarm.active[i]:
-        raise ValueError(f"robot {i} is not active")
-    ids = [j for j in np.flatnonzero(swarm.active).tolist() if j != i]
+def robot_avoidance(params, i, pts):
+    """Robot i's avoidance term among the robots at pts (N, 2), at time 0."""
+    ids = [j for j in range(len(pts)) if j != i]
     if not ids:
         return np.zeros(2)
-    return _avoidance_from_neighbors(params, swarm.positions[i], swarm.positions[ids], i, ids,
-                                     swarm.time)
+    return _avoidance_from_neighbors(params, pts[i], pts[ids], i, ids, 0.0)
 
 
 def _avoidance_from_neighbors(params, p, others, i=None, ids=None, time=None):
@@ -195,12 +192,13 @@ def saturate(u, v_max):
     return u * kappa, kappa
 
 
-def oracle_compose(tube, params, i, swarm, view, dd, mode="full"):
-    """Robot i's command computed on its own from the snapshot."""
-    p = swarm.positions[i]
+def oracle_compose(tube, params, i, pts, view, dd, mode="full"):
+    """Robot i's command computed on its own from the snapshot of the
+    robots at pts (N, 2)."""
+    p = pts[i]
     coord = to_curvilinear(tube, p)
     u1 = line_approach(tube, params, p)
-    u2 = robot_avoidance(params, i, swarm)
+    u2 = robot_avoidance(params, i, pts)
     u3 = tube_keeping(tube, params, p)
     u123 = u1 + u2 + u3
     if mode == "full":
@@ -576,9 +574,8 @@ def check_against_oracle(tube, params, mode, positions):
     pts = np.asarray(positions, dtype=float)
     view, dd = density_for(tube, params, pts)
     got = batch(tube, params, pts, view, dd, mode=mode)
-    swarm = make_swarm(pts)
     for i in range(len(pts)):
-        want = oracle_compose(tube, params, i, swarm, view, dd, mode=mode)
+        want = oracle_compose(tube, params, i, pts, view, dd, mode=mode)
         terms = (want.u1, want.u2, want.u3, want.u4)
         tol = 1e-12 * sum(float(np.linalg.norm(t)) for t in terms)
         for name, w in zip(("u1", "u2", "u3", "u4", "v"), (*terms, want.v)):

@@ -712,7 +712,7 @@ class TestAnalyticTargetGradient:
         # region edge, where rho_d' = 0 but rho_d'' jumps: the stencil reads
         # an O(h) bias there, the analytic gradient the true zero
         sc = load_scenario(bundled_scenario_path("annular"))
-        pts = sc.initial_state().active_positions()
+        pts = sc.positions
         prs = sc.tube.curve.project_many(pts)
         ls, rs = prs.l, prs.r
         delta_l = max(sc.params.h, sc.params.r_s)

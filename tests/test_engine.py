@@ -33,7 +33,6 @@ from tubenav.scenario import (
     read_scenario_file,
     scenario_from_dict,
 )
-from tubenav.state import make_swarm
 
 from scalar_tube import section_points
 
@@ -58,7 +57,6 @@ def params(**over):
 
 def scenario_stub(tube, prm, positions, dt=0.01, t_end=1.0, mode="full",
                   grid=(60, 12)):
-    pts = np.asarray(positions, dtype=float)
     return SimpleNamespace(
         tube=tube,
         params=prm,
@@ -68,15 +66,14 @@ def scenario_stub(tube, prm, positions, dt=0.01, t_end=1.0, mode="full",
         density_grid=grid,
         fingerprint="test",
         resolved={"name": "stub"},
-        initial_state=lambda: make_swarm(pts),
+        positions=np.asarray(positions, dtype=float),
     )
 
 
-def loop_validate_initial(swarm, tube, prm):
+def loop_validate_initial(pts, tube, prm):
     """Pair-by-pair, robot-by-robot validation: the oracle for the array
     version, which must emit the same messages in the same order."""
     problems = []
-    pts = swarm.active_positions()
     n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):
@@ -112,7 +109,7 @@ class TestValidateInitial:
     def test_messages_match_the_loop_version(self):
         tube = straight_tube()
         prm = params()
-        bad = make_swarm([
+        bad = np.array([
             (0.3, 0.0),    # entry section, and a pair with the next robot
             (0.9, 0.1),
             (5.0, 1.7),    # lateral wall, and a pair with robot 4
@@ -131,36 +128,33 @@ class TestValidateInitial:
         assert "robot 3 at (5.0, 3.0) is outside the tube" in probs
         assert not any("np.float64" in p for p in probs)
         ring = ring_tube()
-        on_ring = make_swarm([(2.0, 0.0), (2.0, 0.5), (0.0, 2.35), (-2.0, 0.0), (0.0, -3.0)])
+        on_ring = np.array([(2.0, 0.0), (2.0, 0.5), (0.0, 2.35), (-2.0, 0.0), (0.0, -3.0)])
         ring_probs = validate_initial(on_ring, ring, prm)
         assert ring_probs and ring_probs == loop_validate_initial(on_ring, ring, prm)
-        assert validate_initial(make_swarm(np.zeros((0, 2))), tube, prm) == []
+        assert validate_initial(np.zeros((0, 2)), tube, prm) == []
 
     def test_exact_touching_is_a_violation(self):
         tube = straight_tube()
         prm = params()
-        swarm = make_swarm([(3.0, 0.0), (4.0, 0.0)])  # distance exactly 2 r_s
-        assert validate_initial(swarm, tube, prm)
+        pts = np.array([(3.0, 0.0), (4.0, 0.0)])  # distance exactly 2 r_s
+        assert validate_initial(pts, tube, prm)
 
     def test_clearance_passes(self):
         tube = straight_tube()
         prm = params()
-        swarm = make_swarm([(3.0, 0.0), (4.01, 0.0)])
-        probs = validate_initial(swarm, tube, prm)
+        probs = validate_initial(np.array([(3.0, 0.0), (4.01, 0.0)]), tube, prm)
         assert not any("robots 0 and 1" in p for p in probs)
 
     def test_boundary_margin(self):
         tube = straight_tube(half_width=2.0)
         prm = params()
-        ok = make_swarm([(5.0, 2.0 - 0.51)])
-        assert validate_initial(ok, tube, prm) == []
-        bad = make_swarm([(5.0, 2.0 - 0.5)])
-        assert validate_initial(bad, tube, prm)
+        assert validate_initial(np.array([(5.0, 2.0 - 0.51)]), tube, prm) == []
+        assert validate_initial(np.array([(5.0, 2.0 - 0.5)]), tube, prm)
 
     def test_terminal_section_margin(self):
         tube = straight_tube()
         prm = params()
-        bad = make_swarm([(0.4, 0.0)])  # 0.4 from the entry section
+        bad = np.array([(0.4, 0.0)])  # 0.4 from the entry section
         assert validate_initial(bad, tube, prm)
 
     def test_grid_formation_passes(self):
@@ -169,8 +163,8 @@ class TestValidateInitial:
         prm = params()
         xs = 0.7 + 1.2 * np.arange(5)
         ys = -2.4 + 1.2 * np.arange(5)
-        pts = [(x, y) for x in xs for y in ys]
-        assert validate_initial(make_swarm(pts), tube, prm) == []
+        pts = np.array([(x, y) for x in xs for y in ys])
+        assert validate_initial(pts, tube, prm) == []
 
 
 class TestStep:
@@ -204,24 +198,31 @@ class TestStep:
         assert 1.5 < e1 / e2 < 2.6
 
 
-def exit_rule_on(swarm, tube):
-    return apply_exit_rule(swarm, tube, tube.curve.project_many(swarm.active_positions()))
+def exit_rule_on(pts, tube):
+    """The exit rule on robots at pts, all of them active: the flags it
+    leaves and the mask it returns."""
+    active = np.ones(len(pts), dtype=bool)
+    stay = apply_exit_rule(active, tube, tube.curve.project_many(np.asarray(pts, dtype=float)))
+    return active, stay
 
 
 class TestExitRule:
     def test_exactly_at_end_exits(self):
-        tube = straight_tube(length=20.0)
-        swarm = make_swarm([(20.0, 0.0)])
-        swarm.velocities[0] = (1.0, 0.0)
-        assert not exit_rule_on(swarm, tube).any()
-        assert not swarm.active[0]
-        assert not swarm.velocities[0].any()
+        active, stay = exit_rule_on([(20.0, 0.0)], straight_tube(length=20.0))
+        assert not stay.any() and not active[0]
 
     def test_just_before_end_stays(self):
+        active, stay = exit_rule_on([(20.0 - 1e-6, 0.0)], straight_tube(length=20.0))
+        assert stay.all() and active[0]
+
+    def test_clears_the_flags_of_the_robots_it_was_given(self):
+        # the projection covers the active robots only, in index order
         tube = straight_tube(length=20.0)
-        swarm = make_swarm([(20.0 - 1e-6, 0.0)])
-        assert exit_rule_on(swarm, tube).all()
-        assert swarm.active[0]
+        pts = np.array([(20.0, 0.0), (10.0, 0.0), (20.5, 0.3), (19.0, 0.0)])
+        active = np.array([False, True, True, True])
+        stay = apply_exit_rule(active, tube, tube.curve.project_many(pts[active]))
+        assert stay.tolist() == [True, False, True]
+        assert active.tolist() == [False, True, False, True]
 
     def test_closed_tube_never_exits(self):
         tube = ring_tube()
@@ -232,7 +233,44 @@ class TestExitRule:
         log = run(sc)
         assert log.termination == "time-limit"
         assert all(rec.active.all() for rec in log.records)
-        assert log.exit_times == {}
+        assert log.exit_times == first_inactive_times(log) == {}
+
+
+def first_inactive_times(log):
+    """Robot -> the time of the first record in which it is inactive, record
+    by record: the oracle for SimulationLog.exit_times."""
+    times = {}
+    for rec in log.records:
+        for i in np.flatnonzero(~rec.active).tolist():
+            times.setdefault(i, rec.time)
+    return times
+
+
+class TestExitTimes:
+    def test_run_with_exits(self):
+        log = run(exit_case())
+        assert log.exit_times == first_inactive_times(log) == {0: 2.4000000000000004, 1: 0.8}
+        # an exited robot's logged velocity is zero from its exit record on
+        for i, t in log.exit_times.items():
+            for rec in log.records:
+                assert rec.velocities[i].any() == (rec.time < t)
+
+    def test_log_cut_with_head(self):
+        log = run(exit_case())
+        for count in range(1, len(log.records) + 1):
+            cut = log.head(count)
+            assert cut.exit_times == first_inactive_times(cut)
+        assert log.head(9).exit_times == {1: 0.8} and log.head(8).exit_times == {}
+
+    def test_robot_exits_on_the_fault_record(self):
+        # robot 2 crosses the end in the step that drives the pair into
+        # each other (see fault_case)
+        sc = fault_case()
+        sc.positions = np.vstack([sc.positions, (19.95, 0.0)])
+        log = run(sc)
+        assert log.termination == "fault" and len(log.records) == 2
+        assert log.records[-1].active.tolist() == [True, True, False]
+        assert log.exit_times == first_inactive_times(log) == {2: 0.1}
 
 
 class TestRun:
@@ -468,7 +506,7 @@ class TestDegenerateSwarms:
         radius = 0.8
         angles = 2.0 * math.pi * np.arange(16) / 16
         ring = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        assert validate_initial(make_swarm(ring), sc.tube, sc.params) == []
+        assert validate_initial(ring, sc.tube, sc.params) == []
         stub = scenario_stub(sc.tube, sc.params, ring, dt=sc.dt, t_end=2.0, mode=mode,
                              grid=sc.density_grid)
         log = run(stub)
@@ -543,7 +581,7 @@ class TestSkinLists:
         kept = {key: list(queries) for key, queries in logs.items()}
         monkeypatch.setattr(engine, "SKIN_STEPS", 0)
         assert self.run_files(sc, tmp_path, "rebuild")[1:] == (trace, metrics)
-        n = len(sc.initial_state().positions)
+        n = len(sc.positions)
         assert len(kept["walls"]) == len(kept["pairs"]) == len(log.records)
         for key, queries in kept.items():
             builds = [k for k, (_, built) in enumerate(queries) if built]

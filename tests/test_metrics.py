@@ -23,7 +23,6 @@ from tubenav.metrics import (
     throughput,
 )
 from tubenav.reports import write_summary_json
-from tubenav.state import make_swarm
 
 from clouds import clouds, dense_distances, skin_walk
 from log_oracles import loop_audit_condition23
@@ -43,12 +42,11 @@ def params(**over):
 
 
 def scenario_stub(tube, prm, positions, dt=0.01, t_end=1.0, mode="full"):
-    pts = np.asarray(positions, dtype=float)
     return SimpleNamespace(
         tube=tube, params=prm, dt=dt, t_end=t_end, mode=mode,
         density_grid=(40, 8), fingerprint="test",
         resolved={"name": "stub", "params": {"k1_mps": prm.k1}},
-        initial_state=lambda: make_swarm(pts),
+        positions=np.asarray(positions, dtype=float),
     )
 
 
@@ -305,9 +303,9 @@ class TestMinDistances:
 
     def test_only_active_robots_count(self):
         tube = straight_tube(half_width=2.0)
-        swarm = make_swarm([(5.0, 1.9), (10.0, 0.0)])
-        swarm.active[0] = False
-        assert abs(min_boundary(swarm.active_positions(), tube) - 2.0) < 1e-9
+        pts = np.array([(5.0, 1.9), (10.0, 0.0)])
+        active = np.array([False, True])
+        assert abs(min_boundary(pts[active], tube) - 2.0) < 1e-9
 
 
 class TestThroughput:

@@ -8,6 +8,7 @@ import pytest
 
 from tubenav.cli import build_parser, main
 from tubenav.errors import ScenarioError
+from tubenav.geometry import VirtualTube
 from tubenav.reports import (
     METRICS_COLUMNS,
     TRACE_COLUMNS,
@@ -145,6 +146,20 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=rf"tube\.segments\[{index}\]\.radius"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("index, missing", [(0, "end_xy_m"), (1, "sweep_angle_rad")])
+    def test_unknown_segment_kind_and_missing_key_messages(self, index, missing):
+        raw = short_scenario_dict()
+        raw["tube"]["segments"][index]["kind"] = "helix"
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert str(exc.value) == "tube construction failed: unknown segment kind 'helix'"
+        raw = short_scenario_dict()
+        del raw["tube"]["segments"][index][missing]
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert str(exc.value) == f"tube construction failed: '{missing}'"
+        assert exc.value.rule == "param-bound"
+
     def test_spline_and_explicit_placement_keys(self):
         raw = short_scenario_dict()
         raw["tube"] = {
@@ -185,6 +200,12 @@ class TestLoadScenario:
         ("placement.rows", 5.7),
         ("placement.spacing_m", None),
         ("placement.jitter_m", "x"),
+        ("placement.rows", -2),
+        ("placement.rows", 0),
+        ("placement.cols", 0),
+        ("placement.spacing_m", 0.0),
+        ("placement.spacing_m", -1.2),
+        ("placement.jitter_m", -0.05),
     ])
     def test_wrong_value_type_names_its_path(self, path, value):
         raw = short_scenario_dict()
@@ -205,10 +226,11 @@ class TestLoadScenario:
         ("positions_xy_m", [[3.0, 0.0], 4.0], "placement.positions_xy_m[1]"),
         ("positions_xy_m", "ab", "placement.positions_xy_m"),
         ("positions_xy_m", [], "placement.positions_xy_m"),
+        ("jitter_m", -0.05, "placement.jitter_m"),
     ])
     def test_placement_arrays_name_their_path(self, key, value, path):
         raw = short_scenario_dict()
-        if key == "positions_xy_m":
+        if key != "origin_xy_m":
             raw["placement"] = {"kind": "explicit", "positions_xy_m": [[3.0, 0.0]]}
         raw["placement"][key] = value
         with pytest.raises(ScenarioError) as exc:
@@ -408,6 +430,21 @@ class TestCheckTubeCommand:
         assert main(["check-tube", str(write_scenario(tmp_path, raw))]) == code
         assert "(section spacing 0.250 m)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("knots, code", [
+        (None, 0),
+        ([[0.0, 7.0, 7.0], [30.0, 7.0, 7.0]], 1),  # irregular: the fallback path
+    ])
+    def test_runs_the_regularity_check_once(self, knots, code, tmp_path, monkeypatch):
+        calls = []
+        check = VirtualTube.check_regularity
+        monkeypatch.setattr(VirtualTube, "check_regularity",
+                            lambda tube, spacing=None: calls.append(spacing) or check(tube, spacing))
+        raw = short_scenario_dict()
+        if knots is not None:
+            raw["tube"]["width_knots_m"] = knots
+        assert main(["check-tube", str(write_scenario(tmp_path, raw))]) == code
+        assert len(calls) == 1
+
     def test_irregular_tube_reported(self, tmp_path, capsys):
         raw = short_scenario_dict()
         raw["tube"]["width_knots_m"] = [[0.0, 7.0, 7.0], [30.0, 7.0, 7.0]]
@@ -424,12 +461,21 @@ def _without_tube():
     return json.dumps(raw)
 
 
+def _with_placement(**over):
+    raw = short_scenario_dict()
+    raw["placement"].update(over)
+    return json.dumps(raw)
+
+
 MALFORMED = {
     "no-tube": (_without_tube, "param-bound"),
     "r_s-text": (lambda: json.dumps(short_scenario_dict(r_s_m="big")), "param-bound"),
     "r_s-negative": (lambda: json.dumps(short_scenario_dict(r_s_m=-1.0)), "param-bound"),
     "spacing-zero": (lambda: json.dumps({**short_scenario_dict(), "regularity_spacing_m": 0}),
                      "param-bound"),
+    "rows-negative": (lambda: _with_placement(rows=-2), "param-bound"),
+    "spacing-negative": (lambda: _with_placement(spacing_m=-1.2), "param-bound"),
+    "jitter-negative": (lambda: _with_placement(jitter_m=-0.05), "param-bound"),
     "bad-json": (lambda: '{"name": "x",', "parse"),
     "top-level-list": (lambda: "[1, 2]", "parse"),
 }
