@@ -139,9 +139,9 @@ def cmd_check_tube(args):
         if r_s <= 0:
             raise ScenarioError(f"params.r_s_m must be positive, got {r_s!r}",
                                 rule="param-bound") from exc
-        print(f"note: scenario validation failed ({exc.rule}): {exc}")
         if report is None:
             raise
+        print(f"note: scenario validation failed ({exc.rule}): {exc}")
     print(f"tube length: {tube.length:.4f} m   topology: {tube.topology}")
     print(f"tube area:   {tube.tube_area():.4f} m^2")
     print(f"regularity:  {'ok' if report.ok else 'IRREGULAR'} "

@@ -106,99 +106,6 @@ class DensityView:
             k /= _TWO_PI
             yield rows, dx, dy, k
 
-    def estimate_sections(self, origins, tangents, normals, offsets):
-        """Kernel density at origins[c] + offsets[c, k] * normals[c], shape
-        (n_l, n_r), for columns with orthonormal frames (tangents, normals).
-
-        With (dx, dy) = (origin - x_j) / h, tau = (dx, dy) . t and
-        s = (dx, dy) . n, the scaled squared distance is tau^2 + (s + r / h)^2
-        exactly, so the kernel factors into exp(-tau^2 / 2), one (n_l, N)
-        array, times a per-offset factor that depends on s alone.  The
-        distance along the tube never enters the large (n_l, n_r, N) array.
-        Both are built a block of whole columns at a time, in buffers that
-        every block reuses.
-
-        The two outer sums, origin - x_j and s + r / h, are matrix products
-        with inner dimension two, [origin, 1] @ [1; -x_j] and, batched over
-        the block's columns, [r / h, 1] @ [1; s], with s written straight
-        into the second row of the right operand.  Both products of each sum
-        are by exactly 1.0, so the sum is rounded once and equals the
-        broadcast sum bit for bit (see blocks.py).
-
-        A block sums only the robots inside the bounding box of its cells
-        grown by _CULL_RADIUS * h.  Each column's cells lie between the cells
-        at its smallest and largest offset, so those two bound the cells of
-        a block, in any order of the offsets.  Any other robot is farther
-        than _CULL_RADIUS * h from every cell of the block, so the robots it
-        drops add less than 2^-53 / (2 pi h^2) to a cell: the unit roundoff
-        times 1 / (2 pi h^2), the largest value the estimate can take.  So
-        the values depend on the block size only below that bound.  A block
-        that keeps every robot sums them in order, with the arithmetic of a
-        dense pass."""
-        h = self.bandwidth
-        n_l, n_r = offsets.shape
-        if offsets.size == 0:
-            return np.zeros((n_l, n_r))
-        size, blocks = row_blocks(n_l, (n_r + 5) * self.n)
-        # per column, built once along the columns: the cells at the smallest
-        # and largest offsets, and the frame's components tx, ty, nx, ny
-        # as (4, n_l, 1) columns that a block slices
-        low_cell = origins + np.minimum.reduce(offsets, axis=1)[:, None] * normals
-        high_cell = origins + np.maximum.reduce(offsets, axis=1)[:, None] * normals
-        frame = np.empty((4, n_l, 1))
-        frame[:2, :, 0] = tangents.T
-        frame[2:, :, 0] = normals.T
-        starts = [cols.start for cols in blocks]
-        lo = np.minimum.reduceat(np.minimum(low_cell, high_cell), starts) - _CULL_RADIUS * h
-        hi = np.maximum.reduceat(np.maximum(low_cell, high_cell), starts) + _CULL_RADIUS * h
-        # [origin, 1] per column, x then y, (2, n_l, 2); [r / h, 1] per cell,
-        # (n_l, n_r, 2)
-        columns = np.ones((2, n_l, 2))
-        columns[:, :, 0] = origins.T
-        cells = np.ones((n_l, n_r, 2))
-        np.divide(offsets, h, out=cells[:, :, 0])
-        px, py = self.positions.T
-        sums = np.empty((n_l, n_r, 1))
-        buf = np.empty(size * n_r * self.n)
-        col_buf = np.empty(5 * size * self.n)
-        robots = np.ones((2, 2, self.n))
-        for cols, (lo_x, lo_y), (hi_x, hi_y) in zip(blocks, lo, hi):
-            near = (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
-            k = int(np.count_nonzero(near))
-            m = cols.stop - cols.start
-            if k == 0:
-                sums[cols] = 0.0
-                continue
-            # [1; -x_j] for the kept robots, x then y, (2, 2, k)
-            neg = robots[:, :, :k]
-            np.negative(px[near], out=neg[0, 1])
-            np.negative(py[near], out=neg[1, 1])
-            z = buf[: m * n_r * k].reshape(m, n_r, k)
-            dxy = col_buf[: 2 * m * k].reshape(2, m, k)
-            tau = col_buf[2 * m * k: 3 * m * k].reshape(m, k)
-            # [1; s] per column, (m, 2, k); its first row is scratch until
-            # the ones go in
-            ones_s = col_buf[3 * m * k: 5 * m * k].reshape(m, 2, k)
-            tmp, s = ones_s[:, 0], ones_s[:, 1]
-            np.matmul(columns[:, cols], neg, out=dxy)
-            dxy /= h
-            dx, dy = dxy
-            tx, ty, nx, ny = frame[:, cols]
-            np.multiply(dx, tx, out=tau)
-            tau += np.multiply(dy, ty, out=tmp)
-            np.multiply(dx, nx, out=s)
-            s += np.multiply(dy, ny, out=tmp)
-            tmp.fill(1.0)
-            np.matmul(cells[cols], ones_s, out=z)
-            np.square(z, out=z)
-            z *= -0.5
-            np.exp(z, out=z)
-            along = np.multiply(tau, -0.5, out=dx)
-            along *= tau
-            np.exp(along, out=along)
-            np.matmul(z, along[:, :, None], out=sums[cols])
-        return sums[..., 0] / (_TWO_PI * self.n * h * h)
-
     def estimate_and_gradient_many(self, pts):
         """Density and gradient at each query point in one kernel pass."""
         pts = np.asarray(pts, dtype=float)
@@ -506,22 +413,110 @@ def _region_grids(tube: VirtualTube, regions, resolution):
     return ls, dl, dr, tube.curve.frames(ls_eval), offsets
 
 
+def _block_sums(frame, robots, offsets, h, out, buf):
+    """Kernel sums of a record's m columns over k robots into ``out`` (m,
+    n_r), from the rows for s and tau (2, m, 3), [1; x - c; y - c] (3, k),
+    the offsets (m, n_r) and h, in m (3 n_r + (n_r + 4) k) of ``buf``."""
+    m, n_r = offsets.shape
+    k = robots.shape[1]
+    ends = np.cumsum([0, 3 * n_r, 3 * k, k, n_r * k]) * m
+    planes, rows, along, z = (buf[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    # [-rho^2 / 2, -rho, -1/2] per cell
+    planes = planes.reshape(3, m, n_r)
+    np.divide(offsets, -h, out=planes[1])
+    np.multiply(planes[1], planes[1], out=planes[0])
+    planes[0] *= -0.5
+    planes[2] = -0.5
+    # [1; s; tau] per column; exp(-tau^2 / 2) taken, s^2 replaces tau
+    rows = rows.reshape(3, m, k)
+    rows[0] = 1.0
+    np.matmul(frame, robots, out=rows[1:])
+    along = np.multiply(rows[2], rows[2], out=along.reshape(m, k))
+    along *= -0.5
+    np.exp(along, out=along)
+    np.multiply(rows[1], rows[1], out=rows[2])
+    z = z.reshape(m, n_r, k)
+    np.matmul(planes.transpose(1, 2, 0), rows.transpose(1, 0, 2), out=z)
+    np.exp(z, out=z)
+    np.matmul(z, along[..., None], out=out[..., None])
+
+
+def section_estimates(views, origins, tangents, normals, offsets):
+    """Kernel density estimates on R records' grids, (R, n_l, n_r): record
+    i's view at origins[c] + offsets[c, k] * normals[c] for its columns c,
+    rows i n_l to (i + 1) n_l of the frames, (R n_l, 2), and offsets.
+
+    With s, tau = (origin - x_j) . (n, t) / h and rho = r / h, the scaled
+    squared distance from robot j to a cell is tau^2 + (rho + s)^2.  Per
+    column, the frame's rows times [1; x - c; y - c], c the record's first
+    robot, give s and tau; [-rho^2 / 2, -rho, -1/2] @ [1; s; s^2] gives
+    every exponent; one exp and one product with exp(-tau^2 / 2) give the
+    sums.  No term overflows below 1e51 m, as DensityView keeps h > 2.8e-103.
+    Records of equal robot count, consecutive as robots only leave, are
+    stacked; a block holds one whole record where it fits.  A larger record
+    runs a block of columns at a time, over the robots in the box of the
+    block's extreme cells grown by _CULL_RADIUS * h: those dropped add less
+    than 2^-53 / (2 pi h^2) to a cell.  No value depends on its batch."""
+    r, n_r = len(views), offsets.shape[1]
+    n_l = len(offsets) // r
+    origins, tangents, normals = (f.reshape(r, n_l, 2) for f in (origins, tangents, normals))
+    offsets = offsets.reshape(r, n_l, n_r)
+    counts = np.array([view.n for view in views])
+    h = np.array([view.bandwidth for view in views])
+    out = np.empty((r, n_l, n_r))
+    edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), r]
+    for run in (slice(a, b) for a, b in zip(edges, edges[1:])):
+        n = counts[run.start]
+        x = np.stack([view.positions for view in views[run]])
+        robots = np.ones((len(x), 3, n))
+        np.subtract(x, x[:, :1], out=robots[:, 1:].transpose(0, 2, 1))
+        # per column, the rows [(o - c) . n / h, -n / h] and [(o - c) . t / h, -t / h]
+        frame = np.empty((len(x), 2, n_l, 3))
+        for axis, row in zip((normals[run], tangents[run]), frame.transpose(1, 0, 2, 3)):
+            np.divide(axis, -h[run, None, None], out=row[..., 1:])
+            np.einsum("bcj,bcj->bc", row[..., 1:], x[:, :1] - origins[run], out=row[..., 0])
+        column = (n_r + 4) * n + 3 * n_r
+        size, col_blocks = row_blocks(n_l, column)
+        work = (((i, slice(None), robots[i]) for i in range(len(x))) if size == n_l else
+                _culled(x, robots, origins[run], normals[run], offsets[run], h[run], col_blocks))
+        buf = np.empty(size * column)
+        for i, cols, kept in work:
+            _block_sums(frame[i, :, cols], kept, offsets[run][i, cols], h[run][i],
+                        out[run][i, cols], buf)
+        del frame, buf  # freed before the next run allocates its own
+    for record, scale in zip(out, (_TWO_PI * counts * h * h).tolist()):
+        record /= scale  # a broadcast division would buffer 64 KiB
+    return out
+
+
+def _culled(x, robots, origins, normals, offsets, h, col_blocks):
+    """(record, columns, robots) of each block of a record's columns, the
+    robots in the block's grown box as [1; x - c; y - c] in one buffer."""
+    starts = [cols.start for cols in col_blocks]
+    ends = [origins + pick(offsets, axis=2)[..., None] * normals for pick in (np.min, np.max)]
+    grown = _CULL_RADIUS * h[:, None, None]
+    lo = np.minimum.reduceat(np.minimum(*ends), starts, axis=1) - grown
+    hi = np.maximum.reduceat(np.maximum(*ends), starts, axis=1) + grown
+    kept = np.empty(robots.shape[1:])
+    for i in range(len(x)):
+        px, py = np.ascontiguousarray(x[i].T)
+        (lo_x, lo_y), (hi_x, hi_y) = lo[i].T[..., None], hi[i].T[..., None]
+        inside = (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
+        for cols, near in zip(col_blocks, inside):
+            mine = kept[:, :np.count_nonzero(near)]
+            np.compress(near, robots[i], axis=1, out=mine)
+            yield i, cols, mine
+
+
 def density_errors_l2(views, targets, tube: VirtualTube, regions, resolution):
     """L2 norm of (estimate - target) over each of R records' occupied
     regions, (R,), from each record's view, target and region: midpoint
     quadrature on a curvilinear grid of (n_l, n_r) cells per region.
 
-    The columns of all R grids, their frames and the targets' profiles are
-    built in one array pass.  The kernel sums run per record, on that
-    record's slice of the columns, with the cull and blocks of
-    DensityView.estimate_sections; every value equals that of a batch of
-    one bit for bit."""
-    n_l, n_r = resolution
+    The grids, the kernel sums (section_estimates) and the profiles are
+    each one pass over the R records, equal to a batch of one bit for bit."""
     ls, dl, dr, frames, offsets = _region_grids(tube, regions, resolution)
-    sq = np.empty((len(ls), n_l, n_r))
-    for i, view in enumerate(views):
-        cols = slice(i * n_l, (i + 1) * n_l)
-        sq[i] = view.estimate_sections(*(f[cols] for f in frames), offsets[cols])
+    sq = section_estimates(views, *frames, offsets)
     args = (np.array(a)[:, None] for a in zip(*(dd._profile_args() for dd in targets)))
     sq -= _profile(tube, ls, *args)[..., None]
     np.square(sq, out=sq)

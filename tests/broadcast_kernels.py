@@ -1,23 +1,26 @@
 """Broadcast forms of the dense passes' outer sums, the oracles of the
 library's matrix-product forms.
 
-The library builds every outer sum or difference of the KDE, the error grid
-and the wall search's per-segment pass as a matrix product with inner
-dimension two, or in a chunk layout along the point axis.  These functions
-compute the same values with numpy broadcasting and the earlier (5, chunks,
-width) chunk layout, operation for operation otherwise.  Each takes the
-library object as its first argument, so a test can also patch it in as the
-method of the same name and run a whole simulation on the broadcast forms.
+The library builds every outer sum or difference of the KDE and the wall
+search's per-segment pass as a matrix product with inner dimension two, or
+in a chunk layout along the point axis.  These functions compute the same
+values with numpy broadcasting and the earlier (5, chunks, width) chunk
+layout, operation for operation otherwise.  Each takes the library object
+as its first argument, so a test can also patch it in as the method of the
+same name and run a whole simulation on the broadcast forms.  Both forms
+agree bit for bit, up to the sign of an exact zero: a product accumulates
+from +0.0, so where the broadcast difference is -0.0 - +0.0 = -0.0 the
+product gives +0.0.
 
-Both forms agree bit for bit, up to the sign of an exact zero: a product
-accumulates from +0.0, so where the broadcast difference is -0.0 - +0.0 =
--0.0 the product gives +0.0.
+The error grid's kernel sums are the one exception: the library's exponent
+is a three-term product with other roundings, so section_estimates here,
+a dense broadcast pass, holds it to section_bound instead.
 """
 
 import numpy as np
 
 from tubenav.blocks import row_blocks
-from tubenav.density import _CULL_RADIUS, _TWO_PI
+from tubenav.density import _TWO_PI
 from tubenav.geometry import _CULL_SLACK
 
 
@@ -41,51 +44,74 @@ def kernel_rows(view, pts):
         yield rows, dx, dy, k
 
 
-def estimate_sections(view, origins, tangents, normals, offsets):
-    """DensityView.estimate_sections with origin - x_j and s + r / h as
-    broadcast sums.  The cull box is the library's, from each column's
-    smallest and largest offset."""
-    h = view.bandwidth
-    n_l, n_r = offsets.shape
-    if offsets.size == 0:
-        return np.zeros((n_l, n_r))
-    scaled = offsets / h
-    size, blocks = row_blocks(n_l, (n_r + 5) * view.n)
-    first = origins + offsets.min(axis=1)[:, None] * normals
-    last = origins + offsets.max(axis=1)[:, None] * normals
-    starts = [cols.start for cols in blocks]
-    lo = np.minimum.reduceat(np.minimum(first, last), starts) - _CULL_RADIUS * h
-    hi = np.maximum.reduceat(np.maximum(first, last), starts) + _CULL_RADIUS * h
-    px, py = view.positions.T
-    sums = np.empty((n_l, n_r, 1))
-    buf = np.empty(size * n_r * view.n)
-    col_buf = np.empty(5 * size * view.n)
-    for cols, (lo_x, lo_y), (hi_x, hi_y) in zip(blocks, lo, hi):
-        near = (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
-        xs, ys = px[near], py[near]
-        m, k = cols.stop - cols.start, len(xs)
-        if k == 0:
-            sums[cols] = 0.0
-            continue
-        z = buf[: m * n_r * k].reshape(m, n_r, k)
-        dx, dy, tau, s, tmp = col_buf[: 5 * m * k].reshape(5, m, k)
-        np.subtract(origins[cols, 0, None], xs, out=dx)
-        dx /= h
-        np.subtract(origins[cols, 1, None], ys, out=dy)
-        dy /= h
-        np.multiply(dx, tangents[cols, 0, None], out=tau)
-        tau += np.multiply(dy, tangents[cols, 1, None], out=tmp)
-        np.multiply(dx, normals[cols, 0, None], out=s)
-        s += np.multiply(dy, normals[cols, 1, None], out=tmp)
-        np.add(s[:, None, :], scaled[cols, :, None], out=z)
-        np.square(z, out=z)
-        z *= -0.5
-        np.exp(z, out=z)
-        along = np.multiply(tau, -0.5, out=tmp)
-        along *= tau
-        np.exp(along, out=along)
-        np.matmul(z, along[:, :, None], out=sums[cols])
-    return sums[..., 0] / (_TWO_PI * view.n * h * h)
+def section_estimates(views, origins, tangents, normals, offsets):
+    """density.section_estimates as a dense broadcast pass, record by
+    record, on the earlier arithmetic: (origin - x_j) / h, s and tau as dot
+    products with the frame, then exp(-(s + r / h)^2 / 2) and
+    exp(-tau^2 / 2).  No robot is culled."""
+    r, n_r = len(views), offsets.shape[1]
+    n_l = len(offsets) // r
+    out = np.empty((r, n_l, n_r))
+    for i, view in enumerate(views):
+        cols = slice(i * n_l, (i + 1) * n_l)
+        h = view.bandwidth
+        xs, ys = view.positions.T
+        dx = (origins[cols, 0, None] - xs) / h
+        dy = (origins[cols, 1, None] - ys) / h
+        tau = dx * tangents[cols, 0, None] + dy * tangents[cols, 1, None]
+        s = dx * normals[cols, 0, None] + dy * normals[cols, 1, None]
+        z = s[:, None, :] + (offsets[cols] / h)[:, :, None]
+        z = np.exp(np.square(z) * -0.5)
+        along = np.exp(tau * -0.5 * tau)
+        out[i] = np.matmul(z, along[:, :, None])[..., 0] / (_TWO_PI * view.n * h * h)
+    return out
+
+
+def section_rel(views, origins, offsets):
+    """Per record, (R, 1, 1), the relative part of section_bound: how far,
+    relative to the broadcast value, the library's kernel sums may lie when
+    they sum the same robots.
+
+    Unit roundoff u = 2^-53.  For one record with bandwidth h let D be the
+    L1 size of the bounding box of its column origins and robots, and K =
+    (2 D + max |r|) / h.  The library centres the robots on its first
+    robot c, so |o - c|_1 and |x - c|_1 are at most D, and |s| + |rho| and
+    |tau| at most K, with rho = r / h.
+    - s and tau: the library's is the three-term product of the frame row
+      [(o - c) . n / h, -n / h] with [1; x - c; y - c], off by at most 6 u K
+      (rounded inputs and a two-rounding sum); the broadcast one is off by
+      at most 4 u K.
+    - The exponent -(s + rho)^2 / 2: the library sums -rho^2 / 2, -rho s
+      and -s^2 / 2, each within 3 u of its value, with two roundings, so it
+      is within 5 u (|rho| + |s|)^2 / 2 <= 2.5 u K^2 of the value at its s,
+      and |s + rho| <= 2 K carries s's error in as at most 12 u K^2.  The
+      broadcast square is within 3 u K^2 at its s, and 8 u K^2 from s.
+    - -tau^2 / 2: within 6.5 u K^2 in the library and 5 u K^2 broadcast.
+    So the two exponents differ by delta <= 37 u K^2, and while delta <= 1
+    (asserted) the kernels differ by a factor within exp(delta) - 1 <=
+    2 delta <= 74 u K^2.  The four exps add 4 u each and the two scalings
+    3 u each; the N-term sums of positive values add (N - 1) u each.  In
+    all, 74 u K^2 + (2 N + 22) u."""
+    u = 2.0 ** -53
+    n_l = len(offsets) // len(views)
+    rel = np.empty((len(views), 1, 1))
+    for i, view in enumerate(views):
+        cols = slice(i * n_l, (i + 1) * n_l)
+        pts = np.concatenate([origins[cols], view.positions])
+        size = float(np.sum(pts.max(axis=0) - pts.min(axis=0)))
+        k = (2.0 * size + float(np.abs(offsets[cols]).max())) / view.bandwidth
+        assert 37 * u * k * k <= 1.0
+        rel[i] = 74 * u * k * k + (2 * view.n + 22) * u
+    return rel
+
+
+def section_bound(views, origins, offsets, want):
+    """Per cell, (R, n_l, n_r), how far density.section_estimates may lie
+    from ``want``, the values of section_estimates above: section_rel times
+    ``want``, plus 2^-53 / (2 pi h^2) for the robots that a record summed
+    in blocks of columns drops beyond _CULL_RADIUS h of a block."""
+    h = np.array([view.bandwidth for view in views])[:, None, None]
+    return section_rel(views, origins, offsets) * want + 2.0 ** -53 / (_TWO_PI * h * h)
 
 
 def scan_segments(rows, pts):

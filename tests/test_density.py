@@ -33,6 +33,7 @@ from tubenav.geometry import (
 )
 from tubenav.scenario import bundled_scenario_path, load_scenario, scenario_from_dict
 
+import broadcast_kernels as bk
 from scalar_tube import CurvilinearCoord, section_points, to_cartesian, to_curvilinear
 
 
@@ -63,11 +64,17 @@ def _region_grid(tube, region, resolution):
     return ls[0], dl[0], dr, frames, offsets
 
 
+def sections(view, origins, tangents, normals, offsets):
+    """The kernel density on one record's grid, (n_l, n_r): the one-record
+    case of density.section_estimates."""
+    return density.section_estimates([view], origins, tangents, normals, offsets)[0]
+
+
 def error_grid(view, dd, tube, region, resolution):
     """Estimate, target and cell areas, (n_l, n_r) each, on one region's
     grid: the fields whose difference the density-error metric integrates."""
     ls, dl, dr, frames, offsets = _region_grid(tube, region, resolution)
-    rho_hat = view.estimate_sections(*frames, offsets)
+    rho_hat = sections(view, *frames, offsets)
     rho_d = np.broadcast_to(dd.profile_many(ls)[:, None], rho_hat.shape)
     return rho_hat, rho_d, np.broadcast_to((dr * dl)[:, None], rho_hat.shape)
 
@@ -819,7 +826,7 @@ class TestSectionKde:
     def _compare(self, tube, region, positions, h, resolution=(40, 8)):
         view = DensityView(np.asarray(positions, dtype=float), h)
         ls, _, _, frames, offsets = _region_grid(tube, region, resolution)
-        got = view.estimate_sections(*frames, offsets)
+        got = sections(view, *frames, offsets)
         _assert_matches_point_kde(view, got, section_points(tube, ls, offsets))
         return got
 
@@ -875,7 +882,7 @@ class TestSectionKde:
         # every grid point is > 85 m = 283 h from the far robot: exp(-4e4) = 0
         assert np.exp(-0.5 * (85.0 / 0.3) ** 2) == 0.0
         got = self._compare(tube, region, near + far, 0.3, (30, 6))
-        near_only = DensityView(np.array(near), 0.3).estimate_sections(*frames, offsets)
+        near_only = sections(DensityView(np.array(near), 0.3), *frames, offsets)
         assert np.allclose(got, near_only * 2.0 / 3.0, rtol=1e-15, atol=0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -896,7 +903,7 @@ class TestSectionKde:
         view = DensityView(np.array(robots), h)
         # robots may lie beyond the cull radius of every cell: the dense
         # oracle holds to the cull bound, at one block and one column a block
-        for got in _results_per_block_size([1], lambda: view.estimate_sections(*frames)):
+        for got in _results_per_block_size([1], lambda: sections(view, *frames)):
             _assert_within_cull_bound(view, got, pts)
 
 
@@ -928,6 +935,13 @@ def _results_per_block_size(sizes, fn):
             mp.setattr(blocks, "BLOCK_ELEMENTS", size)
             out.append(fn())
     return out
+
+
+def _grid_column(n_r, n):
+    """Live elements of one grid column of n_r cells over n robots in
+    density.section_estimates: its exponents, [1; s; s^2], exp(-tau^2 / 2)
+    and the three coefficient planes."""
+    return (n_r + 4) * n + 3 * n_r
 
 
 def _assert_bitwise_equal(got, want):
@@ -963,7 +977,7 @@ class TestBlockedKernelSums:
         n = view.n
 
         def grid():
-            return view.estimate_sections(*frames)
+            return sections(view, *frames)
 
         def kde():
             return view.estimate_and_gradient_many(pts)
@@ -972,7 +986,7 @@ class TestBlockedKernelSums:
         # with a shorter last block where they do not divide evenly.  The
         # grid culls robots per block, so it holds to the dense oracle within
         # the cull bound; the KDE is dense and bit-identical at every size
-        for got in _results_per_block_size([1, rows_per_block * (n_r + 5) * n], grid):
+        for got in _results_per_block_size([1, rows_per_block * _grid_column(n_r, n)], grid):
             _assert_within_cull_bound(view, got, cells)
         want, *got = _results_per_block_size([1, rows_per_block * 4 * n], kde)
         for g in got:
@@ -982,7 +996,7 @@ class TestBlockedKernelSums:
         view, dd, tube, region = _crowd_snapshot()
         resolution = (120, 24)
         # the default constant splits both sums of this snapshot
-        assert len(blocks.row_blocks(resolution[0], (resolution[1] + 5) * view.n)[1]) > 1
+        assert len(blocks.row_blocks(resolution[0], _grid_column(resolution[1], view.n))[1]) > 1
         assert len(blocks.row_blocks(view.n, 4 * view.n)[1]) > 1
 
         def sums():
@@ -992,7 +1006,8 @@ class TestBlockedKernelSums:
         ls, *_, offsets = _region_grid(tube, region, resolution)
         cells = section_points(tube, ls, offsets)
         results = _results_per_block_size(
-            [1, 7 * (resolution[1] + 5) * view.n, 33 * 4 * view.n, blocks.BLOCK_ELEMENTS], sums)
+            [1, 7 * _grid_column(resolution[1], view.n), 33 * 4 * view.n,
+             blocks.BLOCK_ELEMENTS], sums)
         _, *want = results[0]
         for grid, *kde in results:
             # every cell has robots within reach, so the culled grid also
@@ -1062,7 +1077,7 @@ class TestGridCull:
         assert np.all(want[1] > 0.0) and np.all(want[1] < _cull_bound(view))
 
         one_block, per_column = _results_per_block_size(
-            [1], lambda: view.estimate_sections(origins, tangents, normals, offsets))
+            [1], lambda: sections(view, origins, tangents, normals, offsets))
         # one block spans both columns and keeps the robot: the dense sum
         _assert_matches_point_kde(view, one_block, cells)
         # one column a block: the far block culls it and reads exactly zero
@@ -1087,7 +1102,7 @@ class TestGridCull:
         reach = _CULL_RADIUS * h
         view = DensityView(_robots_straddling(lo, hi, reach, robots), h)
         one_block, per_column = _results_per_block_size(
-            [1], lambda: view.estimate_sections(*frames))
+            [1], lambda: sections(view, *frames))
         _assert_within_cull_bound(view, one_block, cells)
         _assert_within_cull_bound(view, per_column, cells)
         # one column a block: a column whose grown box holds no robot reads 0
@@ -1110,16 +1125,66 @@ class TestGridCull:
     def test_property_shuffled_offsets_permute_the_grid(self, columns, n_r, h, robots, seed):
         # the cull box spans each column's smallest and largest offset, so
         # the order of the offsets along a column changes no robot kept; a
-        # box from the first and last offset would shrink when shuffled
+        # box from the first and last offset would shrink when shuffled.
+        # The order moves the exponent products' roundings, so the two
+        # grids agree within twice bk.section_rel of the values.  That
+        # bound has no absolute part: a robot kept in one order and dropped
+        # in the other shows unless its share of a cell is below it
         *frames, offsets, cells = _random_columns(np.array(columns), n_r)
         view = DensityView(
             _robots_straddling(cells.min(axis=1), cells.max(axis=1), _CULL_RADIUS * h, robots), h)
         perm = np.argsort(np.random.default_rng(seed).random(offsets.shape), axis=1)
         shuffled = np.take_along_axis(offsets, perm, axis=1)
-        ordered = _results_per_block_size([1], lambda: view.estimate_sections(*frames, offsets))
-        mixed = _results_per_block_size([1], lambda: view.estimate_sections(*frames, shuffled))
+        ordered = _results_per_block_size([1], lambda: sections(view, *frames, offsets))
+        mixed = _results_per_block_size([1], lambda: sections(view, *frames, shuffled))
+        rel = 2.0 * bk.section_rel([view], frames[0], offsets)[0]
         for want, got in zip(ordered, mixed):
-            assert np.take_along_axis(want, perm, axis=1).tobytes() == got.tobytes()
+            want = np.take_along_axis(want, perm, axis=1)
+            assert np.all(np.abs(got - want) <= rel * want)
+
+
+@st.composite
+def swarm_grids(draw):
+    """A tube and occupied region from mass_cases, and one to three records
+    on it, each with its own bandwidth and robots: (tube, region, views).
+    Robots sit anywhere along the tube, across its width, so that some are
+    beyond the reach of every cell."""
+    tube, region, _ = draw(mass_cases())
+    views = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        ls = np.array(draw(st.lists(st.floats(0.0, tube.length), min_size=n, max_size=n)))
+        fracs = np.array(draw(st.lists(st.floats(-0.95, 0.95), min_size=n, max_size=n)))
+        ls_w = np.mod(ls, tube.length) if tube.closed else ls
+        rs = np.where(fracs < 0, fracs * tube.widths.r_d(ls_w), fracs * tube.widths.r_u(ls_w))
+        views.append(DensityView(section_points(tube, ls, rs), draw(st.floats(0.05, 3.0))))
+    return tube, region, views
+
+
+class TestSectionEstimatesAgainstOracle:
+    """density.section_estimates against the dense broadcast pass of
+    broadcast_kernels, on random tubes and swarms, within
+    bk.section_bound: the exponent's rounding, relative, plus the cull's
+    2^-53 / (2 pi h^2) per cell."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=swarm_grids(), n_l=st.integers(1, 12), n_r=st.integers(1, 6),
+           columns_per_block=st.sampled_from([None, 1, 3]))
+    def test_property_random_tubes(self, case, n_l, n_r, columns_per_block):
+        tube, region, views = case
+        _, _, _, (origins, tangents, normals), offsets = _region_grids(
+            tube, [region] * len(views), (n_l, n_r))
+        grid = (origins, tangents, normals, offsets)
+        want = bk.section_estimates(views, *grid)
+        bound = bk.section_bound(views, origins, offsets, want)
+        # whole records a block, dense; or blocks of columns, culled
+        n = max(view.n for view in views)
+        size = _ONE_BLOCK if columns_per_block is None else (
+            columns_per_block * _grid_column(n_r, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "BLOCK_ELEMENTS", size)
+            got = density.section_estimates(views, *grid)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -1136,9 +1201,20 @@ class _CallableView:
         pts = np.atleast_2d(pts)
         return np.array([self.fn(p) for p in pts])
 
-    def estimate_sections(self, origins, tangents, normals, offsets):
-        pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
-        return self.estimate_many(pts.reshape(-1, 2)).reshape(offsets.shape)
+
+
+_LIBRARY_SECTIONS = density.section_estimates
+
+
+def _sections_of_stubs(views, origins, tangents, normals, offsets):
+    """density.section_estimates, with each _CallableView's field evaluated
+    at the cells of its columns."""
+    if not isinstance(views[0], _CallableView):
+        return _LIBRARY_SECTIONS(views, origins, tangents, normals, offsets)
+    pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
+    rows = np.split(pts, len(views))
+    return np.stack([view.estimate_many(p.reshape(-1, 2)).reshape(p.shape[:2])
+                     for view, p in zip(views, rows)])
 
 
 def relative_error_field(view, dd, tube, region, resolution, rho_floor=1e-6):
@@ -1154,6 +1230,10 @@ def relative_error_field(view, dd, tube, region, resolution, rho_floor=1e-6):
 
 
 class TestDensityError:
+    @pytest.fixture(autouse=True)
+    def _stub_fields(self, monkeypatch):
+        monkeypatch.setattr(density, "section_estimates", _sections_of_stubs)
+
     def _setup(self):
         tube = tapered_tube(r0=2.0, r1=1.0)
         region = occupied_region_from_arclengths([1.0, 9.0], tube)

@@ -805,6 +805,48 @@ class TestDensityErrorPass:
         assert sum(calls) == records and max(calls) == chunk < records
 
 
+class TestBatchIndependence:
+    """A record's density error depends on that record alone: it is the
+    same bit for bit in a batch of its own, in the chunk the run put it in,
+    and in one batch of the whole run, across both exits."""
+
+    # the exit case's 12 x 4 grid: 336 live elements a record at two robots,
+    # 240 at one; 1008 puts whole records in each block, three or four at a
+    # time, in chunks of 21 records; 144 puts 5 or 7 columns in a block, so
+    # every record is summed culled, in chunks of 3.  The tilted copy runs
+    # along (0.6, 0.8), where no frame component is 0 or 1, so that every
+    # rounding of the kernel sums shows
+    @pytest.mark.parametrize("block_elements", [1008, 144])
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_alone_in_its_chunk_and_in_the_whole_run(self, block_elements, tilted):
+        batches = []
+        library = engine.density_errors_l2
+
+        def captured(views, targets, tube, regions, resolution):
+            batches.append((views, targets, regions))
+            return library(views, targets, tube, regions, resolution)
+
+        sc = exit_case()
+        if tilted:
+            turn = np.array([[0.6, 0.8], [-0.8, 0.6]])
+            curve = GeneratingCurve([LineSegment((0.0, 0.0), (12.0, 16.0))])
+            sc = scenario_stub(VirtualTube(curve, sc.tube.widths), sc.params,
+                               sc.positions @ turn, dt=sc.dt, t_end=sc.t_end, grid=GRID)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "BLOCK_ELEMENTS", block_elements)
+            mp.setattr(engine, "density_errors_l2", captured)
+            log = run(sc)
+            views, targets, regions = (sum((list(b[i]) for b in batches), []) for i in range(3))
+            whole = library(views, targets, sc.tube, regions, sc.density_grid)
+            alone = [library([v], [t], sc.tube, [r], sc.density_grid)[0]
+                     for v, t, r in zip(views, targets, regions)]
+        in_chunks = [rec.metrics.density_error_l2 for rec in with_density_records(log)]
+        counts = [[view.n for view in b[0]] for b in batches]
+        assert any(len(set(c)) > 1 for c in counts)
+        assert sorted(set(sum(counts, []))) == [1, 2]
+        assert np.array(in_chunks).tobytes() == whole.tobytes() == np.array(alone).tobytes()
+
+
 class TestSmallSwarmStep:
     """The step's per-record work on the bundled narrow run: the projection
     reuses the last record's spine frames, and the target's normalization

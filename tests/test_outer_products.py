@@ -1,7 +1,9 @@
 """The dense passes' outer sums as two-term matrix products, against the
 broadcast forms in ``broadcast_kernels``: bit for bit on extreme inputs,
-and in the run files of whole simulations."""
+and in the run files of whole simulations; the error grid's kernel sums
+within that module's section_bound."""
 
+import io
 import json
 from collections import Counter
 
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import broadcast_kernels as bk
-from tubenav import blocks
+from tubenav import blocks, density
 from tubenav.density import DensityView
 from tubenav.engine import run
 from tubenav.geometry import _BOUNDARY_CHUNK, SegmentList, _NearestSegment
@@ -89,17 +91,25 @@ class TestKdeProducts:
             _same_bits(got, want)
 
 
+# The grid's exponent is a three-term product, within section_bound of the
+# broadcast form while K = (2 D + max |r|) / h stays under 1.9e7: its
+# coordinates and offsets reach 1e30, with signed zeros and subnormals, and
+# each test raises h to 1e-7 (2 D + max |r|) where it is smaller.
+grid_coords = st.sampled_from(SPECIAL[:9]) | st.floats(-10.0, 10.0) | st.floats(-1e30, 1e30)
+grid_points = st.tuples(grid_coords, grid_coords)
+
+
 @st.composite
 def grids(draw):
     """(origins, tangents, normals, offsets): n_l columns of n_r offsets in
     no particular order, on axis frames with signed zeros or at any angle."""
     n_l, n_r = draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    origins = np.array(draw(st.lists(points, min_size=n_l, max_size=n_l)))
+    origins = np.array(draw(st.lists(grid_points, min_size=n_l, max_size=n_l)))
     axis = st.sampled_from([(1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, -1.0), (-1.0, 0.0)])
     angle = st.floats(-np.pi, np.pi).map(lambda a: (np.cos(a), np.sin(a)))
     tangents = np.array(draw(st.lists(axis | angle, min_size=n_l, max_size=n_l)))
     normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
-    offset = st.sampled_from(SPECIAL) | st.floats(-3.0, 3.0) | st.floats(-1e150, 1e150)
+    offset = st.sampled_from(SPECIAL[:9]) | st.floats(-3.0, 3.0) | st.floats(-1e30, 1e30)
     offsets = np.array(draw(st.lists(st.lists(offset, min_size=n_r, max_size=n_r),
                                      min_size=n_l, max_size=n_l)))
     return origins, tangents, normals, offsets
@@ -107,21 +117,25 @@ def grids(draw):
 
 class TestGridProducts:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(robots=st.lists(points, min_size=1, max_size=10), h=bandwidths, grid=grids(),
-           size=block_elements)
+    @given(robots=st.lists(grid_points, min_size=1, max_size=10), h=st.floats(1e-3, 1e3),
+           grid=grids(), size=block_elements)
     # one column a block, the second beyond every robot's reach: a block
     # that keeps no robot
     @example(robots=[(0.0, 0.0), (0.5, -0.0)], h=1.0, size=1,
-             grid=(np.array([[0.0, 0.0], [1e150, 0.0]]), np.array([[1.0, 0.0]] * 2),
+             grid=(np.array([[0.0, 0.0], [1e15, 0.0]]), np.array([[1.0, 0.0]] * 2),
                    np.array([[-0.0, 1.0]] * 2), np.array([[-1.0, 0.0, 1.0]] * 2)))
     @example(robots=[(-0.0, -0.0)], h=1.0, size=_ONE_BLOCK,
              grid=(np.array([[0.0, -0.0]]), np.array([[1.0, -0.0]]), np.array([[0.0, 1.0]]),
                    np.array([[-0.0, 5e-324, 0.0, -5e-324]])))
-    def test_estimate_sections(self, robots, h, grid, size):
-        view = DensityView(np.array(robots), h)
-        got = _with_blocks(size, lambda: view.estimate_sections(*grid))
-        want = _with_blocks(size, lambda: bk.estimate_sections(view, *grid))
-        _same_bits(got, want)
+    def test_section_estimates(self, robots, h, grid, size):
+        origins, tangents, normals, offsets = grid
+        pts = np.concatenate([origins, robots])
+        extent = float(np.sum(pts.max(axis=0) - pts.min(axis=0)))
+        h = max(h, 1e-7 * (2 * extent + float(np.abs(offsets).max())))
+        views = [DensityView(np.array(robots), h)]
+        got = _with_blocks(size, lambda: density.section_estimates(views, *grid))
+        want = bk.section_estimates(views, *grid)
+        assert np.all(np.abs(got - want) <= bk.section_bound(views, origins, offsets, want))
 
 
 @st.composite
@@ -203,14 +217,31 @@ def test_run_files_equal_on_the_broadcast_forms(name, t_end, tmp_path, monkeypat
         return wrapper
 
     monkeypatch.setattr(DensityView, "_kernel_rows", counted("kde", bk.kernel_rows))
-    monkeypatch.setattr(DensityView, "estimate_sections",
-                        counted("grid", bk.estimate_sections))
+    def grid(views, origins, tangents, normals, offsets):
+        want = bk.section_estimates(views, origins, tangents, normals, offsets)
+        got = library(views, origins, tangents, normals, offsets)
+        assert np.all(np.abs(got - want) <= bk.section_bound(views, origins, offsets, want))
+        return want
+
+    library = density.section_estimates
+    monkeypatch.setattr(density, "section_estimates", counted("grid", grid))
     # every nearest-segment search, the run's wall list included, is a
     # SegmentList query
     monkeypatch.setattr(SegmentList, "nearest",
                         counted("walls", lambda walls, pts: bk.nearest(walls.search, pts)))
     broadcast_records, *broadcast = run_files("broadcast")
     assert broadcast_records == records == int(round(t_end / raw["dt_s"])) + 1
-    # every record ran each broadcast form at least once
-    assert min(calls["kde"], calls["grid"], calls["walls"]) >= records
-    assert broadcast == shipped
+    # every record ran each form at least once; the grid is called once a
+    # chunk of records
+    assert min(calls["kde"], calls["walls"]) >= records
+    assert calls["grid"] == len(blocks.row_blocks(records, raw["density_grid"][0]
+                                                   * raw["density_grid"][1])[1])
+    # the density error feeds no command: only its own column may differ,
+    # by the norm of grids that each hold to section_bound
+    assert broadcast[0] == shipped[0]
+    got, want = (np.genfromtxt(io.BytesIO(files[1]), delimiter=",", names=True)
+                 for files in (shipped, broadcast))
+    for name in got.dtype.names:
+        if name != "density_err_l2":
+            assert got[name].tobytes() == want[name].tobytes()
+    assert np.allclose(got["density_err_l2"], want["density_err_l2"], rtol=1e-12, atol=0)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -453,6 +456,26 @@ class TestCheckTubeCommand:
         outtext = capsys.readouterr().out
         assert "IRREGULAR" in outtext
         assert "sections intersect" in outtext
+
+    def test_refused_scenario_is_reported_once(self, tmp_path, capsys):
+        # no report follows the refusal, so no note repeats the error
+        raw = {**short_scenario_dict(), "regularity_spacing_m": 0}
+        assert main(["check-tube", str(write_scenario(tmp_path, raw))]) == 2
+        captured = capsys.readouterr()
+        message = "regularity spacing must be positive, got 0"
+        assert captured.out == ""
+        assert (captured.out + captured.err).count(message) == 1
+
+    def test_runs_as_python_dash_m(self):
+        # python -m tubenav, from the source tree as CI runs it
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "tubenav", "check-tube",
+             str(bundled_scenario_path("narrow_s_tube"))],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "regularity:  ok" in done.stdout
 
 
 def _without_tube():
