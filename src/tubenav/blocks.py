@@ -4,25 +4,24 @@ boundary search's box pass and the regularity check's section pairs.
 A pass over (n, k) arrays runs a block of whole rows at a time, so that
 the arrays of one block stay in a core's L2 cache through the passes over
 them instead of streaming multi-megabyte temporaries through memory.
-In the KDE, the boundary search and the regularity check every element
-goes through the same operations whatever the block size, so results do
-not depend on it.  The error grid sums a whole record a block, over every
+In the boundary search and the regularity check every element goes
+through the same operations whatever the block size, so results do not
+depend on it.  The error grid sums a whole record a block, over every
 robot; a record larger than a block is summed a block of its columns at a
 time, dropping the robots beyond R h = sqrt(106 ln 2) h of the block's
 cells (see density.section_estimates), which moves a cell by less than
 2^-53 / (2 pi h^2).
 
-The KDE's outer sums, such as p - x_j over query rows and robots, are
-matrix products with inner dimension two, a[:, None] + b[None, :] =
-[a, 1] @ [1; b], one BLAS call where broadcasting pays a dispatch per row.
-Both products are by exactly 1.0, so the two-term sum is rounded once and
-equals the broadcast sum bit for bit, with or without FMA; with ``out=``
-BLAS overwrites the output (beta = 0).  It accumulates from +0.0, so only
-the sign of an exact zero can differ, where the broadcast gives -0.0 -
-+0.0 = -0.0.  The grid's exponent is a product with inner dimension three
-whose roundings differ from the broadcast form's.  While one row fits a
-block, every such product stays at or under OpenBLAS's single-thread size,
-m n k <= 2^18.
+The kernel sums are matrix products: the grid's exponent with inner
+dimension three, the KDE's with inner dimension four and its row sums
+with the robots as a (N, 3) operand (see density.DensityView).  Their
+roundings differ from the broadcast forms', and a row's sums depend on
+the shape of its block (a one-row block takes BLAS's matrix-vector
+path), within the bounds that the two functions state.  With ``out=``
+BLAS overwrites the output (beta = 0).  While one row fits a block, every
+such product stays at or under OpenBLAS's single-thread size, m n k <=
+2^18: the KDE sizes its blocks for four elements per robot and query
+row, one per inner dimension of its exponent product, though it keeps one.
 """
 
 # Float64 elements that the live arrays of one block hold together: 1 MiB,

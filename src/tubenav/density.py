@@ -25,6 +25,9 @@ from .errors import TubeDomainError
 from .geometry import VirtualTube, _check_finite
 
 _TWO_PI = 2.0 * math.pi
+_LOG_TWO_PI = math.log(_TWO_PI)
+# The largest error bound of the KDE that DensityView serves (see there).
+_KDE_LIMIT = 1e-6
 _GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
 # Reach of the error grid's kernel sums, in bandwidths: sqrt(106 ln 2),
 # about 8.572, so that exp(-_CULL_RADIUS^2 / 2) = 2^-53.
@@ -41,6 +44,26 @@ class DensityView:
 
     The estimates are raw kernel sums; the controller applies its
     positivity floor where the estimate appears in a denominator.
+
+    estimate_and_gradient_many centres queries p and robots x on the first
+    robot c and scales them by 1/h: P = (p - c) / h, X = (x - c) / h.  One
+    product with inner dimension four, [P, -|P|^2 / 2, 1] @ [X; 1; -|X|^2 / 2
+    - ln 2 pi], gives every exponent -|P - X|^2 / 2 - ln 2 pi; one exp the
+    kernel values k; one product with [X, 1] the sums of k X and of k.  Then
+    rho = sum k / (n h^2) and grad rho = (sum k X - P sum k) / (n h^3).
+
+    The exponent is a sum of terms as large as R^2, R the largest distance
+    of a query or robot from c in bandwidths, so it loses what centring on
+    each pair would keep.  With u = 2^-53, to first order in u, and beta =
+    u (40 R^2 + 51 + (2 n + 5) max(R, 1)): rho is within beta rho +
+    2^-1074 / h^2 of its exact value, and grad rho within beta (g + rho /
+    h) + 2 R 2^-1074 / h^3, g = sum k |x - p| / (n h^4) the sum of the
+    gradient's terms' magnitudes (the 2^-1074 terms from kernel values that
+    underflow; derived in tests/broadcast_kernels.py, kde_bound).  A call
+    takes R = sqrt(2) max |q - c|_inf / h over its queries and robots q, an
+    upper bound, and raises ValueError where beta then exceeds 1e-6: where
+    some q lies about 1.06e4 bandwidths or more from c in a coordinate.
+    The limit is fixed, not a setting.
     """
 
     positions: np.ndarray  # (N, 2) active robot positions
@@ -68,58 +91,49 @@ class DensityView:
         _check_finite(self.positions)
         self.n = n
 
-    def _kernel_rows(self, pts):
-        """(rows, dx, dy, k) for blocks of query rows: the scaled offsets
-        (p - x_j) / h and the kernel exp(-(dx^2 + dy^2) / 2) / (2 pi), each
-        (rows, N).  One buffer, reused by every block, holds a block's four
-        arrays (dy^2 the fourth); callers may overwrite dx and dy.
-
-        p - x_j, for both coordinates at once, is the matrix product
-        [p, 1] @ [1; -x_j] with inner dimension two: both of its products
-        are by exactly 1.0, so the sum p + (-x_j) is rounded once and
-        equals the broadcast difference bit for bit (see blocks.py).  Its
-        operands are built once per call."""
-        h = self.bandwidth
-        n = self.n
-        size, blocks = row_blocks(len(pts), 4 * n)
-        # [p, 1] per query row and [1; -x_j] per robot, x then y: (2, M, 2)
-        # and (2, 2, N), views of one buffer of ones (empty + fill: np.ones
-        # costs about 2 us a call at 10-25 robots)
-        n_q = len(pts)
-        ops = np.empty(4 * (n_q + n))
-        ops.fill(1.0)
-        left = ops[:4 * n_q].reshape(2, n_q, 2)
-        right = ops[4 * n_q:].reshape(2, 2, n)
-        left[:, :, 0] = pts.T
-        np.negative(self.positions.T, out=right[:, 1])
-        buf = np.empty((4, size, n))
-        for rows in blocks:
-            m = rows.stop - rows.start
-            dx, dy, k, dy2 = buf[:, :m]
-            np.matmul(left[:, rows], right, out=buf[:2, :m])
-            dx /= h
-            dy /= h
-            np.multiply(dx, dx, out=k)
-            k += np.multiply(dy, dy, out=dy2)
-            k *= -0.5
-            np.exp(k, out=k)
-            k /= _TWO_PI
-            yield rows, dx, dy, k
-
     def estimate_and_gradient_many(self, pts):
-        """Density and gradient at each query point in one kernel pass."""
+        """Density (M,) and gradient (M, 2) at each query point (M, 2), a
+        block of query rows at a time (see the class docstring)."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim < 2:
             pts = pts.reshape(1, -1)
-        h = self.bandwidth
-        scale = -1.0 / (self.n * h ** 3)
-        rho = np.empty(len(pts))
-        grad = np.empty((len(pts), 2))
-        # row sums as ndarray.sum takes them: one add.reduce along the row
-        for rows, dx, dy, k in self._kernel_rows(pts):
-            rho[rows] = np.add.reduce(k, axis=1) / (self.n * h * h)
-            grad[rows, 0] = np.add.reduce(np.multiply(k, dx, out=dx), axis=1) * scale
-            grad[rows, 1] = np.add.reduce(np.multiply(k, dy, out=dy), axis=1) * scale
+        h, n, m = self.bandwidth, self.n, len(pts)
+        # columns [P, -|P|^2 / 2, 1] for the queries, then [X, 1, -|X|^2 / 2
+        # - ln 2 pi] for the robots, as the planes of one (4, M + N) buffer
+        ops = np.empty((4, m + n))
+        c = self.positions[0, :, None]
+        np.subtract(pts.T, c, out=ops[:2, :m])
+        np.subtract(self.positions.T, c, out=ops[:2, m:])
+        reach = float(np.abs(ops[:2]).max())
+        r = math.sqrt(2.0) * reach / h
+        beta = 2.0 ** -53 * (40.0 * r * r + 51.0 + (2 * n + 5) * max(r, 1.0))
+        if not beta <= _KDE_LIMIT:
+            _check_finite(pts)
+            raise ValueError(
+                f"queries and robots reach {reach!r} m from the first robot in a coordinate, "
+                f"up to {r:.3g} bandwidths of {h!r} m away: the KDE's error bound {beta:.3g} "
+                f"exceeds its limit {_KDE_LIMIT:g}"
+            )
+        ops[:2] /= h
+        square = np.square(ops[:2])
+        np.add(square[0], square[1], out=ops[2])
+        ops[2] *= -0.5
+        np.subtract(ops[2, m:], _LOG_TWO_PI, out=ops[3, m:])
+        ops[2, m:] = 1.0
+        ops[3, :m] = 1.0
+        queries, robots = ops[:, :m].T, ops[:, m:]
+        # per query, sum k X_x, sum k X_y and sum k
+        sums = np.empty((m, 3))
+        size, blocks = row_blocks(m, 4 * n)
+        k = np.empty((size, n))
+        for rows in blocks:
+            block = k[:rows.stop - rows.start]
+            np.matmul(queries[rows], robots, out=block)
+            np.exp(block, out=block)
+            np.matmul(block, robots[:3].T, out=sums[rows])
+        rho = sums[:, 2] / (n * h * h)
+        grad = sums[:, :2] - queries[:, :2] * sums[:, 2:]
+        grad /= n * h ** 3
         return rho, grad
 
 

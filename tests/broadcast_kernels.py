@@ -1,20 +1,18 @@
-"""Broadcast forms of the dense passes' outer sums, the oracles of the
-library's matrix-product forms.
+"""Broadcast forms of the dense passes, the oracles of the library's
+matrix-product forms.
 
-The library builds every outer sum or difference of the KDE and the wall
-search's per-segment pass as a matrix product with inner dimension two, or
-in a chunk layout along the point axis.  These functions compute the same
-values with numpy broadcasting and the earlier (5, chunks, width) chunk
-layout, operation for operation otherwise.  Each takes the library object
+The wall search's per-segment pass is checked against the same arithmetic
+with numpy broadcasting and the earlier (5, chunks, width) chunk layout,
+operation for operation otherwise.  Each function takes the library object
 as its first argument, so a test can also patch it in as the method of the
 same name and run a whole simulation on the broadcast forms.  Both forms
-agree bit for bit, up to the sign of an exact zero: a product accumulates
-from +0.0, so where the broadcast difference is -0.0 - +0.0 = -0.0 the
-product gives +0.0.
+agree bit for bit.
 
-The error grid's kernel sums are the one exception: the library's exponent
-is a three-term product with other roundings, so section_estimates here,
-a dense broadcast pass, holds it to section_bound instead.
+The kernel sums are the exception: the library's exponents are products
+with inner dimension three (the error grid) and four (the KDE) whose
+roundings differ from the broadcast form's.  section_estimates and
+estimate_and_gradient_many here, dense broadcast passes, hold them to
+section_bound and kde_bound instead.
 """
 
 import numpy as np
@@ -24,24 +22,93 @@ from tubenav.density import _TWO_PI
 from tubenav.geometry import _CULL_SLACK
 
 
-def kernel_rows(view, pts):
-    """DensityView._kernel_rows with p - x_j as a broadcast difference."""
-    h = view.bandwidth
-    xs, ys = view.positions.T
-    size, blocks = row_blocks(len(pts), 4 * view.n)
-    buf = np.empty((4, size, view.n))
-    for rows in blocks:
-        dx, dy, k, dy2 = buf[:, : rows.stop - rows.start]
-        np.subtract(pts[rows, 0, None], xs, out=dx)
-        dx /= h
-        np.subtract(pts[rows, 1, None], ys, out=dy)
-        dy /= h
-        np.multiply(dx, dx, out=k)
-        k += np.multiply(dy, dy, out=dy2)
-        k *= -0.5
-        np.exp(k, out=k)
-        k /= _TWO_PI
-        yield rows, dx, dy, k
+def _kde_terms(view, pts):
+    """The dense pass of estimate_and_gradient_many: the kernel values
+    exp(-|d|^2 / 2) / (2 pi) and the offsets d = (p - x_j) / h, (M, N) and
+    (M, N, 2)."""
+    d = (np.asarray(pts, dtype=float).reshape(-1, 2)[:, None, :] - view.positions) / view.bandwidth
+    k = np.exp(np.add.reduce(d * d, axis=2) * -0.5) / _TWO_PI
+    return k, d
+
+
+def estimate_and_gradient_many(view, pts):
+    """DensityView.estimate_and_gradient_many as a dense broadcast pass on
+    the offsets p - x_j: sum k / (n h^2) and -sum k d / (n h^3)."""
+    k, d = _kde_terms(view, pts)
+    h, n = view.bandwidth, view.n
+    return (np.add.reduce(k, axis=1) / (n * h * h),
+            np.add.reduce(k[..., None] * d, axis=1) * (-1.0 / (n * h ** 3)))
+
+
+def kde_bound(view, pts):
+    """How far DensityView.estimate_and_gradient_many may lie from
+    estimate_and_gradient_many above, per query: (M,) for the estimate and
+    (M,) for each gradient component.
+
+    Unit roundoff u = 2^-53, tau = 2^-1074, to first order in u.  Let R be
+    the largest distance of a query or robot from the first robot c, in
+    bandwidths, so |P|, |X| <= R and |P - X| <= 2 R.  Write rho and grad
+    for the exact values, S = sum k_j, and g = sum k_j |X_j - P| / (n h^3),
+    the sum of the gradient's terms' magnitudes, with k_j = exp(-|P -
+    X_j|^2 / 2) / (2 pi).
+
+    The library.  P = (p - c) / h is within 2u of its value per component,
+    and -|P|^2 / 2 within 6u of its value.  The robots' -|X|^2 / 2 - ln 2 pi
+    adds u of the half square and 2u of ln 2 pi < 1.84.  The product with
+    inner dimension four sums terms of total size <= 2 R^2 + 1.84 in any
+    order, off by at most 4u of that, and its inputs' errors move it by
+    at most 10.5 u R^2 + 2u ln 2 pi more.  So the exponent is within
+    delta = 18.5 u R^2 + 11.1 u <= 20 u (R^2 + 1) of its value, and,
+    with exp within 4u of its result, each kernel value within eps_k =
+    2 delta + 5u of k_j (delta <= 1), plus tau where it is subnormal.
+    - The estimate: the N-term sum of positive values adds N u, and the
+      scale n h^2 and the division 3u.  Within (eps_k + (N + 3) u) rho +
+      tau / h^2.
+    - The gradient (sum k X - P sum k) / (n h^3): the kernel values' errors
+      enter as sum (k^_j - k_j)(X_j - P) / (n h^3), at most eps_k g +
+      2 R tau / h^3.  The offsets' errors and the two N-term sums, each
+      of terms of size <= R k_j, add (2N + 5) u R S, and the subtraction,
+      the scale n h^3 (h**3 within an ulp) and the division 5u g.  Within
+      (eps_k + 5u) g + (2N + 5) u R rho / h + 2 R tau / h^3.
+    Both are within beta (rho) and beta (g + rho / h), beta = u (40 R^2 +
+    51 + (2N + 5) max(R, 1)), the bound that DensityView states.
+
+    The oracle.  d = (p - x_j) / h is within 2u per component of its value
+    and |d| <= 2 R, so -|d|^2 / 2 is within 7u |d|^2 / 2 <= 14 u R^2 and
+    each kernel value, after exp and the division by 2 pi, within eps_o =
+    28 u R^2 + 7u, plus tau.  The sums add N u, the products k d 3u and the
+    scales 4u: the estimate is within (eps_o + (N + 3) u) rho + tau / h^2
+    and the gradient within (eps_o + (N + 7) u) g + 2 R tau / h^3, both
+    within beta_o = u (28 R^2 + N + 14) of rho and g.
+
+    rho and g are unknown; the oracle's values are within beta_o of them
+    (its g like its gradient), so rho <= (rho_o + tau / h^2) / (1 -
+    beta_o), and likewise for g.  The bound sums the two forms' bounds."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    u, tau = 2.0 ** -53, 2.0 ** -1074
+    h, n = view.bandwidth, view.n
+    offsets = np.concatenate([pts, view.positions]) - view.positions[0]
+    r = float(np.sqrt(np.add.reduce(offsets * offsets, axis=1)).max()) / h
+    beta = u * (40 * r * r + 51 + (2 * n + 5) * max(r, 1.0))
+    beta_o = u * (28 * r * r + n + 14)
+    assert beta_o <= 0.5
+    k, d = _kde_terms(view, pts)
+    rho_o = np.add.reduce(k, axis=1) / (n * h * h)
+    g_o = np.add.reduce(k * np.sqrt(np.add.reduce(d * d, axis=2)), axis=1) / (n * h ** 3)
+    rho = (rho_o + tau / h ** 2) / (1 - beta_o)
+    g = (g_o + 2 * r * tau / h ** 3) / (1 - beta_o)
+    return ((beta + beta_o) * rho + 2 * tau / h ** 2,
+            beta * (g + rho / h) + beta_o * g + 4 * r * tau / h ** 3)
+
+
+def assert_within_kde_bound(view, pts, got):
+    """got, the library's (rho, grad) at pts, within kde_bound of the
+    broadcast form."""
+    rho_tol, grad_tol = kde_bound(view, pts)
+    want = estimate_and_gradient_many(view, pts)
+    assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+    assert np.all(np.abs(got[0] - want[0]) <= rho_tol)
+    assert np.all(np.abs(got[1] - want[1]) <= grad_tol[:, None])
 
 
 def section_estimates(views, origins, tangents, normals, offsets):

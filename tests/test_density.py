@@ -783,8 +783,9 @@ _SECTION_ATOL = 1e-300
 
 
 def _point_kde(view, pts):
-    """The dense oracle: the point KDE at the (n_l, n_r, 2) points."""
-    return view.estimate_and_gradient_many(pts.reshape(-1, 2))[0].reshape(pts.shape[:2])
+    """The dense oracle: the broadcast form of the point KDE at the (n_l,
+    n_r, 2) points."""
+    return bk.estimate_and_gradient_many(view, pts.reshape(-1, 2))[0].reshape(pts.shape[:2])
 
 
 def _assert_matches_point_kde(view, got, pts):
@@ -944,16 +945,13 @@ def _grid_column(n_r, n):
     return (n_r + 4) * n + 3 * n_r
 
 
-def _assert_bitwise_equal(got, want):
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert g.tobytes() == w.tobytes()
-
-
 class TestBlockedKernelSums:
     """The grid and KDE sums run a block of whole columns or query rows at
-    a time.  Every block size gives the KDE's one-block result bit for bit,
-    and a grid within the cull bound of the dense oracle."""
+    a time.  Every block size gives a grid within the cull bound of the
+    dense oracle and a KDE within kde_bound of its dense oracle: a block's
+    row sums are BLAS products whose order of summation depends on the
+    block's shape (a one-row block takes another path), so the KDE's bits
+    do depend on the block size."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -985,12 +983,11 @@ class TestBlockedKernelSums:
         # one element: one column or row per block; then a few per block,
         # with a shorter last block where they do not divide evenly.  The
         # grid culls robots per block, so it holds to the dense oracle within
-        # the cull bound; the KDE is dense and bit-identical at every size
+        # the cull bound; the KDE is dense and holds to kde_bound at every size
         for got in _results_per_block_size([1, rows_per_block * _grid_column(n_r, n)], grid):
             _assert_within_cull_bound(view, got, cells)
-        want, *got = _results_per_block_size([1, rows_per_block * 4 * n], kde)
-        for g in got:
-            _assert_bitwise_equal(g, want)
+        for got in _results_per_block_size([1, rows_per_block * 4 * n], kde):
+            bk.assert_within_kde_bound(view, pts, got)
 
     def test_crowd_snapshot(self):
         view, dd, tube, region = _crowd_snapshot()
@@ -1008,13 +1005,12 @@ class TestBlockedKernelSums:
         results = _results_per_block_size(
             [1, 7 * _grid_column(resolution[1], view.n), 33 * 4 * view.n,
              blocks.BLOCK_ELEMENTS], sums)
-        _, *want = results[0]
         for grid, *kde in results:
             # every cell has robots within reach, so the culled grid also
             # holds to _SECTION_RTOL of the dense oracle
             _assert_within_cull_bound(view, grid, cells)
             _assert_matches_point_kde(view, grid, cells)
-            _assert_bitwise_equal(kde, want)
+            bk.assert_within_kde_bound(view, view.positions, kde)
 
     def test_traced_peak_stays_within_the_blocks(self):
         """One block's arrays, plus the (M, ...) inputs and results, are all
@@ -1022,9 +1018,12 @@ class TestBlockedKernelSums:
         view, dd, tube, region = _crowd_snapshot()
         n_l, n_r = 120, 24
         bound = 1.5 * 8 * blocks.BLOCK_ELEMENTS
+        # the KDE holds one (N, N) array: on the snapshot and its copy 50 m
+        # on, 800 robots
+        crowd = DensityView(np.concatenate([view.positions, view.positions + (50.0, 0.0)]), 0.9)
         # both fail without the blocks: an (n_l, n_r, N) array alone is
-        # 8.8 MiB and the KDE's four (N, N) arrays 4.9 MiB
-        assert min(8 * n_l * n_r * view.n, 4 * 8 * view.n ** 2) > 3 * bound
+        # 8.8 MiB and the KDE's (N, N) array 4.9 MiB
+        assert min(8 * n_l * n_r * view.n, 8 * crowd.n ** 2) > 3 * bound
 
         def peak(fn):
             fn()  # warm: first-call allocations are not the kernel's
@@ -1036,7 +1035,7 @@ class TestBlockedKernelSums:
                 tracemalloc.stop()
 
         assert peak(lambda: density_error_l2_from_view(view, dd, tube, region, (n_l, n_r))) < bound
-        assert peak(lambda: view.estimate_and_gradient_many(view.positions)) < bound
+        assert peak(lambda: crowd.estimate_and_gradient_many(crowd.positions)) < bound
 
 
 def _robots_straddling(lo, hi, reach, robots):

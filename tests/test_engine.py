@@ -416,7 +416,7 @@ class TestRun:
         (0.05, {"k3": 1e-4, "k1_mps": 2.0, "v_max_mps": 4.0}, 18, {
             "kind": "boundary",
             "message": "robot 24 at min boundary distance 0.427232 <= r_s = 0.5",
-            "robot": 24, "distance": 0.42723210392885547, "time": 0.8500000000000001,
+            "robot": 24, "distance": 0.42723210392872213, "time": 0.8500000000000001,
         }),
     ])
     def test_pinned_faults_of_the_bundled_narrow_tube(self, dt, gains, records, fault):

@@ -1,11 +1,16 @@
-"""The dense passes' outer sums as two-term matrix products, against the
-broadcast forms in ``broadcast_kernels``: bit for bit on extreme inputs,
-and in the run files of whole simulations; the error grid's kernel sums
-within that module's section_bound."""
+"""The dense passes as matrix products, against the broadcast forms in
+``broadcast_kernels``: the wall search bit for bit on extreme inputs and in
+the run files of whole simulations; the error grid's and the KDE's kernel
+sums within that module's section_bound and kde_bound."""
 
+import importlib.util
 import io
 import json
+import math
+import re
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,20 +30,11 @@ _ONE_BLOCK = 1 << 62
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
            1.0, -1.0, 1e150, -1e150]
 coords = st.sampled_from(SPECIAL) | st.floats(-10.0, 10.0) | st.floats(-1e150, 1e150)
-points = st.tuples(coords, coords)
-bandwidths = st.sampled_from([1e-100, 1e-3, 1.0, 1e100]) | st.floats(1e-3, 1e3)
 block_elements = st.sampled_from([_ONE_BLOCK, 1, 40])
 
 
-def _no_zero_sign(x):
-    """x with every zero made +0.0: the one difference the forms may show."""
-    return np.where(x == 0.0, 0.0, x)
-
-
-def _same_bits(got, want, zero_sign=True):
+def _same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
-    if not zero_sign:
-        got, want = _no_zero_sign(got), _no_zero_sign(want)
     assert got.tobytes() == want.tobytes()
 
 
@@ -49,46 +45,161 @@ def _with_blocks(size, fn):
         return fn()
 
 
-def _blocks_of(kernel_rows):
-    return [(rows, dx.copy(), dy.copy(), k.copy()) for rows, dx, dy, k in kernel_rows]
+# the KDE's clouds: about the origin or shifted far from it, their spread
+# in or beyond the domain where DensityView serves them
+kde_coords = st.sampled_from(SPECIAL[:9]) | st.floats(-10.0, 10.0) | st.floats(-1e4, 1e4)
+kde_points = st.tuples(kde_coords, kde_coords)
+shifts = st.sampled_from([0.0, -3e3, 1e6, -1e9, 2.0 ** 40 + 0.5, 1e15])
+kde_bandwidths = st.sampled_from([1e-100, 1e-3, 0.05, 3.0, 1e100]) | st.floats(0.05, 3.0)
+
+
+def _kde(view, pts, size=_ONE_BLOCK):
+    """The library's (rho, grad) with BLOCK_ELEMENTS = size, or the
+    ValueError it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocks, "BLOCK_ELEMENTS", size)
+        try:
+            return view.estimate_and_gradient_many(pts)
+        except ValueError as exc:
+            return exc
+
+
+def _served(view, pts):
+    """Whether DensityView serves the queries: the bound beta of its
+    docstring at R = sqrt(2) max |q - c|_inf / h is at most 1e-6."""
+    reach = float(np.abs(np.concatenate([pts.reshape(-1, 2), view.positions])
+                         - view.positions[0]).max())
+    r = math.sqrt(2.0) * reach / view.bandwidth
+    return 2.0 ** -53 * (40.0 * r * r + 51.0 + (2 * view.n + 5) * max(r, 1.0)) <= 1e-6
 
 
 class TestKdeProducts:
+    """The KDE's two products and one exp against the dense broadcast
+    oracle, within kde_bound wherever DensityView serves the queries, and a
+    ValueError that names the bandwidth, the reach and the limit elsewhere."""
+
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(robots=st.lists(points, min_size=1, max_size=12),
-           queries=st.lists(points, max_size=10), h=bandwidths, size=block_elements)
-    @example(robots=[(0.0, 0.0)], queries=[(-0.0, -0.0), (5e-324, 0.0)], h=1.0, size=_ONE_BLOCK)
-    @example(robots=[(0.0, -0.0), (-0.0, 0.0)], queries=[(0.0, -0.0)], h=1e-3, size=1)
-    def test_kernel_rows(self, robots, queries, h, size):
-        view = DensityView(np.array(robots), h)
-        pts = np.array(queries).reshape(-1, 2)
-        got = _with_blocks(size, lambda: _blocks_of(view._kernel_rows(pts)))
-        want = _with_blocks(size, lambda: _blocks_of(bk.kernel_rows(view, pts)))
-        assert len(got) == len(want)
-        for (rows, dx, dy, k), (w_rows, w_dx, w_dy, w_k) in zip(got, want):
-            assert rows == w_rows
-            # -0.0 - +0.0 is -0.0 broadcast and +0.0 as a product
-            _same_bits(dx, w_dx, zero_sign=False)
-            _same_bits(dy, w_dy, zero_sign=False)
-            _same_bits(k, w_k)
+    @given(robots=st.lists(kde_points, min_size=1, max_size=12),
+           queries=st.lists(kde_points, max_size=10), shift=shifts, h=kde_bandwidths,
+           size=block_elements)
+    @example(robots=[(0.0, 0.0)], queries=[(-0.0, -0.0), (5e-324, 0.0)], shift=0.0, h=1.0,
+             size=_ONE_BLOCK)
+    @example(robots=[(0.0, -0.0), (-0.0, 0.0)], queries=[(0.0, -0.0)], shift=0.0, h=1e-3,
+             size=1)
+    # the edge of the domain: R = 1.41e4, beta = 8.9e-7
+    @example(robots=[(0.0, 0.0), (1e4, 0.0)], queries=[(1e4, 0.0), (5e3, 0.0)], shift=1e6,
+             h=1.0, size=40)
+    def test_within_the_bound_of_the_broadcast_form(self, robots, queries, shift, h, size):
+        view = DensityView(np.array(robots) + shift, h)
+        pts = np.array(queries).reshape(-1, 2) + shift
+        got = _kde(view, pts, size)
+        if not _served(view, pts):
+            assert isinstance(got, ValueError) and "limit 1e-06" in str(got)
+            return
+        assert not isinstance(got, ValueError), got
+        bk.assert_within_kde_bound(view, pts, got)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(robots=st.lists(points, min_size=1, max_size=12), h=bandwidths, size=block_elements)
-    @example(robots=[(0.0, 1.0), (-0.0, 2.0)], h=1.0, size=_ONE_BLOCK)
-    def test_estimates_at_the_robots(self, robots, h, size):
-        # at the robots themselves, as the engine queries it, even the
-        # sign of a zero gradient agrees: each row's own term is +0.0
-        view = DensityView(np.array(robots), h)
+    @given(robots=st.lists(kde_points, min_size=1, max_size=12), shift=shifts,
+           h=st.floats(0.05, 3.0), size=block_elements)
+    def test_at_the_robots_twice(self, robots, shift, h, size):
+        # as the engine queries it; a second call gives the same bits
+        view = DensityView(np.array(robots) + shift, h)
+        got = _kde(view, view.positions, size)
+        if not _served(view, view.positions):
+            assert isinstance(got, ValueError)
+            return
+        bk.assert_within_kde_bound(view, view.positions, got)
+        again = _kde(view, view.positions, size)
+        for g, a in zip(got, again):
+            assert g.tobytes() == a.tobytes()
 
-        def sums(kernel_rows):
-            def fn():
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(DensityView, "_kernel_rows", kernel_rows)
-                    return view.estimate_and_gradient_many(view.positions)
-            return _with_blocks(size, fn)
+    @pytest.mark.parametrize("robots, queries", [
+        # R = sqrt(2) 2e4: beta = 3.6e-6
+        ([(0.0, 0.0), (2e4, 1.0)], [(0.0, 0.0)]),
+        ([(0.0, 0.0), (1.0, 1.0)], [(-5e3, 3e4)]),  # the query alone is far
+        # the scale of the exponent's own error: K = 1e7
+        ([(0.0, 0.0), (0.0, -1e7)], [(0.0, 0.0)]),
+    ])
+    def test_outside_the_domain_raises(self, robots, queries):
+        view = DensityView(np.array(robots) + 1e3, 1.0)
+        reach = float(np.abs(np.array(robots + queries) - robots[0]).max())
+        with pytest.raises(ValueError, match=re.escape(f"reach {reach!r} m from the first robot")
+                           ) as exc:
+            view.estimate_and_gradient_many(np.array(queries) + 1e3)
+        assert "bandwidths of 1.0 m" in str(exc.value)
+        assert str(exc.value).endswith("exceeds its limit 1e-06")
 
-        for got, want in zip(sums(DensityView._kernel_rows), sums(bk.kernel_rows)):
-            _same_bits(got, want)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_query_is_named(self, bad):
+        view = DensityView(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"position row 1 is not finite: [{bad!r}, 0.0]")):
+            view.estimate_and_gradient_many(np.array([[0.5, 0.0], [bad, 0.0]]))
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_workload(name, monkeypatch, *args):
+    """The scenario dict of a workload of bench/run.py; every module that
+    loading it adds is dropped again, so the draws of later property tests
+    do not see them (see conftest.py)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", [str(BENCH), *sys.path])
+    loaded = set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return getattr(module, name)(*args)
+    finally:
+        for added in set(sys.modules) - loaded:
+            del sys.modules[added]
+
+
+def _long_tube(n_robots, length):
+    """A straight open tube of the given length, half-width 7 m narrowing to
+    2 m over 10 m at 0.4 of it, with a 10-row grid of robots 1.2 m apart."""
+    taper = 0.4 * length
+    return {
+        "name": f"long_tube_{n_robots}", "dt_s": 0.01, "t_end_s": 0.0, "mode": "full",
+        "tube": {
+            "segments": [{"kind": "line", "start_xy_m": [0.0, 0.0], "end_xy_m": [length, 0.0]}],
+            "width_knots_m": [[0.0, 7.0, 7.0], [taper, 7.0, 7.0], [taper + 10.0, 2.0, 2.0],
+                              [length, 2.0, 2.0]],
+        },
+        "placement": {"kind": "grid", "rows": 10, "cols": n_robots // 10, "spacing_m": 1.2,
+                      "origin_xy_m": [0.8, -5.4], "jitter_m": 0.02},
+        "params": {"r_s_m": 0.5, "h_m": 1.5},
+    }
+
+
+@pytest.mark.parametrize("workload", ["narrow_s_tube", "annular", "long_tube_crowd",
+                                      "long_tube_1000"])
+def test_every_workload_is_far_inside_the_kde_domain(workload, monkeypatch):
+    """No record of a run can leave DensityView's domain: its robots stay in
+    the tube, so every query and robot lies within the walls' bounding box
+    of the first robot in each coordinate, and the bandwidth is at least
+    r_s / 2 (the Silverman clamp) where it is not set.  beta at that reach
+    stays 1,000 times under the 1e-6 limit."""
+    if workload == "long_tube_crowd":
+        raw = _bench_workload("long_tube_crowd", monkeypatch, 0)
+    elif workload == "long_tube_1000":
+        raw = _long_tube(1000, 300.0)
+    else:
+        raw = json.loads(bundled_scenario_path(workload).read_text())
+    scen = scenario_from_dict(raw)
+    tube, params = scen.tube, scen.params
+    walls = np.concatenate(tube.section_ends(np.linspace(0.0, tube.length, 20001)))
+    # 1% over the sampled walls: the chords' sagitta and the membership slack
+    reach = 1.01 * float((walls.max(axis=0) - walls.min(axis=0)).max())
+    h = params.h if params.h is not None else 0.5 * params.r_s
+    r = math.sqrt(2.0) * reach / h
+    beta = 2.0 ** -53 * (40.0 * r * r + 51.0 + (2 * scen.n_robots + 5) * max(r, 1.0))
+    assert beta <= 1e-9
+    # and the first record's query, as the engine makes it, is served
+    view = DensityView(scen.positions, h)
+    assert np.isfinite(view.estimate_and_gradient_many(view.positions)[1]).all()
 
 
 # The grid's exponent is a three-term product, within section_bound of the
@@ -196,8 +307,13 @@ class TestWallSearchLayout:
 
 @pytest.mark.parametrize("name, t_end", [("narrow_s_tube", 1.0), ("annular", 2.0)])
 def test_run_files_equal_on_the_broadcast_forms(name, t_end, tmp_path, monkeypatch):
-    """A bundled run writes the same trace.csv and metrics.csv bytes with the
-    broadcast forms patched in."""
+    """A bundled run writes the same trace.csv bytes with the broadcast wall
+    search patched in, every KDE call of the run within kde_bound of the
+    broadcast form, and the same metrics.csv but for the density error.
+
+    The run goes on with the library's KDE values: on the broadcast form's
+    the robots move apart in their last bits, and no derived bound holds
+    that drift through the closed loop."""
     raw = json.loads(bundled_scenario_path(name).read_text())
     raw["t_end_s"] = t_end
 
@@ -216,7 +332,14 @@ def test_run_files_equal_on_the_broadcast_forms(name, t_end, tmp_path, monkeypat
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(DensityView, "_kernel_rows", counted("kde", bk.kernel_rows))
+    def kde(view, pts):
+        got = library_kde(view, pts)
+        bk.assert_within_kde_bound(view, pts, got)
+        return got
+
+    library_kde = DensityView.estimate_and_gradient_many
+    monkeypatch.setattr(DensityView, "estimate_and_gradient_many", counted("kde", kde))
+
     def grid(views, origins, tangents, normals, offsets):
         want = bk.section_estimates(views, origins, tangents, normals, offsets)
         got = library(views, origins, tangents, normals, offsets)
