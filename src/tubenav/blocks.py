@@ -12,12 +12,12 @@ time, dropping the robots beyond R h = sqrt(106 ln 2) h of the block's
 cells (see density.section_estimates), which moves a cell by less than
 2^-53 / (2 pi h^2).
 
-The kernel sums are matrix products: the grid's exponent with inner
-dimension three, the KDE's with inner dimension four and its row sums
-with the robots as a (N, 3) operand (see density.DensityView).  Their
+The kernel sums are matrix products with inner dimension four: a grid
+column's factor exponents, then their (B, N) @ (N, A) sums, and the KDE's
+exponent, then its row sums with a (N, 3) operand (see density).  Their
 roundings differ from the broadcast forms', and a row's sums depend on
-the shape of its block (a one-row block takes BLAS's matrix-vector
-path), within the bounds that the two functions state.  With ``out=``
+the shape of its block (a one-row block takes BLAS's matrix-vector path),
+within the bounds that the two functions state.  With ``out=``
 BLAS overwrites the output (beta = 0).  While one row fits a block, every
 such product stays at or under OpenBLAS's single-thread size, m n k <=
 2^18: the KDE sizes its blocks for four elements per robot and query

@@ -32,6 +32,8 @@ _GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
 # Reach of the error grid's kernel sums, in bandwidths: sqrt(106 ln 2),
 # about 8.572, so that exp(-_CULL_RADIUS^2 / 2) = 2^-53.
 _CULL_RADIUS = math.sqrt(106.0 * math.log(2.0))
+# The error grid's clamp of u and tau and its largest factor's exponent.
+_CLAMP, _FACTOR_LIMIT = 2.0 * _CULL_RADIUS, 500.0
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +410,11 @@ class DesiredDensity:
 # ---------------------------------------------------------------------------
 
 def _region_grids(tube: VirtualTube, regions, resolution):
-    """Column arc lengths (R, n_l), cell lengths (R,), radial cell heights
-    (R n_l,), the columns' spine frames (origins, tangents, normals),
-    (R n_l, 2) each, and the cell-centre offsets along each normal,
-    (R n_l, n_r), of R occupied regions, one array pass for all of them:
-    region i's columns are rows i n_l to (i + 1) n_l."""
+    """Column arc lengths (R, n_l), cell lengths (R,), the columns' spine
+    frames (origins, tangents, normals), (R n_l, 2) each, and the radial
+    lattices r_d and dr, (R n_l,) each (see section_estimates), of R
+    occupied regions, one array pass for all of them: region i's columns
+    are rows i n_l to (i + 1) n_l."""
     n_l, n_r = resolution
     if n_l < 1 or n_r < 1:
         raise ValueError("grid resolution must be positive")
@@ -421,105 +423,133 @@ def _region_grids(tube: VirtualTube, regions, resolution):
     ls = l_b[:, None] + (np.arange(n_l) + 0.5) * dl[:, None]
     ls_eval = _wrap(tube, ls).ravel()
     r_d = tube.widths.r_d(ls_eval)
-    r_u = tube.widths.r_u(ls_eval)
-    dr = (r_d + r_u) / n_r
-    offsets = -r_d[:, None] + (np.arange(n_r)[None, :] + 0.5) * dr[:, None]
-    return ls, dl, dr, tube.curve.frames(ls_eval), offsets
+    dr = (r_d + tube.widths.r_u(ls_eval)) / n_r
+    return ls, dl, tube.curve.frames(ls_eval), r_d, dr
 
 
-def _block_sums(frame, robots, offsets, h, out, buf):
-    """Kernel sums of a record's m columns over k robots into ``out`` (m,
-    n_r), from the rows for s and tau (2, m, 3), [1; x - c; y - c] (3, k),
-    the offsets (m, n_r) and h, in m (3 n_r + (n_r + 4) k) of ``buf``."""
-    m, n_r = offsets.shape
-    k = robots.shape[1]
-    ends = np.cumsum([0, 3 * n_r, 3 * k, k, n_r * k]) * m
-    planes, rows, along, z = (buf[lo:hi] for lo, hi in zip(ends, ends[1:]))
-    # [-rho^2 / 2, -rho, -1/2] per cell
-    planes = planes.reshape(3, m, n_r)
-    np.divide(offsets, -h, out=planes[1])
-    np.multiply(planes[1], planes[1], out=planes[0])
-    planes[0] *= -0.5
-    planes[2] = -0.5
-    # [1; s; tau] per column; exp(-tau^2 / 2) taken, s^2 replaces tau
-    rows = rows.reshape(3, m, k)
-    rows[0] = 1.0
-    np.matmul(frame, robots, out=rows[1:])
-    along = np.multiply(rows[2], rows[2], out=along.reshape(m, k))
-    along *= -0.5
-    np.exp(along, out=along)
-    np.multiply(rows[1], rows[1], out=rows[2])
-    z = z.reshape(m, n_r, k)
-    np.matmul(planes.transpose(1, 2, 0), rows.transpose(1, 0, 2), out=z)
+def _radial_factors(a, n_r):
+    """For cells k = A p + m, m < A, p < B = ceil(n_r / A): the exponent
+    rows of F_m and G_p, (A + B, 4), against [Delta u; u^2; tau^2;
+    Delta^2], and H's exponents over Delta^2, (B, A)."""
+    m, ap = np.arange(a), np.arange(0, n_r, a)
+    rows = np.zeros((a + len(ap), 4))
+    rows[:a, 0], rows[:a, 2], rows[a:, 0], rows[a:, 1] = -m, -0.5, -ap, -0.5
+    rows[a:, 3] = -0.5 * ap * ap
+    return rows, -(ap[:, None] * m + 0.5 * m * m)
+
+
+def _block_sums(frame, robots, lattice, factors, out, buf):
+    """Kernel sums of m columns over k robots into ``out`` (m, n_r), from
+    the rows for u and tau (2, m, 3), [1; x - c; y - c] (3, k), [Delta;
+    Delta^2; lowest u; lowest tau] (4, m) and _radial_factors, in ``buf``."""
+    (rows_fg, lift), (m, n_r), k = factors, out.shape, robots.shape[1]
+    b, a = lift.shape
+    ends = [0, 4 * k * m, (a + b + 4) * k * m, ((a + b + 4) * k + a * b) * m, len(buf)]
+    rows, z, sums, h = (buf[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    # [Delta u; u^2; tau^2; Delta^2] per column, u and tau clamped
+    rows = rows.reshape(4, m, k)
+    np.matmul(frame, robots, out=rows[1:3])
+    np.maximum(rows[1:3], lattice[2:, :, None], out=rows[1:3])
+    np.minimum(rows[1:3], _CLAMP, out=rows[1:3])
+    np.multiply(rows[1], lattice[0, :, None], out=rows[0])
+    np.square(rows[1:3], out=rows[1:3])
+    rows[3] = lattice[1, :, None]
+    # F's and G's exponents, their values, and sum_j G_p F_m per column
+    z = z.reshape(m, a + b, k)
+    np.matmul(rows_fg, rows.transpose(1, 0, 2), out=z)
     np.exp(z, out=z)
-    np.matmul(z, along[..., None], out=out[..., None])
+    sums = sums.reshape(m, b, a)
+    np.matmul(z[:, a:], z[:, :a].transpose(0, 2, 1), out=sums)
+    h = np.multiply(lattice[1, :, None], lift.reshape(1, -1), out=h[:m * a * b].reshape(m, a * b))
+    np.exp(h, out=h)
+    np.multiply(sums.reshape(m, a * b)[:, :n_r], h[:, :n_r], out=out)
 
 
-def section_estimates(views, origins, tangents, normals, offsets):
+def section_estimates(views, origins, tangents, normals, r_d, dr, n_r):
     """Kernel density estimates on R records' grids, (R, n_l, n_r): record
-    i's view at origins[c] + offsets[c, k] * normals[c] for its columns c,
-    rows i n_l to (i + 1) n_l of the frames, (R n_l, 2), and offsets.
+    i's view at origins[c] + (-r_d[c] + (k + 1/2) dr[c]) normals[c], k <
+    n_r, for its columns c, rows i n_l to (i + 1) n_l of the frames, (R
+    n_l, 2), and of r_d and dr, (R n_l,).
 
-    With s, tau = (origin - x_j) . (n, t) / h and rho = r / h, the scaled
-    squared distance from robot j to a cell is tau^2 + (rho + s)^2.  Per
-    column, the frame's rows times [1; x - c; y - c], c the record's first
-    robot, give s and tau; [-rho^2 / 2, -rho, -1/2] @ [1; s; s^2] gives
-    every exponent; one exp and one product with exp(-tau^2 / 2) give the
-    sums.  No term overflows below 1e51 m, as DensityView keeps h > 2.8e-103.
-    Records of equal robot count, consecutive as robots only leave, are
-    stacked; a block holds one whole record where it fits.  A larger record
-    runs a block of columns at a time, over the robots in the box of the
-    block's extreme cells grown by _CULL_RADIUS * h: those dropped add less
-    than 2^-53 / (2 pi h^2) to a cell.  No value depends on its batch."""
-    r, n_r = len(views), offsets.shape[1]
-    n_l = len(offsets) // r
+    In bandwidths the cells lie at rho_0 + k Delta, rho_0 = (dr / 2 - r_d)
+    / h, Delta = dr / h, and with u = (origin - x_j) . n / h + rho_0 and
+    tau = (origin - x_j) . t / h the kernel is exp(-tau^2 / 2 - (u + k
+    Delta)^2 / 2) = F_m G_p H_pm for k = A p + m, m < A, p < B = ceil(n_r /
+    A): F = exp(-tau^2 / 2 - m Delta u), G = exp(-(u + A p Delta)^2 / 2),
+    H = exp(-Delta^2 (A p m + m^2 / 2)).  So a column takes A + B exps per
+    robot and a (B, N) @ (N, A) product.  u and tau are clamped to [-(n_r
+    - 1) Delta - C, C] and [-C, C], C = _CLAMP, which changes only kernels
+    below 2^-212 in every cell; then G, H <= 1 and e^-647 < F <= exp((A -
+    1) Delta ((n_r - 1) Delta + C)), a record's largest A <= sqrt(n_r)
+    keeping that at most e^_FACTOR_LIMIT.  A block holds a whole record, or
+    some of its columns and the robots in the box of their extreme cells
+    grown by R h, R = _CULL_RADIUS.  No value depends on its batch.
+
+    With eps = 2^-53, D the L1 size of the box of the record's origins and
+    robots and K = (2 D + max |r_d| + 3 n_r max dr) / h + C, an estimate
+    lies within rel e + (1 + rel) 2^-53 / (2 pi h^2) of the dense sum e,
+    rel = eps (88 K^2 + 2 N + 30), while 44 eps K^2 <= 1 (derived in
+    tests/broadcast_kernels.py, section_rel).  No term overflows while K <
+    1.3e154, as for distances and widths below 1e50 m (h > 2.8e-103)."""
+    r = len(views)
+    n_l = len(r_d) // r
     origins, tangents, normals = (f.reshape(r, n_l, 2) for f in (origins, tangents, normals))
-    offsets = offsets.reshape(r, n_l, n_r)
     counts = np.array([view.n for view in views])
-    h = np.array([view.bandwidth for view in views])
+    h = np.array([view.bandwidth for view in views])[:, None]
+    r_d, dr = r_d.reshape(r, n_l), dr.reshape(r, n_l)
+    # per record and column [Delta; Delta^2; lowest u; lowest tau], and rho_0
+    step, first = dr / h, (0.5 * dr - r_d) / h
+    lattice = np.stack([step, step * step, (1 - n_r) * step - _CLAMP,
+                        np.full_like(step, -_CLAMP)], axis=1)
+    a_max = math.isqrt(n_r)
+    splits = [a_max if e * (a_max - 1) <= _FACTOR_LIMIT else 1 + int(_FACTOR_LIMIT // e)
+              for e in (lattice[:, 2] * -step).max(axis=1).tolist()]
+    factors = {a: _radial_factors(a, n_r) for a in set(splits)}
+    plans = [(c, *row_blocks(n_l, c)) for c in ((a + len(factors[a][1]) + 4) * n
+             + 2 * factors[a][1].size for a, n in zip(splits, counts.tolist()))]
     out = np.empty((r, n_l, n_r))
     edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), r]
     for run in (slice(a, b) for a, b in zip(edges, edges[1:])):
-        n = counts[run.start]
         x = np.stack([view.positions for view in views[run]])
-        robots = np.ones((len(x), 3, n))
+        robots = np.ones((len(x), 3, counts[run.start]))
         np.subtract(x, x[:, :1], out=robots[:, 1:].transpose(0, 2, 1))
-        # per column, the rows [(o - c) . n / h, -n / h] and [(o - c) . t / h, -t / h]
+        # per column [(o - c) . n / h + rho_0, -n / h] and [(o - c) . t / h, -t / h]
         frame = np.empty((len(x), 2, n_l, 3))
         for axis, row in zip((normals[run], tangents[run]), frame.transpose(1, 0, 2, 3)):
-            np.divide(axis, -h[run, None, None], out=row[..., 1:])
+            np.divide(axis, -h[run, :, None], out=row[..., 1:])
             np.einsum("bcj,bcj->bc", row[..., 1:], x[:, :1] - origins[run], out=row[..., 0])
-        column = (n_r + 4) * n + 3 * n_r
-        size, col_blocks = row_blocks(n_l, column)
-        work = (((i, slice(None), robots[i]) for i in range(len(x))) if size == n_l else
-                _culled(x, robots, origins[run], normals[run], offsets[run], h[run], col_blocks))
-        buf = np.empty(size * column)
-        for i, cols, kept in work:
-            _block_sums(frame[i, :, cols], kept, offsets[run][i, cols], h[run][i],
-                        out[run][i, cols], buf)
+        frame[:, 0, :, 0] += first[run]
+        buf = np.empty(max(column * size for column, size, _ in plans[run]))
+        for j, i in enumerate(range(run.start, run.stop)):
+            _, size, col_blocks = plans[i]
+            work = ([(slice(None), robots[j])] if size == n_l else
+                    _culled(x[j], robots[j], origins[i], normals[i], r_d[i], dr[i], n_r, h[i, 0],
+                            col_blocks))
+            for cols, kept in work:
+                _block_sums(frame[j, :, cols], kept, lattice[i, :, cols], factors[splits[i]],
+                            out[i, cols], buf)
         del frame, buf  # freed before the next run allocates its own
-    for record, scale in zip(out, (_TWO_PI * counts * h * h).tolist()):
+    for record, scale in zip(out, (_TWO_PI * counts * h[:, 0] * h[:, 0]).tolist()):
         record /= scale  # a broadcast division would buffer 64 KiB
     return out
 
 
-def _culled(x, robots, origins, normals, offsets, h, col_blocks):
-    """(record, columns, robots) of each block of a record's columns, the
-    robots in the block's grown box as [1; x - c; y - c] in one buffer."""
+def _culled(x, robots, origins, normals, r_d, dr, n_r, h, col_blocks):
+    """(columns, robots) of each block of a record's columns: the robots in
+    the box of the block's first and last cells grown by _CULL_RADIUS h, as
+    [1; x - c; y - c] in one buffer."""
     starts = [cols.start for cols in col_blocks]
-    ends = [origins + pick(offsets, axis=2)[..., None] * normals for pick in (np.min, np.max)]
-    grown = _CULL_RADIUS * h[:, None, None]
-    lo = np.minimum.reduceat(np.minimum(*ends), starts, axis=1) - grown
-    hi = np.maximum.reduceat(np.maximum(*ends), starts, axis=1) + grown
-    kept = np.empty(robots.shape[1:])
-    for i in range(len(x)):
-        px, py = np.ascontiguousarray(x[i].T)
-        (lo_x, lo_y), (hi_x, hi_y) = lo[i].T[..., None], hi[i].T[..., None]
-        inside = (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
-        for cols, near in zip(col_blocks, inside):
-            mine = kept[:, :np.count_nonzero(near)]
-            np.compress(near, robots[i], axis=1, out=mine)
-            yield i, cols, mine
+    ends = [origins + (-r_d + k * dr)[:, None] * normals for k in (0.5, n_r - 0.5)]
+    lo = np.minimum.reduceat(np.minimum(*ends), starts) - _CULL_RADIUS * h
+    hi = np.maximum.reduceat(np.maximum(*ends), starts) + _CULL_RADIUS * h
+    px, py = np.ascontiguousarray(x.T)
+    (lo_x, lo_y), (hi_x, hi_y) = lo.T[..., None], hi.T[..., None]
+    inside = (px >= lo_x) & (px <= hi_x) & (py >= lo_y) & (py <= hi_y)
+    kept = np.empty(robots.shape)
+    for cols, near in zip(col_blocks, inside):
+        mine = kept[:, :np.count_nonzero(near)]
+        np.compress(near, robots, axis=1, out=mine)
+        yield cols, mine
 
 
 def density_errors_l2(views, targets, tube: VirtualTube, regions, resolution):
@@ -529,8 +559,8 @@ def density_errors_l2(views, targets, tube: VirtualTube, regions, resolution):
 
     The grids, the kernel sums (section_estimates) and the profiles are
     each one pass over the R records, equal to a batch of one bit for bit."""
-    ls, dl, dr, frames, offsets = _region_grids(tube, regions, resolution)
-    sq = section_estimates(views, *frames, offsets)
+    ls, dl, frames, r_d, dr = _region_grids(tube, regions, resolution)
+    sq = section_estimates(views, *frames, r_d, dr, resolution[1])
     args = (np.array(a)[:, None] for a in zip(*(dd._profile_args() for dd in targets)))
     sq -= _profile(tube, ls, *args)[..., None]
     np.square(sq, out=sq)

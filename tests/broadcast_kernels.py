@@ -9,8 +9,9 @@ same name and run a whole simulation on the broadcast forms.  Both forms
 agree bit for bit.
 
 The kernel sums are the exception: the library's exponents are products
-with inner dimension three (the error grid) and four (the KDE) whose
-roundings differ from the broadcast form's.  section_estimates and
+with inner dimension four, factored along each grid column's radial
+lattice (the error grid) or over every pair (the KDE), whose roundings
+differ from the broadcast form's.  section_estimates and
 estimate_and_gradient_many here, dense broadcast passes, hold them to
 section_bound and kde_bound instead.
 """
@@ -18,7 +19,7 @@ section_bound and kde_bound instead.
 import numpy as np
 
 from tubenav.blocks import row_blocks
-from tubenav.density import _TWO_PI
+from tubenav.density import _CLAMP, _TWO_PI
 from tubenav.geometry import _CULL_SLACK
 
 
@@ -111,13 +112,21 @@ def assert_within_kde_bound(view, pts, got):
     assert np.all(np.abs(got[1] - want[1]) <= grad_tol[:, None])
 
 
-def section_estimates(views, origins, tangents, normals, offsets):
+def cell_offsets(r_d, dr, n_r):
+    """The cell-centre offsets along each column's normal, (columns, n_r),
+    of the radial lattices r_d and dr: -r_d + (k + 1/2) dr, k < n_r."""
+    return -np.asarray(r_d)[:, None] + (np.arange(n_r) + 0.5) * np.asarray(dr)[:, None]
+
+
+def section_estimates(views, origins, tangents, normals, r_d, dr, n_r):
     """density.section_estimates as a dense broadcast pass, record by
-    record, on the earlier arithmetic: (origin - x_j) / h, s and tau as dot
-    products with the frame, then exp(-(s + r / h)^2 / 2) and
-    exp(-tau^2 / 2).  No robot is culled."""
-    r, n_r = len(views), offsets.shape[1]
-    n_l = len(offsets) // r
+    record, on the earlier arithmetic: the cells' explicit offsets r
+    (cell_offsets), (origin - x_j) / h, s and tau as dot products with the
+    frame, then exp(-(s + r / h)^2 / 2) and exp(-tau^2 / 2).  No robot is
+    culled and nothing is clamped."""
+    r = len(views)
+    n_l = len(r_d) // r
+    offsets = cell_offsets(r_d, dr, n_r)
     out = np.empty((r, n_l, n_r))
     for i, view in enumerate(views):
         cols = slice(i * n_l, (i + 1) * n_l)
@@ -134,51 +143,75 @@ def section_estimates(views, origins, tangents, normals, offsets):
     return out
 
 
-def section_rel(views, origins, offsets):
+def section_rel(views, origins, r_d, dr, n_r):
     """Per record, (R, 1, 1), the relative part of section_bound: how far,
-    relative to the broadcast value, the library's kernel sums may lie when
-    they sum the same robots.
+    relative to the broadcast value, the library's kernel sums may lie from
+    it for the robots, cells and factors that the library neither culls,
+    clamps nor underflows.
 
-    Unit roundoff u = 2^-53.  For one record with bandwidth h let D be the
-    L1 size of the bounding box of its column origins and robots, and K =
-    (2 D + max |r|) / h.  The library centres the robots on its first
-    robot c, so |o - c|_1 and |x - c|_1 are at most D, and |s| + |rho| and
-    |tau| at most K, with rho = r / h.
-    - s and tau: the library's is the three-term product of the frame row
-      [(o - c) . n / h, -n / h] with [1; x - c; y - c], off by at most 6 u K
-      (rounded inputs and a two-rounding sum); the broadcast one is off by
-      at most 4 u K.
-    - The exponent -(s + rho)^2 / 2: the library sums -rho^2 / 2, -rho s
-      and -s^2 / 2, each within 3 u of its value, with two roundings, so it
-      is within 5 u (|rho| + |s|)^2 / 2 <= 2.5 u K^2 of the value at its s,
-      and |s + rho| <= 2 K carries s's error in as at most 12 u K^2.  The
-      broadcast square is within 3 u K^2 at its s, and 8 u K^2 from s.
-    - -tau^2 / 2: within 6.5 u K^2 in the library and 5 u K^2 broadcast.
-    So the two exponents differ by delta <= 37 u K^2, and while delta <= 1
-    (asserted) the kernels differ by a factor within exp(delta) - 1 <=
-    2 delta <= 74 u K^2.  The four exps add 4 u each and the two scalings
-    3 u each; the N-term sums of positive values add (N - 1) u each.  In
-    all, 74 u K^2 + (2 N + 22) u."""
-    u = 2.0 ** -53
-    n_l = len(offsets) // len(views)
+    Write eps = 2^-53 and, for one record with bandwidth h and N robots,
+    let D be the L1 size of the bounding box of its column origins and
+    robots, and K = (2 D + max |r_d| + 3 n_r max dr) / h + C, C = _CLAMP.
+    The library writes each cell k < A B, the A B - n_r past the last too, as u + k Delta in bandwidths, with u = s + rho_0, s, tau
+    = (o - x) . (n, t) / h, rho_0 = (dr / 2 - r_d) / h, Delta = dr / h.
+    Unclamped, |s|, |tau| <= D / h and |rho_0| <= (|r_d| + dr / 2) / h;
+    clamped, |u| <= (n_r - 1) Delta + C and |tau| <= C; and k < 2 n_r.  So
+    |tau| <= K and |u| + k Delta <= K, and each term that the frame product
+    sums is at most K.
+    - u and tau: the frame product [(o - c) . n / h + rho_0, -n / h] @ [1;
+      x - c; y - c], its rounded inputs (rho_0's two roundings and its
+      addition among them) and its two-rounding sum: within 10 eps K each.
+    - The exponents at those u and tau: the rows Delta u, u^2, tau^2 and
+      Delta^2 are each within 3 eps of their values (Delta = dr / h is
+      within eps), the coefficients are exact (integers and their halves),
+      and a four-term product adds eps per term and eps per partial sum,
+      at most 4 eps of the sum of the magnitudes of its terms: F's and G's
+      exponents are within 7 eps, and H's (Delta^2 times an exact
+      constant) within 4 eps, of the sums of their terms' magnitudes.
+      Over F, G and H those add up to tau^2 / 2 + (|u| + k Delta)^2 / 2 <=
+      K^2: within 7 eps K^2.
+    - u's and tau's errors move the exact exponent -tau^2 / 2 - (u + k
+      Delta)^2 / 2 by at most (|tau| + |u + k Delta|) 10 eps K <= 20 eps
+      K^2.
+    So the library's exponent is within 27 eps K^2 of its exact value.  The
+    broadcast form's offsets -r_d + (k + 1/2) dr and r / h are within 3
+    eps K and s and tau within 4 eps K, with |s + r / h| <= K; its squares
+    of s + r / h and of tau are within 9 eps K^2 and 5 eps K^2.  So the
+    two exponents differ by delta <= 41 eps K^2, and while 44 eps K^2 <= 1
+    (asserted) the kernels differ by a factor within exp(delta) - 1 <= 2
+    delta <= 88 eps K^2.  The library's three exps and the broadcast
+    form's two add 4 eps each, the products G F, times H and z times
+    exp(-tau^2 / 2) eps each, the two scalings 4 eps each, and the N-term
+    sums of positive values (N - 1) eps each.  In all, rel = eps (88 K^2 +
+    2 N + 30), as section_estimates states."""
+    eps = 2.0 ** -53
+    n_l = len(r_d) // len(views)
     rel = np.empty((len(views), 1, 1))
     for i, view in enumerate(views):
         cols = slice(i * n_l, (i + 1) * n_l)
         pts = np.concatenate([origins[cols], view.positions])
         size = float(np.sum(pts.max(axis=0) - pts.min(axis=0)))
-        k = (2.0 * size + float(np.abs(offsets[cols]).max())) / view.bandwidth
-        assert 37 * u * k * k <= 1.0
-        rel[i] = 74 * u * k * k + (2 * view.n + 22) * u
+        width = float(np.abs(r_d[cols]).max() + 3 * n_r * dr[cols].max())
+        k = (2.0 * size + width) / view.bandwidth + _CLAMP
+        assert 44 * eps * k * k <= 1.0
+        rel[i] = eps * (88 * k * k + 2 * view.n + 30)
     return rel
 
 
-def section_bound(views, origins, offsets, want):
+def section_bound(views, origins, r_d, dr, n_r, want):
     """Per cell, (R, n_l, n_r), how far density.section_estimates may lie
     from ``want``, the values of section_estimates above: section_rel times
-    ``want``, plus 2^-53 / (2 pi h^2) for the robots that a record summed
-    in blocks of columns drops beyond _CULL_RADIUS h of a block."""
+    ``want``, plus (1 + section_rel) 2^-53 / (2 pi h^2) for the kernels
+    that the library changes.  Each is below 2^-53 (1 + section_rel) in
+    both forms: a robot beyond _CULL_RADIUS h of every cell of a block
+    that the library drops; a robot whose u or tau it clamps, which it does
+    only where |u + k Delta| or |tau| exceeds _CLAMP for every cell k of
+    the column, so that its kernels there are below 2^-212; and a term with
+    a factor G, G F or H below 2^-1022, where the kernel is below e^500
+    2^-1022 < 2^-300 (F <= e^500)."""
     h = np.array([view.bandwidth for view in views])[:, None, None]
-    return section_rel(views, origins, offsets) * want + 2.0 ** -53 / (_TWO_PI * h * h)
+    rel = section_rel(views, origins, r_d, dr, n_r)
+    return rel * want + (1.0 + rel) * 2.0 ** -53 / (_TWO_PI * h * h)
 
 
 def scan_segments(rows, pts):

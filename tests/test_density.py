@@ -58,25 +58,28 @@ def brute_force_kde(samples, h, p):
 
 def _region_grid(tube, region, resolution):
     """One region's grid from the density-error pass: column arc lengths
-    (n_l,), the cell length, radial cell heights (n_l,), the columns' frames
-    and the cell-centre offsets (n_l, n_r)."""
-    ls, dl, dr, frames, offsets = _region_grids(tube, [region], resolution)
-    return ls[0], dl[0], dr, frames, offsets
+    (n_l,), the cell length, the columns' frames, their radial lattice
+    (r_d, dr, n_r) and the cell-centre offsets (n_l, n_r) it puts the cells
+    at."""
+    ls, dl, frames, r_d, dr = _region_grids(tube, [region], resolution)
+    lattice = (r_d, dr, resolution[1])
+    return ls[0], dl[0], frames, lattice, bk.cell_offsets(*lattice)
 
 
-def sections(view, origins, tangents, normals, offsets):
-    """The kernel density on one record's grid, (n_l, n_r): the one-record
-    case of density.section_estimates."""
-    return density.section_estimates([view], origins, tangents, normals, offsets)[0]
+def sections(view, origins, tangents, normals, lattice):
+    """The kernel density on one record's grid, (n_l, n_r), of columns with
+    the radial lattice (r_d, dr, n_r): the one-record case of
+    density.section_estimates."""
+    return density.section_estimates([view], origins, tangents, normals, *lattice)[0]
 
 
 def error_grid(view, dd, tube, region, resolution):
     """Estimate, target and cell areas, (n_l, n_r) each, on one region's
     grid: the fields whose difference the density-error metric integrates."""
-    ls, dl, dr, frames, offsets = _region_grid(tube, region, resolution)
-    rho_hat = sections(view, *frames, offsets)
+    ls, dl, frames, lattice, _ = _region_grid(tube, region, resolution)
+    rho_hat = sections(view, *frames, lattice)
     rho_d = np.broadcast_to(dd.profile_many(ls)[:, None], rho_hat.shape)
-    return rho_hat, rho_d, np.broadcast_to((dr * dl)[:, None], rho_hat.shape)
+    return rho_hat, rho_d, np.broadcast_to((lattice[1] * dl)[:, None], rho_hat.shape)
 
 
 def estimate_at(view, p):
@@ -811,13 +814,14 @@ def _assert_within_cull_bound(view, got, pts):
 
 def _random_columns(c, n_r):
     """Columns from (x, y, angle, half-width) rows: origins, tangents,
-    normals, n_r offsets evenly across the half-width, and the cell points."""
+    normals, the radial lattice (r_d, dr, n_r) of n_r cells across the
+    half-width each side, and the cell points."""
     origins = c[:, :2]
     tangents = np.stack([np.cos(c[:, 2]), np.sin(c[:, 2])], axis=1)
     normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
-    offsets = c[:, 3:4] * np.linspace(-1.0, 1.0, n_r)[None, :]
-    pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
-    return origins, tangents, normals, offsets, pts
+    lattice = (c[:, 3], 2.0 * c[:, 3] / n_r, n_r)
+    pts = origins[:, None, :] + bk.cell_offsets(*lattice)[:, :, None] * normals[:, None, :]
+    return origins, tangents, normals, lattice, pts
 
 
 class TestSectionKde:
@@ -826,8 +830,8 @@ class TestSectionKde:
 
     def _compare(self, tube, region, positions, h, resolution=(40, 8)):
         view = DensityView(np.asarray(positions, dtype=float), h)
-        ls, _, _, frames, offsets = _region_grid(tube, region, resolution)
-        got = sections(view, *frames, offsets)
+        ls, _, frames, lattice, offsets = _region_grid(tube, region, resolution)
+        got = sections(view, *frames, lattice)
         _assert_matches_point_kde(view, got, section_points(tube, ls, offsets))
         return got
 
@@ -879,11 +883,11 @@ class TestSectionKde:
         region = occupied_region_from_arclengths([2.0, 8.0], tube)
         near = [[3.0, 0.1], [6.0, -0.3]]
         far = [[95.0, 0.0]]
-        _, _, _, frames, offsets = _region_grid(tube, region, (30, 6))
+        _, _, frames, lattice, _ = _region_grid(tube, region, (30, 6))
         # every grid point is > 85 m = 283 h from the far robot: exp(-4e4) = 0
         assert np.exp(-0.5 * (85.0 / 0.3) ** 2) == 0.0
         got = self._compare(tube, region, near + far, 0.3, (30, 6))
-        near_only = sections(DensityView(np.array(near), 0.3), *frames, offsets)
+        near_only = sections(DensityView(np.array(near), 0.3), *frames, lattice)
         assert np.allclose(got, near_only * 2.0 / 3.0, rtol=1e-15, atol=0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -938,11 +942,13 @@ def _results_per_block_size(sizes, fn):
     return out
 
 
-def _grid_column(n_r, n):
+def _grid_column(n_r, n, a=1):
     """Live elements of one grid column of n_r cells over n robots in
-    density.section_estimates: its exponents, [1; s; s^2], exp(-tau^2 / 2)
-    and the three coefficient planes."""
-    return (n_r + 4) * n + 3 * n_r
+    density.section_estimates with the split k = a p + m: its a + b
+    exponents and four rows per robot, and the b a sums and values of H.
+    The most are at a = 1."""
+    b = -(-n_r // a)
+    return (a + b + 4) * n + 2 * a * b
 
 
 class TestBlockedKernelSums:
@@ -992,8 +998,9 @@ class TestBlockedKernelSums:
     def test_crowd_snapshot(self):
         view, dd, tube, region = _crowd_snapshot()
         resolution = (120, 24)
-        # the default constant splits both sums of this snapshot
-        assert len(blocks.row_blocks(resolution[0], _grid_column(resolution[1], view.n))[1]) > 1
+        # the default constant splits both sums of this snapshot, whose grid
+        # splits its 24 cells 4 by 6
+        assert len(blocks.row_blocks(resolution[0], _grid_column(24, view.n, 4))[1]) > 1
         assert len(blocks.row_blocks(view.n, 4 * view.n)[1]) > 1
 
         def sums():
@@ -1070,13 +1077,14 @@ class TestGridCull:
         origins = np.array([[0.0, 0.0], [1.05 * reach, 0.0]])
         tangents = np.tile([1.0, 0.0], (2, 1))
         normals = np.tile([0.0, 1.0], (2, 1))
-        offsets = np.tile(np.linspace(-1.0, 1.0, 5), (2, 1))
-        cells = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
+        # five cells from -1 to 1 m
+        lattice = (np.full(2, 1.25), np.full(2, 0.5), 5)
+        cells = origins[:, None, :] + bk.cell_offsets(*lattice)[:, :, None] * normals[:, None, :]
         want = _point_kde(view, cells)
         assert np.all(want[1] > 0.0) and np.all(want[1] < _cull_bound(view))
 
         one_block, per_column = _results_per_block_size(
-            [1], lambda: sections(view, origins, tangents, normals, offsets))
+            [1], lambda: sections(view, origins, tangents, normals, lattice))
         # one block spans both columns and keeps the robot: the dense sum
         _assert_matches_point_kde(view, one_block, cells)
         # one column a block: the far block culls it and reads exactly zero
@@ -1113,33 +1121,38 @@ class TestGridCull:
     @given(
         columns=st.lists(
             st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi),
-                      st.floats(0.05, 2.0)),
+                      st.integers(0, 24), st.integers(1, 16)),
             min_size=1, max_size=5,
         ),
-        n_r=st.integers(2, 6),
+        n_r=st.integers(1, 6),
         h=st.floats(0.05, 2.0),
         robots=_straddling_robots,
-        seed=st.integers(0, 2 ** 32 - 1),
     )
-    def test_property_shuffled_offsets_permute_the_grid(self, columns, n_r, h, robots, seed):
-        # the cull box spans each column's smallest and largest offset, so
-        # the order of the offsets along a column changes no robot kept; a
-        # box from the first and last offset would shrink when shuffled.
-        # The order moves the exponent products' roundings, so the two
-        # grids agree within twice bk.section_rel of the values.  That
-        # bound has no absolute part: a robot kept in one order and dropped
-        # in the other shows unless its share of a cell is below it
-        *frames, offsets, cells = _random_columns(np.array(columns), n_r)
+    def test_property_flipped_normals_mirror_the_grid(self, columns, n_r, h, robots):
+        # flipping a column's normal and its lattice, r -> -r, puts cell k
+        # where cell n_r - 1 - k was.  The lattices are dyadic, r_d = i / 8
+        # and dr = j / 16, so the flipped r_d = n_r dr - r_d, every offset
+        # and the cull boxes are exact, and the same robots are kept.  The
+        # broadcast grid, mirrored, is then the broadcast form of the flipped
+        # columns: the same roundings of the negated s and offsets, its sums
+        # over the robots in another order, which bk.section_bound allows.
+        # Both library grids hold to it
+        c = np.array(columns, dtype=float)
+        origins = c[:, :2]
+        tangents = np.stack([np.cos(c[:, 2]), np.sin(c[:, 2])], axis=1)
+        normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
+        lattice = (c[:, 3] / 8, c[:, 4] / 16, n_r)
+        cells = origins[:, None, :] + bk.cell_offsets(*lattice)[:, :, None] * normals[:, None, :]
         view = DensityView(
             _robots_straddling(cells.min(axis=1), cells.max(axis=1), _CULL_RADIUS * h, robots), h)
-        perm = np.argsort(np.random.default_rng(seed).random(offsets.shape), axis=1)
-        shuffled = np.take_along_axis(offsets, perm, axis=1)
-        ordered = _results_per_block_size([1], lambda: sections(view, *frames, offsets))
-        mixed = _results_per_block_size([1], lambda: sections(view, *frames, shuffled))
-        rel = 2.0 * bk.section_rel([view], frames[0], offsets)[0]
-        for want, got in zip(ordered, mixed):
-            want = np.take_along_axis(want, perm, axis=1)
-            assert np.all(np.abs(got - want) <= rel * want)
+        r_d, dr, _ = lattice
+        grids = [(origins, tangents, normals, lattice),
+                 (origins, tangents, -normals, (n_r * dr - r_d, dr, n_r))]
+        want = bk.section_estimates([view], origins, tangents, normals, *lattice)[0]
+        for grid, oracle in zip(grids, (want, want[:, ::-1])):
+            bound = bk.section_bound([view], grid[0], *grid[3], oracle)[0]
+            for got in _results_per_block_size([1], lambda: sections(view, *grid)):
+                assert np.all(np.abs(got - oracle) <= bound)
 
 
 @st.composite
@@ -1171,11 +1184,11 @@ class TestSectionEstimatesAgainstOracle:
            columns_per_block=st.sampled_from([None, 1, 3]))
     def test_property_random_tubes(self, case, n_l, n_r, columns_per_block):
         tube, region, views = case
-        _, _, _, (origins, tangents, normals), offsets = _region_grids(
+        _, _, (origins, tangents, normals), r_d, dr = _region_grids(
             tube, [region] * len(views), (n_l, n_r))
-        grid = (origins, tangents, normals, offsets)
+        grid = (origins, tangents, normals, r_d, dr, n_r)
         want = bk.section_estimates(views, *grid)
-        bound = bk.section_bound(views, origins, offsets, want)
+        bound = bk.section_bound(views, origins, r_d, dr, n_r, want)
         # whole records a block, dense; or blocks of columns, culled
         n = max(view.n for view in views)
         size = _ONE_BLOCK if columns_per_block is None else (
@@ -1184,6 +1197,74 @@ class TestSectionEstimatesAgainstOracle:
             mp.setattr(blocks, "BLOCK_ELEMENTS", size)
             got = density.section_estimates(views, *grid)
         assert np.all(np.abs(got - want) <= bound)
+
+    @staticmethod
+    def _arc_grid(half_width, resolution, ls):
+        """A quarter-circle tube of radius 10 m and the given half-width, and
+        the column arc lengths, frames and lattice of its grid over the arc
+        lengths ls."""
+        tube = VirtualTube(GeneratingCurve([ArcSegment((0.0, 0.0), 10.0, 0.0, 0.5 * math.pi)]),
+                           WidthProfile([(0.0, half_width, half_width)]))
+        region = occupied_region_from_arclengths(ls, tube)
+        columns, _, frames, r_d, dr = _region_grids(tube, [region], resolution)
+        return tube, columns[0], frames, (r_d, dr, resolution[1])
+
+    @staticmethod
+    def _against_oracle(views, frames, lattice):
+        """The library's grid, at one block and at one column a block,
+        within bk.section_bound of the broadcast form; the broadcast grid."""
+        want = bk.section_estimates(views, *frames, *lattice)
+        bound = bk.section_bound(views, frames[0], *lattice, want)
+        for got in _results_per_block_size([1], lambda: density.section_estimates(
+                views, *frames, *lattice)):
+            assert np.all(np.isfinite(got)) and np.all(np.abs(got - want) <= bound)
+        return want
+
+    def test_robots_hundreds_of_bandwidths_away(self):
+        # robots inside and far outside a bent tube, up to 1,000 bandwidths
+        # from the grid: unclamped, F = exp(-tau^2 / 2 - m Delta u) would
+        # overflow for some of them at the split the record gets, A = 4
+        h, resolution = 0.3, (30, 24)
+        ls = np.linspace(2.0, 12.0, 8)
+        tube, _, frames, lattice = self._arc_grid(1.5, resolution, ls)
+        inside = section_points(tube, ls, np.linspace(-1.2, 1.2, 8))
+        far = np.array([[0.0, 0.0], [-200.0, -200.0], [30.0, 140.0], [160.0, -20.0], [5.0, -90.0]])
+        view = DensityView(np.concatenate([inside, far]), h)
+        r_d, dr, n_r = lattice
+        step = dr / h
+        assert (3 * step * ((n_r - 1) * step + density._CLAMP)).max() <= density._FACTOR_LIMIT
+        origins, tangents, normals = frames
+        u = (np.einsum("cj,cj->c", origins, normals)[:, None] - normals @ view.positions.T) / h
+        u += ((0.5 * dr - r_d) / h)[:, None]
+        assert (3 * step[:, None] * -u).max() > 710.0
+        want = self._against_oracle([view], frames, lattice)
+        assert np.all(want > 0.0)
+
+    def test_tiny_bandwidth_on_a_wide_tube(self):
+        # h = 1 mm on a tube 4 m wide: Delta = 167 per cell, so any A > 1
+        # would put F above e^600000 for a robot on the top cell; the record
+        # sums its cells directly, A = 1, with robots on cells at both edges
+        h, resolution = 1e-3, (20, 24)
+        tube, ls, frames, lattice = self._arc_grid(2.0, resolution, [3.0, 9.0])
+        r_d, dr, n_r = lattice
+        step = dr / h
+        assert (step * ((n_r - 1) * step + density._CLAMP)).min() > 709.0
+        offsets = bk.cell_offsets(*lattice)
+        cols = [0, 7, 13, 19]
+        robots = section_points(tube, ls[cols], offsets[cols, [0, 23, 11, 0]])
+        want = self._against_oracle([DensityView(robots, h)], frames, lattice)[0]
+        # the robots' own cells: each alone within reach, 1 / (2 pi n h^2)
+        assert np.allclose(want[cols, [0, 23, 11, 0]], 1.0 / (2 * math.pi * 4 * h * h),
+                           rtol=_SECTION_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("n_r", [1, 2, 3, 23, 24, 25])
+    def test_cells_per_column(self, n_r):
+        # 23 cells are split 4 by 6 and 24 too, 25 5 by 5: the cells past
+        # the last are dropped
+        ls = np.linspace(1.0, 14.0, 25)
+        tube, _, frames, lattice = self._arc_grid(1.2, (40, n_r), ls)
+        robots = section_points(tube, ls, np.random.default_rng(n_r).uniform(-1.1, 1.1, 25))
+        self._against_oracle([DensityView(robots, 0.4)], frames, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,12 +1286,12 @@ class _CallableView:
 _LIBRARY_SECTIONS = density.section_estimates
 
 
-def _sections_of_stubs(views, origins, tangents, normals, offsets):
+def _sections_of_stubs(views, origins, tangents, normals, r_d, dr, n_r):
     """density.section_estimates, with each _CallableView's field evaluated
     at the cells of its columns."""
     if not isinstance(views[0], _CallableView):
-        return _LIBRARY_SECTIONS(views, origins, tangents, normals, offsets)
-    pts = origins[:, None, :] + offsets[:, :, None] * normals[:, None, :]
+        return _LIBRARY_SECTIONS(views, origins, tangents, normals, r_d, dr, n_r)
+    pts = origins[:, None, :] + bk.cell_offsets(r_d, dr, n_r)[:, :, None] * normals[:, None, :]
     rows = np.split(pts, len(views))
     return np.stack([view.estimate_many(p.reshape(-1, 2)).reshape(p.shape[:2])
                      for view, p in zip(views, rows)])

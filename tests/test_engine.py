@@ -810,10 +810,11 @@ class TestBatchIndependence:
     same bit for bit in a batch of its own, in the chunk the run put it in,
     and in one batch of the whole run, across both exits."""
 
-    # the exit case's 12 x 4 grid: 336 live elements a record at two robots,
-    # 240 at one; 1008 puts whole records in each block, three or four at a
-    # time, in chunks of 21 records; 144 puts 5 or 7 columns in a block, so
-    # every record is summed culled, in chunks of 3.  The tilted copy runs
+    # the exit case's 12 x 4 grid, its 4 cells split 2 by 2: 288 live
+    # elements a record at two robots, 192 at one; 1008 puts a whole record
+    # in each block, in chunks of 21 records; 144 puts 6 or 9 columns in a
+    # block, so every record is summed culled, in chunks of 3.  The tilted
+    # copy runs
     # along (0.6, 0.8), where no frame component is 0 or 1, so that every
     # rounding of the kernel sums shows
     @pytest.mark.parametrize("block_elements", [1008, 144])
@@ -845,6 +846,43 @@ class TestBatchIndependence:
         assert any(len(set(c)) > 1 for c in counts)
         assert sorted(set(sum(counts, []))) == [1, 2]
         assert np.array(in_chunks).tobytes() == whole.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("block_elements", [None, 600])
+    def test_records_with_different_splits(self, block_elements):
+        # a chunk on a bent tube 2 m wide with a 40 x 24 grid, whose records'
+        # bandwidths, 0.5 m down to 1.2 cm, split the 24 cells k = A p + m
+        # with A = 4, 3, 2 and 1 (section_estimates' rule, restated here),
+        # in two runs of equal robot count; with 600 elements a block every
+        # record is summed a few columns at a time, culled
+        tube = VirtualTube(GeneratingCurve([ArcSegment((0.0, 0.0), 10.0, 0.0, 1.5)]),
+                           WidthProfile([(0.0, 1.0, 1.0)]))
+        resolution = (40, 24)
+        rng = np.random.default_rng(5)
+        views, targets, regions = [], [], []
+        for n, h in zip([3, 3, 3, 3, 2, 2, 2], [0.5, 0.03, 0.021, 0.012, 0.012, 0.5, 0.03]):
+            ls, rs = rng.uniform(2.0, 12.0, n), rng.uniform(-0.9, 0.9, n)
+            views.append(DensityView(section_points(tube, ls, rs), h))
+            regions.append(occupied_region_from_arclengths(ls, tube, min_halfwidth=0.5))
+            targets.append(DesiredDensity(tube, regions[-1], delta_l=0.5))
+
+        def split(view, region):
+            *_, dr = density._region_grids(tube, [region], resolution)
+            step = dr / view.bandwidth
+            e = float((step * ((resolution[1] - 1) * step + density._CLAMP)).max())
+            return max(a for a in range(1, 5) if (a - 1) * e <= density._FACTOR_LIMIT)
+
+        assert [split(v, r) for v, r in zip(views, regions)] == [4, 3, 2, 1, 1, 4, 3]
+        library = engine.density_errors_l2
+        with pytest.MonkeyPatch.context() as mp:
+            if block_elements is not None:
+                mp.setattr(blocks, "BLOCK_ELEMENTS", block_elements)
+            whole = library(views, targets, tube, regions, resolution)
+            alone = [library([v], [t], tube, [r], resolution)[0]
+                     for v, t, r in zip(views, targets, regions)]
+            parts = [library(views[a:b], targets[a:b], tube, regions[a:b], resolution)
+                     for a, b in ((0, 2), (2, 5), (5, 7))]
+        assert np.all(np.isfinite(whole))
+        assert whole.tobytes() == np.array(alone).tobytes() == np.concatenate(parts).tobytes()
 
 
 class TestSmallSwarmStep:

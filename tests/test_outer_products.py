@@ -202,28 +202,31 @@ def test_every_workload_is_far_inside_the_kde_domain(workload, monkeypatch):
     assert np.isfinite(view.estimate_and_gradient_many(view.positions)[1]).all()
 
 
-# The grid's exponent is a three-term product, within section_bound of the
-# broadcast form while K = (2 D + max |r|) / h stays under 1.9e7: its
-# coordinates and offsets reach 1e30, with signed zeros and subnormals, and
-# each test raises h to 1e-7 (2 D + max |r|) where it is smaller.
+# The grid's exponents are four-term products, within section_bound of the
+# broadcast form while K = (2 D + max |r_d| + 3 n_r max dr) / h + 2 R stays
+# under 1.4e7: its coordinates and lattices reach 1e30, with signed zeros
+# and subnormals, and each test raises h to 1e-7 (2 D + max |r_d| + 3 n_r
+# max dr) where it is smaller.
 grid_coords = st.sampled_from(SPECIAL[:9]) | st.floats(-10.0, 10.0) | st.floats(-1e30, 1e30)
 grid_points = st.tuples(grid_coords, grid_coords)
 
 
 @st.composite
 def grids(draw):
-    """(origins, tangents, normals, offsets): n_l columns of n_r offsets in
-    no particular order, on axis frames with signed zeros or at any angle."""
-    n_l, n_r = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    """(origins, tangents, normals, r_d, dr, n_r): n_l columns of n_r cells
+    on radial lattices with any first cell and any step from zero up, on
+    axis frames with signed zeros or at any angle."""
+    n_l, n_r = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 4, 5, 9, 23, 24, 25]))
     origins = np.array(draw(st.lists(grid_points, min_size=n_l, max_size=n_l)))
     axis = st.sampled_from([(1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, -1.0), (-1.0, 0.0)])
     angle = st.floats(-np.pi, np.pi).map(lambda a: (np.cos(a), np.sin(a)))
     tangents = np.array(draw(st.lists(axis | angle, min_size=n_l, max_size=n_l)))
     normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
-    offset = st.sampled_from(SPECIAL[:9]) | st.floats(-3.0, 3.0) | st.floats(-1e30, 1e30)
-    offsets = np.array(draw(st.lists(st.lists(offset, min_size=n_r, max_size=n_r),
-                                     min_size=n_l, max_size=n_l)))
-    return origins, tangents, normals, offsets
+    first = st.sampled_from(SPECIAL[:9]) | st.floats(-3.0, 3.0) | st.floats(-1e30, 1e30)
+    step = st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(0.0, 3.0) | st.floats(0.0, 1e30)
+    r_d = np.array(draw(st.lists(first, min_size=n_l, max_size=n_l)))
+    dr = np.array(draw(st.lists(step, min_size=n_l, max_size=n_l)))
+    return origins, tangents, normals, r_d, dr, n_r
 
 
 class TestGridProducts:
@@ -234,19 +237,20 @@ class TestGridProducts:
     # that keeps no robot
     @example(robots=[(0.0, 0.0), (0.5, -0.0)], h=1.0, size=1,
              grid=(np.array([[0.0, 0.0], [1e15, 0.0]]), np.array([[1.0, 0.0]] * 2),
-                   np.array([[-0.0, 1.0]] * 2), np.array([[-1.0, 0.0, 1.0]] * 2)))
+                   np.array([[-0.0, 1.0]] * 2), np.array([1.5, 1.5]), np.array([1.0, 1.0]), 3))
+    # a step of zero and of the smallest subnormal: every cell at one offset
     @example(robots=[(-0.0, -0.0)], h=1.0, size=_ONE_BLOCK,
-             grid=(np.array([[0.0, -0.0]]), np.array([[1.0, -0.0]]), np.array([[0.0, 1.0]]),
-                   np.array([[-0.0, 5e-324, 0.0, -5e-324]])))
+             grid=(np.array([[0.0, -0.0], [0.0, 1.0]]), np.array([[1.0, -0.0]] * 2),
+                   np.array([[0.0, 1.0]] * 2), np.array([-0.0, 0.0]), np.array([0.0, 5e-324]), 4))
     def test_section_estimates(self, robots, h, grid, size):
-        origins, tangents, normals, offsets = grid
+        origins, tangents, normals, r_d, dr, n_r = grid
         pts = np.concatenate([origins, robots])
         extent = float(np.sum(pts.max(axis=0) - pts.min(axis=0)))
-        h = max(h, 1e-7 * (2 * extent + float(np.abs(offsets).max())))
+        h = max(h, 1e-7 * (2 * extent + float(np.abs(r_d).max() + 3 * n_r * dr.max())))
         views = [DensityView(np.array(robots), h)]
         got = _with_blocks(size, lambda: density.section_estimates(views, *grid))
         want = bk.section_estimates(views, *grid)
-        assert np.all(np.abs(got - want) <= bk.section_bound(views, origins, offsets, want))
+        assert np.all(np.abs(got - want) <= bk.section_bound(views, origins, *grid[3:], want))
 
 
 @st.composite
@@ -340,10 +344,10 @@ def test_run_files_equal_on_the_broadcast_forms(name, t_end, tmp_path, monkeypat
     library_kde = DensityView.estimate_and_gradient_many
     monkeypatch.setattr(DensityView, "estimate_and_gradient_many", counted("kde", kde))
 
-    def grid(views, origins, tangents, normals, offsets):
-        want = bk.section_estimates(views, origins, tangents, normals, offsets)
-        got = library(views, origins, tangents, normals, offsets)
-        assert np.all(np.abs(got - want) <= bk.section_bound(views, origins, offsets, want))
+    def grid(views, origins, tangents, normals, *lattice):
+        want = bk.section_estimates(views, origins, tangents, normals, *lattice)
+        got = library(views, origins, tangents, normals, *lattice)
+        assert np.all(np.abs(got - want) <= bk.section_bound(views, origins, *lattice, want))
         return want
 
     library = density.section_estimates
